@@ -8,25 +8,29 @@ Subcommands:
                both modes, write a per-trial CSV and an aggregate summary
     rerun      re-execute the command recorded in a run manifest
 
-Every world, sensor, solver and factor-noise parameter is exposed as a
-kebab-case flag; defaults reproduce the published synthetic evaluation
-setup. Each command writes a run manifest listing its outputs, and reruns
-with equal flags and seeds reproduce those outputs byte for byte.
+Every world, sensor, solver, factor-noise and quadric-initialization
+parameter is a kebab-case flag generated from its config dataclass field;
+defaults reproduce the published synthetic evaluation setup, and the
+dataclasses are the only range check (a rejected value exits with code 2
+before any work). Each command writes a run manifest listing its outputs,
+and reruns with equal flags and seeds reproduce those outputs byte for byte.
 """
 
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from . import __version__
+from .config import ConfigError
 from .dataset_io import read_dataset, write_dataset
 from .initialization import InitStrategy
 from .metrics import MODES, aggregate, format_table
@@ -66,94 +70,51 @@ def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
 
 
-def _checked(flagname: str, caster, predicate, describe: str):
-    def parse(text):
+def _dest(cls, name: str) -> str:
+    # --mode already selects the factor set, so InitStrategy.mode is --init.
+    return "init" if (cls, name) == (InitStrategy, "mode") else name
+
+
+# The configs each subcommand builds from its flags, in --help order; the
+# command receives them in this order after (args, argv).
+_CONFIGS = {
+    "simulate": (WorldConfig, SensorConfig),
+    "solve": (InitStrategy, SolverConfig, GraphNoiseConfig),
+    "evaluate": (InitStrategy, WorldConfig, SensorConfig, SolverConfig, GraphNoiseConfig),
+    "rerun": (),
+}
+
+
+def _add_config_flags(parser, classes, skip=()) -> None:
+    """One flag per config field, in field order: the type and default come
+    from the field's default, choices and help from its declaration."""
+    for cls in classes:
+        for f in fields(cls):
+            if f.name in skip:
+                continue
+            describe = f.metadata.get("help") or f.name.replace("_", " ")
+            kwargs = dict(default=f.default, help=f"{describe} (default: {f.default})")
+            if f.metadata.get("choices"):
+                kwargs["choices"] = f.metadata["choices"]
+            else:
+                kwargs["type"] = type(f.default)
+            parser.add_argument(_flag(_dest(cls, f.name)), **kwargs)
+
+
+def _configs(parser, args, classes) -> list:
+    """One config per class from the parsed flags, built before any work; a
+    rejected value ends the run through parser.error, naming its flag. A
+    field without a flag (evaluate's seed) keeps its default."""
+    values = vars(args)
+    configs = []
+    for cls in classes:
+        names = {f.name: _dest(cls, f.name) for f in fields(cls)}
+        kwargs = {name: values[dest] for name, dest in names.items() if dest in values}
         try:
-            value = caster(text)
-        except ValueError:
-            raise argparse.ArgumentTypeError(f"{flagname}: not a {caster.__name__}")
-        if predicate is not None and not predicate(value):
-            raise argparse.ArgumentTypeError(f"{flagname}: must be {describe}")
-        return value
-
-    parse.__name__ = caster.__name__
-    return parse
-
-
-_POS = (lambda v: v > 0, "positive")
-_NONNEG = (lambda v: v >= 0, "nonnegative")
-_ANY = (None, "")
-
-# field name -> (type, (predicate, description))
-_WORLD_SPEC = {
-    "n_landmarks": (int, _POS),
-    "landmark_z_sigma": (float, _NONNEG),
-    "cube_side_mean": (float, _POS),
-    "cube_side_sigma": (float, _NONNEG),
-    "cube_side_floor": (float, _POS),
-    "trajectory_length": (float, _POS),
-    "n_loops": (int, _POS),
-    "step_length": (float, _POS),
-    "turn_steps": (int, _POS),
-    "offset_min": (float, _POS),
-    "offset_max": (float, _POS),
-    "landmark_shape": (str, _ANY),
-    "landmark_min_detections": (int, (lambda v: v >= 3, "at least 3")),
-    "landmark_min_condition": (float, _NONNEG),
-    "seed": (int, _ANY),
-}
-_SENSOR_SPEC = {
-    "focal_mm": (float, _POS),
-    "pixel_size_m": (float, _POS),
-    "image_width": (int, _POS),
-    "image_height": (int, _POS),
-    "detection_min_px": (float, _POS),
-    "bbox_corner_sigma_px": (float, _NONNEG),
-    "odo_sigma": (float, _NONNEG),
-    "odo_turn_omega_sigma": (float, _NONNEG),
-    "relpos_sigma_m": (float, _NONNEG),
-}
-_SOLVER_SPEC = {
-    "max_iterations": (int, _POS),
-    "initial_lambda": (float, _NONNEG),
-    "lambda_up": (float, (lambda v: v > 1, "greater than 1")),
-    "lambda_down": (float, (lambda v: 0 < v < 1, "strictly between 0 and 1")),
-    "rel_cost_tol": (float, _POS),
-    "grad_tol": (float, _POS),
-}
-_NOISE_SPEC = {
-    "prior_sigma": (float, _POS),
-    "odo_sigma_xy": (float, _POS),
-    "odo_sigma_theta": (float, _POS),
-    "odo_sigma_theta_turn": (float, _POS),
-    "bbox_line_sigma": (float, _POS),
-    "relpos_sigma": (float, _POS),
-}
-
-
-def _add_config_flags(parser, cls, spec, skip=()):
-    defaults = {f.name: f.default for f in fields(cls)}
-    for name, (caster, (pred, desc)) in spec.items():
-        if name in skip:
-            continue
-        flagname = _flag(name)
-        kwargs = dict(
-            default=defaults[name],
-            help=f"{name.replace('_', ' ')} (default: {defaults[name]})",
-        )
-        if name == "landmark_shape":
-            kwargs["choices"] = ("cube", "sphere")
-        else:
-            kwargs["type"] = _checked(flagname, caster, pred, desc)
-        parser.add_argument(flagname, **kwargs)
-
-
-def _config_from_args(cls, spec, args, skip=(), **overrides):
-    values = {
-        name: getattr(args, name) for name in spec if name not in skip
-    }
-    values.update(overrides)
-    return cls(**values)
+            configs.append(cls(**kwargs))
+        except ConfigError as exc:
+            parser.error(f"argument {_flag(names[exc.name])}: {exc.requirement}")
+    return configs
 
 
 # -- manifest ---------------------------------------------------------------
@@ -177,9 +138,7 @@ def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings
 
 # -- simulate ---------------------------------------------------------------
 
-def _cmd_simulate(args, argv) -> int:
-    world = _config_from_args(WorldConfig, _WORLD_SPEC, args)
-    sensor = _config_from_args(SensorConfig, _SENSOR_SPEC, args)
+def _cmd_simulate(args, argv, world, sensor) -> int:
     t0 = time.perf_counter()
     dataset = generate_dataset(world, sensor)
     write_dataset(dataset, args.out)
@@ -249,11 +208,8 @@ def _results_doc(run) -> dict:
     }
 
 
-def _cmd_solve(args, argv) -> int:
+def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
     dataset = read_dataset(args.dataset)
-    noise = _config_from_args(GraphNoiseConfig, _NOISE_SPEC, args)
-    solver_cfg = _config_from_args(SolverConfig, _SOLVER_SPEC, args)
-    strategy = InitStrategy(mode=args.init, condition_threshold=args.condition_threshold)
 
     t0 = time.perf_counter()
     run = run_trial(
@@ -292,7 +248,7 @@ def _cmd_solve(args, argv) -> int:
         {
             "noise": asdict(noise),
             "solver": asdict(solver_cfg),
-            "init": {"mode": strategy.mode, "condition_threshold": strategy.condition_threshold},
+            "init": asdict(strategy),
             "mode": args.mode,
             "dataset": str(args.dataset),
         },
@@ -306,27 +262,23 @@ def _cmd_solve(args, argv) -> int:
 
 # -- evaluate ---------------------------------------------------------------
 
-def _evaluate_seed(payload):
+def _evaluate_seed(world, sensor, noise, solver_cfg, strategy):
     """Worker: one seed through both modes (shared dataset)."""
-    (seed, world_kwargs, sensor_kwargs, noise_kwargs, solver_kwargs,
-     init_mode, condition_threshold) = payload
     try:
-        world = WorldConfig(seed=seed, **world_kwargs)
-        sensor = SensorConfig(**sensor_kwargs)
         dataset = generate_dataset(world, sensor)
         results = []
         for mode in MODES:
             run = run_trial(
                 dataset,
                 mode=mode,
-                noise=GraphNoiseConfig(**noise_kwargs),
-                solver_config=SolverConfig(**solver_kwargs),
-                init_strategy=InitStrategy(init_mode, condition_threshold),
+                noise=noise,
+                solver_config=solver_cfg,
+                init_strategy=strategy,
             )
             results.append(run.result)
-        return seed, results, None
+        return world.seed, results, None
     except Exception as exc:  # trial failure: recorded, run continues
-        return seed, None, f"{type(exc).__name__}: {exc}"
+        return world.seed, None, f"{type(exc).__name__}: {exc}"
 
 
 def _csv_row(result) -> str:
@@ -345,37 +297,25 @@ def _csv_row(result) -> str:
     )
 
 
-def _cmd_evaluate(args, argv) -> int:
-    world_kwargs = {
-        name: getattr(args, name) for name in _WORLD_SPEC if name != "seed"
-    }
-    sensor_kwargs = {name: getattr(args, name) for name in _SENSOR_SPEC}
-    noise_kwargs = {name: getattr(args, name) for name in _NOISE_SPEC}
-    solver_kwargs = {name: getattr(args, name) for name in _SOLVER_SPEC}
+def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int:
     seeds = [args.base_seed + i for i in range(args.trials)]
-    payloads = [
-        (seed, world_kwargs, sensor_kwargs, noise_kwargs, solver_kwargs,
-         args.init, args.condition_threshold)
-        for seed in seeds
-    ]
+    worlds = [replace(world, seed=seed) for seed in seeds]
+    job = functools.partial(
+        _evaluate_seed, sensor=sensor, noise=noise, solver_cfg=solver_cfg, strategy=strategy
+    )
 
     os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    outcomes = {}
     workers = args.workers or os.cpu_count() or 1
     if workers == 1:
-        for payload in payloads:
-            seed, results, error = _evaluate_seed(payload)
-            outcomes[seed] = (results, error)
+        outcomes = list(map(job, worlds))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            for seed, results, error in pool.map(_evaluate_seed, payloads):
-                outcomes[seed] = (results, error)
+            outcomes = list(pool.map(job, worlds))
     elapsed = time.perf_counter() - t0
 
     all_results, failures = [], {}
-    for seed in seeds:
-        results, error = outcomes[seed]
+    for seed, results, error in outcomes:
         if error is not None:
             failures[seed] = error
         else:
@@ -415,11 +355,11 @@ def _cmd_evaluate(args, argv) -> int:
         "evaluate",
         argv,
         {
-            "world": world_kwargs,
-            "sensor": sensor_kwargs,
-            "noise": noise_kwargs,
-            "solver": solver_kwargs,
-            "init": {"mode": args.init, "condition_threshold": args.condition_threshold},
+            "world": {k: v for k, v in asdict(world).items() if k != "seed"},
+            "sensor": asdict(sensor),
+            "noise": asdict(noise),
+            "solver": asdict(solver_cfg),
+            "init": asdict(strategy),
             "workers": workers,
         },
         seeds,
@@ -441,7 +381,8 @@ def _cmd_rerun(args, _argv) -> int:
 
 # -- parser -----------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and its subcommand parsers by name."""
     parser = argparse.ArgumentParser(
         prog="dqslam",
         description="SLAM with dual-quadric object landmarks: synthetic "
@@ -457,8 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "the published evaluation setup (130 m two-loop trajectory, 10 cube "
         "landmarks, 15 mm / 10 um / 1280x1024 camera, 1 px box noise).",
     )
-    _add_config_flags(p_sim, WorldConfig, _WORLD_SPEC)
-    _add_config_flags(p_sim, SensorConfig, _SENSOR_SPEC)
+    _add_config_flags(p_sim, _CONFIGS["simulate"])
     p_sim.add_argument("--out", required=True, help="output dataset path (JSON)")
 
     p_solve = sub.add_parser(
@@ -472,20 +412,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument(
         "--mode", choices=MODES, default="monocular", help="factor set to use"
     )
-    p_solve.add_argument(
-        "--init",
-        choices=("identity", "svd", "svd-with-fallback"),
-        default="identity",
-        help="quadric initialization strategy (default: identity)",
-    )
-    p_solve.add_argument(
-        "--condition-threshold",
-        type=float,
-        default=0.1,
-        help="SVD acceptance ratio for the degeneracy test (default: 0.1)",
-    )
-    _add_config_flags(p_solve, SolverConfig, _SOLVER_SPEC)
-    _add_config_flags(p_solve, GraphNoiseConfig, _NOISE_SPEC)
+    _add_config_flags(p_solve, _CONFIGS["solve"])
     p_solve.add_argument("--out", required=True, help="output results path (JSON)")
     p_solve.add_argument("--svg", default=None, help="optional SVG map path")
 
@@ -506,17 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=0,
         help="worker processes (default: 0 = available parallelism)",
     )
-    p_eval.add_argument(
-        "--init",
-        choices=("identity", "svd", "svd-with-fallback"),
-        default="identity",
-        help="quadric initialization strategy (default: identity)",
-    )
-    p_eval.add_argument("--condition-threshold", type=float, default=0.1)
-    _add_config_flags(p_eval, WorldConfig, _WORLD_SPEC, skip=("seed",))
-    _add_config_flags(p_eval, SensorConfig, _SENSOR_SPEC)
-    _add_config_flags(p_eval, SolverConfig, _SOLVER_SPEC)
-    _add_config_flags(p_eval, GraphNoiseConfig, _NOISE_SPEC)
+    _add_config_flags(p_eval, _CONFIGS["evaluate"], skip=("seed",))
 
     p_rerun = sub.add_parser(
         "rerun",
@@ -526,7 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_rerun.add_argument("manifest", help="path to a run manifest JSON")
 
-    return parser
+    return parser, sub.choices
 
 
 _COMMANDS = {
@@ -539,10 +456,11 @@ _COMMANDS = {
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
+    parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    configs = _configs(commands[args.command], args, _CONFIGS[args.command])
     try:
-        return _COMMANDS[args.command](args, argv)
+        return _COMMANDS[args.command](args, argv, *configs)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

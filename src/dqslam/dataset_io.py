@@ -9,10 +9,11 @@ byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
+from .config import ConfigError
 from .factors import BBoxDetection, OdometryMeasurement, RelativePositionMeasurement
 from .geometry import ImageLine, RobotPose
 from .simulator import CubeLandmark, Dataset, SensorConfig, WorldConfig
@@ -81,40 +82,121 @@ def dataset_to_dict(ds: Dataset) -> dict:
     }
 
 
+def _get(obj, key: str, where: str):
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValueError(f"{where}: missing key {key!r}")
+    return obj[key]
+
+
+def _column(records, key: str, where: str) -> list:
+    if not (isinstance(records, list) and all(isinstance(r, dict) and key in r for r in records)):
+        raise ValueError(f"{where} must be a list of objects with key {key!r}")
+    return [r[key] for r in records]
+
+
+def _numbers(values, shape: tuple, where: str) -> list:
+    """values, a list of entries of the given shape, as finite floats."""
+    try:
+        a = np.asarray(values)
+    except ValueError:  # ragged nesting
+        a = None
+    if a is None or a.dtype.kind not in "fi" or not np.isfinite(a).all() or (
+        a.shape[1:] != shape and a.shape != (0,)
+    ):
+        raise ValueError(f"{where} must be a list of finite numbers of shape {shape}")
+    return a.astype(float).tolist()
+
+
+def _indices(values: list, n: int, where: str) -> list:
+    if not all(type(v) is int and 0 <= v < n for v in values):
+        raise ValueError(f"{where} must be integers in [0, {n})")
+    return values
+
+
+def _measured(records, where: str, n_poses: int, n_landmarks: int):
+    """The range-checked (pose_index, landmark_id) pairs of measurements."""
+    return zip(
+        _indices(_column(records, "pose_index", where), n_poses, f"{where}.pose_index"),
+        _indices(_column(records, "landmark_id", where), n_landmarks, f"{where}.landmark_id"),
+    )
+
+
+def _config(cls, doc: dict, key: str):
+    values = _get(doc, key, "dataset")
+    names = [f.name for f in fields(cls)]
+    for name in names:
+        _get(values, name, key)
+    unknown = sorted(set(values) - set(names))
+    if unknown:
+        raise ValueError(f"{key}: unknown key {unknown[0]!r}")
+    try:
+        return cls(**values)
+    except ConfigError as exc:
+        raise ValueError(f"{key}.{exc}") from None
+
+
 def dataset_from_dict(doc: dict) -> Dataset:
-    if doc.get("schema") != SCHEMA:
+    """Rebuild a dataset from its document; a malformed one (missing or
+    unknown key, config value out of range, non-finite number, index out of
+    range, odometry not one entry shorter than the poses) raises ValueError
+    naming the key."""
+    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ValueError(f"not a {SCHEMA} document")
     if doc.get("version") != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema version {doc.get('version')}")
-    world = WorldConfig(**doc["world_config"])
-    sensor = SensorConfig(**doc["sensor_config"])
-    poses = [RobotPose(*row) for row in doc["ground_truth"]["poses"]]
+    world = _config(WorldConfig, doc, "world_config")
+    sensor = _config(SensorConfig, doc, "sensor_config")
+    seed = _get(doc, "seed", "dataset")
+    if type(seed) is not int:
+        raise ValueError(f"seed must be an integer, got {seed!r}")
+
+    truth = _get(doc, "ground_truth", "dataset")
+    rows = _numbers(_get(truth, "poses", "ground_truth"), (3,), "ground_truth.poses")
+    poses = [RobotPose(*row) for row in rows]
+    lms, where = _get(truth, "landmarks", "ground_truth"), "ground_truth.landmarks"
+    ids = _column(lms, "id", where)
+    if sorted(_indices(ids, len(ids), f"{where}.id")) != list(range(len(ids))):
+        raise ValueError(f"{where}.id must be distinct")
     landmarks = [
-        CubeLandmark(id=lm["id"], center=np.array(lm["center"]), side=lm["side"])
-        for lm in doc["ground_truth"]["landmarks"]
+        CubeLandmark(id=j, center=np.array(center), side=side)
+        for j, center, side in zip(
+            ids,
+            _numbers(_column(lms, "center", where), (3,), f"{where}.center"),
+            _numbers(_column(lms, "side", where), (), f"{where}.side"),
+        )
     ]
+
+    odo = _get(doc, "odometry", "dataset")
+    turns = _column(odo, "turn", "odometry")
+    if len(turns) != len(poses) - 1:
+        raise ValueError(f"odometry has {len(turns)} entries for {len(poses)} poses")
+    if not all(type(t) is bool for t in turns):
+        raise ValueError("odometry.turn must be booleans")
     odometry = [
-        OdometryMeasurement(v=u["v"], omega=u["omega"], turn=u["turn"])
-        for u in doc["odometry"]
+        OdometryMeasurement(v=v, omega=omega, turn=turn)
+        for v, omega, turn in zip(
+            _numbers(_column(odo, "v", "odometry"), (), "odometry.v"),
+            _numbers(_column(odo, "omega", "odometry"), (), "odometry.omega"),
+            turns,
+        )
     ]
+
+    dets = _get(doc, "detections", "dataset")
+    boxes = _numbers(_column(dets, "lines", "detections"), (4, 3), "detections.lines")
     detections = [
-        BBoxDetection(
-            pose_index=d["pose_index"],
-            landmark_id=d["landmark_id"],
-            lines=tuple(ImageLine(np.array(l)) for l in d["lines"]),
-        )
-        for d in doc["detections"]
+        BBoxDetection(pose_index=i, landmark_id=j, lines=tuple(map(ImageLine, box)))
+        for (i, j), box in zip(_measured(dets, "detections", len(poses), len(ids)), boxes)
     ]
+    rels = _get(doc, "relative_positions", "dataset")
+    zs = _numbers(_column(rels, "z", "relative_positions"), (3,), "relative_positions.z")
     relpos = [
-        RelativePositionMeasurement(
-            pose_index=z["pose_index"], landmark_id=z["landmark_id"], z=np.array(z["z"])
-        )
-        for z in doc["relative_positions"]
+        RelativePositionMeasurement(pose_index=i, landmark_id=j, z=np.array(z))
+        for (i, j), z in zip(_measured(rels, "relative_positions", len(poses), len(ids)), zs)
     ]
     return Dataset(
         world_config=world,
         sensor_config=sensor,
-        seed=doc["seed"],
+        seed=seed,
         ground_truth_poses=poses,
         landmarks=landmarks,
         odometry=odometry,

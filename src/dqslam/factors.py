@@ -393,10 +393,6 @@ class GraphEvaluator:
             ]
         )
 
-    def cost(self, poses: np.ndarray, quadrics: np.ndarray) -> float:
-        r = self.residual(poses, quadrics)
-        return 0.5 * float(r @ r)
-
     def _prior_residuals(self, poses):
         if len(self._prior_idx) == 0:
             return np.zeros(0)

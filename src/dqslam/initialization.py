@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields, setting
 from .factors import motion_model
 from .geometry import (
     CameraExtrinsics,
@@ -29,7 +30,6 @@ __all__ = [
     "DegenerateSolutionError",
     "InitStrategy",
     "init_poses",
-    "init_quadric_fallback",
     "fit_dual_quadric",
     "init_quadric_svd",
     "initialize_quadrics",
@@ -55,14 +55,13 @@ class InitStrategy:
     i.e. when the nullspace direction is isolated.
     """
 
-    mode: str = "identity"
-    condition_threshold: float = 0.1
+    mode: str = setting("identity", choices=_MODES, help="quadric initialization strategy")
+    condition_threshold: float = setting(
+        0.1, gt=0, le=1, help="SVD acceptance ratio for the degeneracy test"
+    )
 
     def __post_init__(self):
-        if self.mode not in _MODES:
-            raise ValueError(f"mode must be one of {_MODES}")
-        if not 0.0 < self.condition_threshold <= 1.0:
-            raise ValueError("condition_threshold must lie in (0, 1]")
+        check_fields(self)
 
 
 def init_poses(odometry, x0: RobotPose) -> list:
@@ -71,11 +70,6 @@ def init_poses(odometry, x0: RobotPose) -> list:
     for u in odometry:
         poses.append(motion_model(poses[-1], u))
     return poses
-
-
-def init_quadric_fallback() -> DualQuadric:
-    """Identity-matrix quadric: unit sphere-like surface at the origin."""
-    return DualQuadric(np.array([1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0]))
 
 
 def _plane_constraint_rows(planes: np.ndarray) -> np.ndarray:
@@ -197,7 +191,7 @@ def initialize_quadrics(
     quadrics, used_fallback = [], []
     for j in landmark_ids:
         if strategy.mode == "identity":
-            quadrics.append(init_quadric_fallback())
+            quadrics.append(DualQuadric.identity())
             used_fallback.append(True)
             continue
         try:
@@ -213,6 +207,6 @@ def initialize_quadrics(
         except (InsufficientObservationsError, DegenerateSolutionError):
             if strategy.mode == "svd":
                 raise
-            quadrics.append(init_quadric_fallback())
+            quadrics.append(DualQuadric.identity())
             used_fallback.append(True)
     return quadrics, used_fallback

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import check_fields, setting
 from .factors import (
     BBoxFactor,
     FactorGraph,
@@ -46,24 +47,15 @@ class GraphNoiseConfig:
     per-line tangency-residual sigma; relpos_sigma is per axis in meters.
     """
 
-    prior_sigma: float = 1e-6
-    odo_sigma_xy: float = 0.02
-    odo_sigma_theta: float = 0.02
-    odo_sigma_theta_turn: float = 0.1
-    bbox_line_sigma: float = 1e6
-    relpos_sigma: float = 0.1
+    prior_sigma: float = setting(1e-6, gt=0)
+    odo_sigma_xy: float = setting(0.02, gt=0)
+    odo_sigma_theta: float = setting(0.02, gt=0)
+    odo_sigma_theta_turn: float = setting(0.1, gt=0)
+    bbox_line_sigma: float = setting(1e6, gt=0)
+    relpos_sigma: float = setting(0.1, gt=0)
 
     def __post_init__(self):
-        for v in (
-            self.prior_sigma,
-            self.odo_sigma_xy,
-            self.odo_sigma_theta,
-            self.odo_sigma_theta_turn,
-            self.bbox_line_sigma,
-            self.relpos_sigma,
-        ):
-            if v <= 0:
-                raise ValueError("noise sigmas must be positive")
+        check_fields(self)
 
 
 def build_graph(

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import ConfigError, check_fields, setting
 from .factors import BBoxDetection, OdometryMeasurement, RelativePositionMeasurement
 from .geometry import (
     CameraExtrinsics,
@@ -32,6 +33,7 @@ from .geometry import (
     left_facing_mount,
     pose_to_extrinsics,
 )
+from .initialization import _plane_constraint_rows, init_poses
 
 __all__ = [
     "WorldConfig",
@@ -56,76 +58,47 @@ _PLACEMENT_RETRIES = 200
 class WorldConfig:
     """Ground-truth world layout parameters."""
 
-    n_landmarks: int = 10
-    landmark_z_sigma: float = 0.3
-    cube_side_mean: float = 0.5
-    cube_side_sigma: float = 0.3
-    cube_side_floor: float = 0.2
-    trajectory_length: float = 130.0
-    n_loops: int = 2
-    step_length: float = 0.5
-    turn_steps: int = 6
-    offset_min: float = 1.0
-    offset_max: float = 6.0
-    landmark_shape: str = "cube"
-    landmark_min_detections: int = 10
-    landmark_min_condition: float = 1e-4
-    seed: int = 0
+    n_landmarks: int = setting(10, gt=0)
+    landmark_z_sigma: float = setting(0.3, ge=0)
+    cube_side_mean: float = setting(0.5, gt=0)
+    cube_side_sigma: float = setting(0.3, ge=0)
+    cube_side_floor: float = setting(0.2, gt=0)
+    trajectory_length: float = setting(130.0, gt=0)
+    n_loops: int = setting(2, gt=0)
+    step_length: float = setting(0.5, gt=0)
+    turn_steps: int = setting(6, gt=0)
+    offset_min: float = setting(1.0, gt=0)
+    offset_max: float = setting(6.0, gt=0)
+    landmark_shape: str = setting("cube", choices=("cube", "sphere"))
+    # 3 views x 4 lines = 12 constraints bound the 9 quadric DOF, so 3
+    # detections is the hard floor; the default is higher because views
+    # from adjacent poses are barely distinct viewpoints.
+    landmark_min_detections: int = setting(10, ge=3)
+    landmark_min_condition: float = setting(1e-4, ge=0)
+    seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        positive = (
-            self.n_landmarks,
-            self.cube_side_floor,
-            self.trajectory_length,
-            self.n_loops,
-            self.step_length,
-            self.turn_steps,
-            self.offset_min,
-        )
-        if any(v <= 0 for v in positive):
-            raise ValueError("world config values must be positive")
-        if self.offset_max <= self.offset_min:
-            raise ValueError("offset_max must exceed offset_min")
-        if self.landmark_shape not in ("cube", "sphere"):
-            raise ValueError("landmark_shape must be 'cube' or 'sphere'")
-        # 3 views x 4 lines = 12 constraints bound the 9 quadric DOF, so 3
-        # detections is the hard floor; the default is higher because views
-        # from adjacent poses are barely distinct viewpoints.
-        if self.landmark_min_detections < 3:
-            raise ValueError("landmark_min_detections must be at least 3")
-        if self.landmark_min_condition < 0:
-            raise ValueError("landmark_min_condition must be nonnegative")
+        check_fields(self)
+        if self.offset_min >= self.offset_max:
+            raise ConfigError("offset_min", f"must be less than offset_max ({self.offset_max})")
 
 
 @dataclass(frozen=True)
 class SensorConfig:
     """Camera, detector and noise parameters."""
 
-    focal_mm: float = 15.0
-    pixel_size_m: float = 10e-6
-    image_width: int = 1280
-    image_height: int = 1024
-    detection_min_px: float = 100.0
-    bbox_corner_sigma_px: float = 1.0
-    odo_sigma: float = 0.02
-    odo_turn_omega_sigma: float = 0.1
-    relpos_sigma_m: float = 0.1
+    focal_mm: float = setting(15.0, gt=0)
+    pixel_size_m: float = setting(10e-6, gt=0)
+    image_width: int = setting(1280, gt=0)
+    image_height: int = setting(1024, gt=0)
+    detection_min_px: float = setting(100.0, gt=0)
+    bbox_corner_sigma_px: float = setting(1.0, ge=0)
+    odo_sigma: float = setting(0.02, ge=0)
+    odo_turn_omega_sigma: float = setting(0.1, ge=0)
+    relpos_sigma_m: float = setting(0.1, ge=0)
 
     def __post_init__(self):
-        if self.focal_mm <= 0 or self.pixel_size_m <= 0:
-            raise ValueError("optics parameters must be positive")
-        if self.image_width <= 0 or self.image_height <= 0:
-            raise ValueError("image size must be positive")
-        if self.detection_min_px <= 0:
-            raise ValueError("detection_min_px must be positive")
-        for sigma in (
-            self.bbox_corner_sigma_px,
-            self.odo_sigma,
-            self.odo_turn_omega_sigma,
-            self.relpos_sigma_m,
-        ):
-            if sigma < 0:
-                raise ValueError("noise sigmas must be nonnegative")
+        check_fields(self)
 
     def intrinsics(self) -> CameraIntrinsics:
         f = self.focal_mm * 1e-3 / self.pixel_size_m
@@ -222,15 +195,6 @@ def ground_truth_odometry(cfg: WorldConfig) -> list:
     return loop * cfg.n_loops
 
 
-def _chain(odometry, x0=RobotPose(0.0, 0.0, 0.0)) -> list:
-    from .factors import motion_model
-
-    poses = [x0]
-    for u in odometry:
-        poses.append(motion_model(poses[-1], u))
-    return poses
-
-
 def _sample_landmark(cfg: WorldConfig, trajectory, rng, lm_id: int) -> CubeLandmark:
     k = int(rng.integers(0, len(trajectory)))
     pose = trajectory[k]
@@ -251,7 +215,7 @@ def generate_world(cfg: WorldConfig, rng=None):
     """
     if rng is None:
         rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    trajectory = _chain(ground_truth_odometry(cfg))
+    trajectory = init_poses(ground_truth_odometry(cfg), RobotPose(0.0, 0.0, 0.0))
     landmarks = [
         _sample_landmark(cfg, trajectory, rng, lm_id)
         for lm_id in range(cfg.n_landmarks)
@@ -370,12 +334,6 @@ def measure_relative_position(
     )
 
 
-def _count_detections(landmark, trajectory, K, mount, min_px, project) -> int:
-    return sum(
-        project(landmark, pose, K, mount, min_px) is not None for pose in trajectory
-    )
-
-
 def _landmark_condition(landmark, detected_poses, K, mount) -> float:
     """Uniqueness margin of the landmark's plane-constraint system.
 
@@ -386,7 +344,6 @@ def _landmark_condition(landmark, detected_poses, K, mount) -> float:
     measurements.
     """
     from .geometry import projection_matrix
-    from .initialization import _plane_constraint_rows
 
     planes = []
     for pose in detected_poses:
@@ -422,7 +379,7 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
     mount = left_facing_mount()
 
     gt_odometry = ground_truth_odometry(world_cfg)
-    trajectory = _chain(gt_odometry)
+    trajectory = init_poses(gt_odometry, RobotPose(0.0, 0.0, 0.0))
     min_px = sensor_cfg.detection_min_px
     project = _bbox_projector(world_cfg.landmark_shape)
     min_det = world_cfg.landmark_min_detections

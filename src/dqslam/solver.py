@@ -13,6 +13,7 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
+from .config import check_fields, setting
 from .factors import FactorGraph, GraphEvaluator, _wrap
 
 __all__ = [
@@ -35,22 +36,15 @@ class LinearSolveError(RuntimeError):
 
 @dataclass(frozen=True)
 class SolverConfig:
-    max_iterations: int = 100
-    initial_lambda: float = 1e-4
-    lambda_up: float = 10.0
-    lambda_down: float = 0.1
-    rel_cost_tol: float = 1e-8
-    grad_tol: float = 1e-10
+    max_iterations: int = setting(100, gt=0)
+    initial_lambda: float = setting(1e-4, ge=0)
+    lambda_up: float = setting(10.0, gt=1)
+    lambda_down: float = setting(0.1, gt=0, lt=1)
+    rel_cost_tol: float = setting(1e-8, gt=0)
+    grad_tol: float = setting(1e-10, gt=0)
 
     def __post_init__(self):
-        if self.max_iterations <= 0:
-            raise ValueError("max_iterations must be positive")
-        if self.initial_lambda < 0:
-            raise ValueError("initial_lambda must be nonnegative")
-        if not (self.lambda_up > 1.0 > self.lambda_down > 0.0):
-            raise ValueError("need lambda_up > 1 > lambda_down > 0")
-        if self.rel_cost_tol <= 0 or self.grad_tol <= 0:
-            raise ValueError("tolerances must be positive")
+        check_fields(self)
 
 
 @dataclass(frozen=True)

@@ -2,13 +2,17 @@ from __future__ import annotations
 
 import json
 import xml.etree.ElementTree as ET
+from dataclasses import fields
 
 import pytest
 
-from dqslam.cli import main
+from dqslam.cli import _build_parser, main
 from dqslam.dataset_io import read_dataset
 from dqslam.factors import graph_residual
-from dqslam.pipeline import build_graph, ground_truth_graph
+from dqslam.initialization import InitStrategy
+from dqslam.pipeline import GraphNoiseConfig, build_graph, ground_truth_graph
+from dqslam.simulator import SensorConfig, WorldConfig
+from dqslam.solver import SolverConfig
 
 
 SMALL = [
@@ -61,11 +65,61 @@ def test_simulate_defaults_match_published_setup(capsys, tmp_path):
 
 
 def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
-    code = None
-    with pytest.raises(SystemExit) as exc:
-        main(["simulate", "--cube-side-floor", "-1", "--out", str(tmp_path / "x.json")])
-    assert exc.value.code == 2
-    assert "--cube-side-floor" in capsys.readouterr().err
+    # Each value is rejected once, naming its flag, before any work starts:
+    # the cross-field offset rule and the init threshold included.
+    small_batch = ["--trials", "1", "--workers", "1", *SMALL]
+    cases = [
+        (["simulate", "--cube-side-floor", "-1", "--out", str(tmp_path / "x.json")],
+         "--cube-side-floor"),
+        (["evaluate", "--offset-min", "7", "--out-dir", str(tmp_path / "e1"), *small_batch],
+         "--offset-min"),
+        (["evaluate", "--condition-threshold", "2", "--out-dir", str(tmp_path / "e2"),
+          *small_batch], "--condition-threshold"),
+    ]
+    for argv, flag in cases:
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        error = capsys.readouterr().err.strip().splitlines()[-1]
+        assert "error: argument " + flag in error
+        assert error.count(flag) == 1
+    assert not (tmp_path / "x.json").exists()
+    for out_dir in ("e1", "e2"):
+        assert not (tmp_path / out_dir / "results.csv").exists()
+
+
+# Which config classes each subcommand exposes; evaluate takes each trial's
+# seed from --base-seed, and InitStrategy.mode is --init because --mode
+# selects the factor set.
+_SUBCOMMAND_CONFIGS = {
+    "simulate": (WorldConfig, SensorConfig),
+    "solve": (InitStrategy, SolverConfig, GraphNoiseConfig),
+    "evaluate": (InitStrategy, WorldConfig, SensorConfig, SolverConfig, GraphNoiseConfig),
+}
+_OTHER_FLAGS = {
+    "simulate": {"--out"},
+    "solve": {"--dataset", "--mode", "--out", "--svg"},
+    "evaluate": {"--trials", "--base-seed", "--out-dir", "--workers"},
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUBCOMMAND_CONFIGS))
+def test_config_flags_match_dataclass_fields(command):
+    _, subparsers = _build_parser()
+    sub = subparsers[command]
+    flags = [s for a in sub._actions for s in a.option_strings if s.startswith("--")]
+    expected = set(_OTHER_FLAGS[command]) | {"--help"}
+    for cls in _SUBCOMMAND_CONFIGS[command]:
+        for f in fields(cls):
+            if command == "evaluate" and f.name == "seed":
+                continue
+            dest = "init" if (cls, f.name) == (InitStrategy, "mode") else f.name
+            flag = "--" + dest.replace("_", "-")
+            assert flags.count(flag) == 1, flag
+            assert sub.get_default(dest) == f.default, flag
+            assert type(sub.get_default(dest)) is type(f.default), flag
+            expected.add(flag)
+    assert set(flags) == expected
 
 
 def test_solve_zero_noise_and_svg(tmp_path):

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import json
+import re
 
 import numpy as np
 import pytest
 
+from dqslam.cli import main
 from dqslam.dataset_io import (
     dataset_from_dict,
     dataset_to_dict,
@@ -72,3 +75,58 @@ def test_document_is_self_describing(dataset):
     assert "units" in doc
     # a plain json consumer can read it back
     assert json.loads(json.dumps(doc)) == doc
+
+
+def _set(path, value):
+    def corrupt(doc):
+        *parents, last = path
+        for key in parents:
+            doc = doc[key]
+        doc[last] = value
+    return corrupt
+
+
+def _delete(key):
+    return lambda doc: doc.pop(key)
+
+
+# Each corruption, and the text its error must contain.
+CORRUPTIONS = {
+    "missing-odometry": (_delete("odometry"), "'odometry'"),
+    "missing-ground-truth": (_delete("ground_truth"), "'ground_truth'"),
+    "unknown-world-key": (_set(["world_config", "speed"], 1.0), "'speed'"),
+    "missing-sensor-key": (lambda doc: doc["sensor_config"].pop("focal_mm"), "'focal_mm'"),
+    "world-value-out-of-range": (_set(["world_config", "cube_side_sigma"], -1.0),
+                                 "cube_side_sigma"),
+    "nan-box-line": (_set(["detections", 0, "lines", 0, 0], float("nan")),
+                     "detections.lines"),
+    "short-box-line": (_set(["detections", 0, "lines", 1], [0.0, 1.0]),
+                       "detections.lines"),
+    "string-pose": (_set(["ground_truth", "poses", 2, 0], "1.0"), "ground_truth.poses"),
+    "infinite-odometry": (_set(["odometry", 3, "v"], float("inf")), "odometry.v"),
+    "short-odometry": (lambda doc: doc["odometry"].pop(), "odometry"),
+    "pose-index-out-of-range": (_set(["detections", 0, "pose_index"], 10**6),
+                                "detections.pose_index"),
+    "unknown-landmark": (_set(["relative_positions", 0, "landmark_id"], 99),
+                         "relative_positions.landmark_id"),
+    "duplicate-landmark-id": (_set(["ground_truth", "landmarks", 1, "id"], 0),
+                              "ground_truth.landmarks.id"),
+    "non-integer-seed": (_set(["seed"], 3.0), "seed"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORRUPTIONS))
+def test_corrupted_document_rejected_at_read(name, dataset, tmp_path, capsys):
+    corrupt, expected = CORRUPTIONS[name]
+    doc = copy.deepcopy(dataset_to_dict(dataset))
+    corrupt(doc)
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        dataset_from_dict(doc)
+
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "res.json"
+    assert main(["solve", "--dataset", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()

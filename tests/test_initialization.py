@@ -8,6 +8,7 @@ import pytest
 from dqslam.factors import BBoxDetection, OdometryMeasurement
 from dqslam.geometry import (
     CameraIntrinsics,
+    DualQuadric,
     bbox_corners,
     bbox_to_lines,
     dual_conic_bbox,
@@ -23,7 +24,6 @@ from dqslam.initialization import (
     InsufficientObservationsError,
     fit_dual_quadric,
     init_poses,
-    init_quadric_fallback,
     init_quadric_svd,
     initialize_quadrics,
 )
@@ -73,11 +73,14 @@ def test_init_poses_square_closure():
 # -- fallback -----------------------------------------------------------------
 
 def test_fallback_is_identity_matrix():
-    q = init_quadric_fallback()
-    assert np.array_equal(q.matrix(), np.eye(4))
-    assert np.array_equal(q.q, [1, 0, 0, 0, 1, 0, 0, 1, 0])
-    assert np.allclose(q.centroid(), 0)
-    assert np.array_equal(q.q, init_quadric_fallback().q)
+    quadrics, used_fallback = initialize_quadrics(
+        [], [], K, left_facing_mount(), [0, 1], InitStrategy(mode="identity")
+    )
+    assert used_fallback == [True, True]
+    for q in [DualQuadric.identity(), *quadrics]:
+        assert np.array_equal(q.matrix(), np.eye(4))
+        assert np.array_equal(q.q, [1, 0, 0, 0, 1, 0, 0, 1, 0])
+        assert np.allclose(q.centroid(), 0)
 
 
 # -- SVD fit -------------------------------------------------------------------

@@ -215,3 +215,11 @@ def test_world_config_validation():
         WorldConfig(offset_min=3.0, offset_max=2.0)
     with pytest.raises(ValueError):
         WorldConfig(landmark_min_detections=2)
+    with pytest.raises(ValueError, match="landmark_z_sigma"):
+        WorldConfig(landmark_z_sigma=-1.0)
+    with pytest.raises(ValueError, match="cube_side_mean"):
+        WorldConfig(cube_side_mean=0.0)
+    with pytest.raises(ValueError, match="cube_side_sigma"):
+        WorldConfig(cube_side_sigma=-1.0)
+    with pytest.raises(ValueError, match="seed"):
+        WorldConfig(seed=-1)
