@@ -101,6 +101,19 @@ def _add_config_flags(parser, classes, skip=()) -> None:
             parser.add_argument(_flag(_dest(cls, f.name)), **kwargs)
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value"
+    return parse
+
+
 def _configs(parser, args, classes) -> list:
     """One config per class from the parsed flags, built before any work; a
     rejected value ends the run through parser.error, naming its flag. A
@@ -374,9 +387,22 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
 def _cmd_rerun(args, _argv) -> int:
     with open(args.manifest, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    if doc.get("schema") != MANIFEST_SCHEMA:
-        raise SystemExit(f"{args.manifest}: not a run manifest")
-    return main(doc["argv"])
+    if not isinstance(doc, dict) or doc.get("schema") != MANIFEST_SCHEMA:
+        raise ValueError(f"{args.manifest}: not a run manifest")
+    argv = doc.get("argv")
+    # A rerun of a rerun could name its own manifest and never end.
+    commands = [c for c in _COMMANDS if c != "rerun"]
+    if not (
+        isinstance(argv, list)
+        and all(isinstance(a, str) for a in argv)
+        and argv
+        and argv[0] in commands
+    ):
+        raise ValueError(
+            f"{args.manifest}: argv must be a list of strings starting with "
+            f"one of {', '.join(commands)}"
+        )
+    return main(argv)
 
 
 # -- parser -----------------------------------------------------------------
@@ -424,12 +450,17 @@ def _build_parser():
         "dataset across modes, and write per-trial CSV plus an aggregate "
         "summary in the published table layout.",
     )
-    p_eval.add_argument("--trials", type=int, default=50, help="number of trials (default: 50)")
-    p_eval.add_argument("--base-seed", type=int, default=0, help="first seed (default: 0)")
+    seed_min = {f.name: f for f in fields(WorldConfig)}["seed"].metadata["ge"]
+    p_eval.add_argument(
+        "--trials", type=_int_at_least(1), default=50, help="number of trials (default: 50)"
+    )
+    p_eval.add_argument(
+        "--base-seed", type=_int_at_least(seed_min), default=0, help="first seed (default: 0)"
+    )
     p_eval.add_argument("--out-dir", required=True, help="output directory")
     p_eval.add_argument(
         "--workers",
-        type=int,
+        type=_int_at_least(0),
         default=0,
         help="worker processes (default: 0 = available parallelism)",
     )

@@ -138,8 +138,8 @@ def _config(cls, doc: dict, key: str):
 def dataset_from_dict(doc: dict) -> Dataset:
     """Rebuild a dataset from its document; a malformed one (missing or
     unknown key, config value out of range, non-finite number, index out of
-    range, odometry not one entry shorter than the poses) raises ValueError
-    naming the key."""
+    range, odometry not one entry shorter than the poses, seed unequal to
+    world_config.seed) raises ValueError naming the key."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ValueError(f"not a {SCHEMA} document")
     if doc.get("version") != SCHEMA_VERSION:
@@ -149,6 +149,8 @@ def dataset_from_dict(doc: dict) -> Dataset:
     seed = _get(doc, "seed", "dataset")
     if type(seed) is not int:
         raise ValueError(f"seed must be an integer, got {seed!r}")
+    if seed != world.seed:
+        raise ValueError(f"seed {seed} differs from world_config.seed {world.seed}")
 
     truth = _get(doc, "ground_truth", "dataset")
     rows = _numbers(_get(truth, "poses", "ground_truth"), (3,), "ground_truth.poses")
@@ -196,7 +198,6 @@ def dataset_from_dict(doc: dict) -> Dataset:
     return Dataset(
         world_config=world,
         sensor_config=sensor,
-        seed=seed,
         ground_truth_poses=poses,
         landmarks=landmarks,
         odometry=odometry,

@@ -12,10 +12,13 @@ factors by (pose, landmark), then relative-position factors by (pose,
 landmark).
 
 `graph_residual` / `graph_jacobian` evaluate a graph at the variables it
-carries. `GraphEvaluator` compiles a graph once into flat arrays and
-evaluates residual and sparse Jacobian at arbitrary variable values; it is
-what the solver iterates with, and it matches the per-factor functions
-exactly.
+carries. `GraphEvaluator` compiles a graph once into flat arrays and a
+fixed Jacobian sparsity pattern, then evaluates residual and sparse
+Jacobian at arbitrary variable values; it is what the solver iterates with.
+It has one vectorized linearization per factor kind, which yields the raw
+residual and its Jacobian blocks from the same intermediate values, and
+whitens all kinds in one place. It matches the per-factor functions below,
+which remain its independent reference, exactly.
 """
 
 from __future__ import annotations
@@ -330,10 +333,15 @@ def _sorted_factors(graph: FactorGraph):
 class GraphEvaluator:
     """Compiled residual/Jacobian evaluator for a fixed graph structure.
 
-    Compilation freezes the factor ordering and copies measurements into
-    flat arrays; evaluation is then vectorized across factors and is a pure
-    function of the variable values, so results do not depend on insertion
-    order or threading.
+    Compilation freezes the factor ordering, copies measurements into flat
+    arrays and fixes the Jacobian's sparsity pattern: its row and column
+    indices depend only on which variables each factor touches. Each factor
+    kind then has one linearization, vectorized across its factors, that
+    returns the raw residual and, on request, the raw Jacobian blocks from
+    the same intermediate values; whitening by the sqrt-information matrices
+    is applied once for all kinds. Evaluation is a pure function of the
+    variable values, so results do not depend on insertion order or
+    threading.
     """
 
     def __init__(self, graph: FactorGraph):
@@ -346,125 +354,72 @@ class GraphEvaluator:
         self._prior_anchor = np.array(
             [[f.anchor.x, f.anchor.y, f.anchor.theta] for f in priors]
         ).reshape(-1, 3)
-        self._prior_W = np.array([f.noise.sqrt_info for f in priors]).reshape(-1, 3, 3)
 
         self._odo_idx = np.array([f.pose_index for f in odo], dtype=int)
         self._odo_u = np.array(
             [[f.measurement.v, f.measurement.omega] for f in odo]
         ).reshape(-1, 2)
-        self._odo_W = np.array([f.noise.sqrt_info for f in odo]).reshape(-1, 3, 3)
 
         self._bb_pose = np.array([f.detection.pose_index for f in bbox], dtype=int)
         self._bb_quad = np.array([f.detection.landmark_id for f in bbox], dtype=int)
-        self._bb_lines = np.array([f.detection.line_array() for f in bbox]).reshape(
-            -1, 4, 3
-        )
-        self._bb_W = np.array([f.noise.sqrt_info for f in bbox]).reshape(-1, 4, 4)
+        lines = np.array([f.detection.line_array() for f in bbox]).reshape(-1, 4, 3)
 
         self._rp_pose = np.array([f.measurement.pose_index for f in relpos], dtype=int)
         self._rp_quad = np.array([f.measurement.landmark_id for f in relpos], dtype=int)
         self._rp_z = np.array([f.measurement.z for f in relpos]).reshape(-1, 3)
-        self._rp_W = np.array([f.noise.sqrt_info for f in relpos]).reshape(-1, 3, 3)
 
         K = graph.intrinsics.K
         R_m, t_m = graph.mount.rotation, graph.mount.translation
         # Per line: m = K^T l, g = R_m^T m, and the constant term t_m . m.
-        self._bb_g = self._bb_lines @ K @ R_m
-        self._bb_tm = self._bb_lines @ K @ t_m
+        self._bb_g = lines @ K @ R_m
+        self._bb_tm = lines @ K @ t_m
 
-        self.n_rows = (
-            3 * len(priors) + 3 * len(odo) + 4 * len(bbox) + 3 * len(relpos)
-        )
-        self.n_cols = 3 * self.n_poses + 9 * self.n_quadrics
-        self._row_offsets = np.cumsum(
-            [0, 3 * len(priors), 3 * len(odo), 4 * len(bbox)]
-        )
+        # Per kind, in stacking order: the sqrt-information matrices, and the
+        # first column and width of each Jacobian block its linearization
+        # returns, in the order it returns them.
+        q0 = 3 * self.n_poses
+        self._sqrt_info = [
+            np.array([f.noise.sqrt_info for f in fs]).reshape(-1, d, d)
+            for fs, d in ((priors, 3), (odo, 3), (bbox, 4), (relpos, 3))
+        ]
+        block_cols = [
+            [(3 * self._prior_idx, 3)],
+            [(3 * self._odo_idx, 3), (3 * (self._odo_idx + 1), 3)],
+            [(3 * self._bb_pose, 3), (q0 + 9 * self._bb_quad, 9)],
+            [(3 * self._rp_pose, 3), (q0 + 9 * self._rp_quad, 9)],
+        ]
+        rows, cols = [], []
+        row0 = 0
+        for W, blocks in zip(self._sqrt_info, block_cols):
+            n, d = W.shape[:2]
+            r = row0 + d * np.arange(n)[:, None, None] + np.arange(d)[None, :, None]
+            for col0, width in blocks:
+                c = col0[:, None, None] + np.arange(width)[None, None, :]
+                rr, cc = np.broadcast_arrays(r, c)
+                rows.append(rr.ravel())
+                cols.append(cc.ravel())
+            row0 += n * d
+        self._rows = np.concatenate(rows)
+        self._cols = np.concatenate(cols)
+        self.n_rows = row0
+        self.n_cols = q0 + 9 * self.n_quadrics
 
-    # -- residual ---------------------------------------------------------
+    def _linearize(self, poses, quadrics, jac):
+        """(raw residual, raw Jacobian blocks) per factor kind."""
+        return [
+            kind(poses, quadrics, jac)
+            for kind in (self._prior, self._odometry, self._bbox, self._relpos)
+        ]
 
     def residual(self, poses: np.ndarray, quadrics: np.ndarray) -> np.ndarray:
         """Stacked whitened residual at the given variable values."""
+        kinds = self._linearize(poses, quadrics, False)
         return np.concatenate(
             [
-                self._prior_residuals(poses),
-                self._odo_residuals(poses),
-                self._bbox_residuals(poses, quadrics)[0],
-                self._relpos_residuals(poses, quadrics)[0],
+                np.einsum("fab,fb->fa", W, r).ravel()
+                for W, (r, _) in zip(self._sqrt_info, kinds)
             ]
         )
-
-    def _prior_residuals(self, poses):
-        if len(self._prior_idx) == 0:
-            return np.zeros(0)
-        x = poses[self._prior_idx]
-        c, s = np.cos(self._prior_anchor[:, 2]), np.sin(self._prior_anchor[:, 2])
-        dx = x[:, 0] - self._prior_anchor[:, 0]
-        dy = x[:, 1] - self._prior_anchor[:, 1]
-        r = np.stack(
-            [
-                c * dx + s * dy,
-                -s * dx + c * dy,
-                _wrap(x[:, 2] - self._prior_anchor[:, 2]),
-            ],
-            axis=1,
-        )
-        return np.einsum("fab,fb->fa", self._prior_W, r).ravel()
-
-    def _odo_residuals(self, poses):
-        if len(self._odo_idx) == 0:
-            return np.zeros(0)
-        xi = poses[self._odo_idx]
-        xn = poses[self._odo_idx + 1]
-        v, om = self._odo_u[:, 0], self._odo_u[:, 1]
-        pred_x = xi[:, 0] + v * np.cos(xi[:, 2])
-        pred_y = xi[:, 1] + v * np.sin(xi[:, 2])
-        c, s = np.cos(xn[:, 2]), np.sin(xn[:, 2])
-        dx, dy = pred_x - xn[:, 0], pred_y - xn[:, 1]
-        r = np.stack(
-            [c * dx + s * dy, -s * dx + c * dy, _wrap(xi[:, 2] + om - xn[:, 2])],
-            axis=1,
-        )
-        return np.einsum("fab,fb->fa", self._odo_W, r).ravel()
-
-    def _bbox_planes(self, poses):
-        """Back-projected planes a = P^T l for every detection line.
-
-        Returns (a, w, g) with a: (D,4,4); w = a[..., :3] is the plane
-        normal, needed again by the Jacobian.
-        """
-        th = poses[self._bb_pose, 2]
-        c, s = np.cos(th), np.sin(th)
-        g1, g2, g3 = self._bb_g[..., 0], self._bb_g[..., 1], self._bb_g[..., 2]
-        w1 = c[:, None] * g1 - s[:, None] * g2
-        w2 = s[:, None] * g1 + c[:, None] * g2
-        px, py = poses[self._bb_pose, 0], poses[self._bb_pose, 1]
-        a4 = -(px[:, None] * w1 + py[:, None] * w2) + self._bb_tm
-        return np.stack([w1, w2, g3, a4], axis=-1)
-
-    def _bbox_residuals(self, poses, quadrics):
-        if len(self._bb_pose) == 0:
-            return np.zeros(0), None, None
-        a = self._bbox_planes(poses)
-        Q = _quadric_matrices(quadrics)[self._bb_quad]
-        h = np.einsum("dab,dkb->dka", Q, a)
-        raw = np.einsum("dka,dka->dk", a, h)
-        white = np.einsum("dab,db->da", self._bb_W, raw)
-        return white.ravel(), a, h
-
-    def _relpos_residuals(self, poses, quadrics):
-        if len(self._rp_pose) == 0:
-            return np.zeros(0), None
-        x = poses[self._rp_pose]
-        cen = quadrics[self._rp_quad][:, [3, 6, 8]]
-        c, s = np.cos(x[:, 2]), np.sin(x[:, 2])
-        dx, dy = cen[:, 0] - x[:, 0], cen[:, 1] - x[:, 1]
-        t1 = c * dx + s * dy
-        t2 = -s * dx + c * dy
-        r = self._rp_z - np.stack([t1, t2, cen[:, 2]], axis=1)
-        white = np.einsum("fab,fb->fa", self._rp_W, r)
-        return white.ravel(), (c, s, dx, dy, t1, t2)
-
-    # -- Jacobian ---------------------------------------------------------
 
     def jacobian(self, poses: np.ndarray, quadrics: np.ndarray) -> sp.csr_matrix:
         """Sparse Jacobian of the stacked whitened residual.
@@ -472,177 +427,136 @@ class GraphEvaluator:
         Row blocks follow the residual stacking; column blocks are 3 per
         pose (SE(2) tangent) then 9 per quadric, in variable order.
         """
-        rows, cols, vals = [], [], []
-        self._prior_jacobian(poses, rows, cols, vals)
-        self._odo_jacobian(poses, rows, cols, vals)
-        self._bbox_jacobian(poses, quadrics, rows, cols, vals)
-        self._relpos_jacobian(poses, quadrics, rows, cols, vals)
-        if rows:
-            rows = np.concatenate(rows)
-            cols = np.concatenate(cols)
-            vals = np.concatenate(vals)
+        kinds = self._linearize(poses, quadrics, True)
+        vals = np.concatenate(
+            [
+                np.einsum("fab,fbc->fac", W, J).ravel()
+                for W, (_, blocks) in zip(self._sqrt_info, kinds)
+                for J in blocks
+            ]
+        )
         return sp.csr_matrix(
-            (vals, (rows, cols)), shape=(self.n_rows, self.n_cols)
+            (vals, (self._rows, self._cols)), shape=(self.n_rows, self.n_cols)
         )
 
-    def _block_indices(self, row_start, n_factors, block_rows, col_starts, block_cols):
-        """Row/col index grids for dense (block_rows x block_cols) blocks."""
-        r = (
-            row_start
-            + block_rows * np.arange(n_factors)[:, None, None]
-            + np.arange(block_rows)[None, :, None]
-        )
-        c = col_starts[:, None, None] + np.arange(block_cols)[None, None, :]
-        r = np.broadcast_to(r, (n_factors, block_rows, block_cols))
-        c = np.broadcast_to(c, (n_factors, block_rows, block_cols))
-        return r.ravel(), c.ravel()
+    # -- one linearization per factor kind --------------------------------
+    # Each returns (r, blocks): the raw residual (f, d) and, when jac is
+    # true, its raw Jacobian blocks (f, d, width) in block_cols order.
 
-    def _prior_jacobian(self, poses, rows, cols, vals):
-        n = len(self._prior_idx)
-        if n == 0:
-            return
-        c, s = np.cos(self._prior_anchor[:, 2]), np.sin(self._prior_anchor[:, 2])
-        J = np.zeros((n, 3, 3))
-        J[:, 0, 0] = c
-        J[:, 0, 1] = s
-        J[:, 1, 0] = -s
-        J[:, 1, 1] = c
-        J[:, 2, 2] = 1.0
-        J = np.einsum("fab,fbc->fac", self._prior_W, J)
-        r, cc = self._block_indices(0, n, 3, 3 * self._prior_idx, 3)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(J.ravel())
+    def _prior(self, poses, quadrics, jac):
+        x = poses[self._prior_idx]
+        anchor = self._prior_anchor
+        c, s = np.cos(anchor[:, 2]), np.sin(anchor[:, 2])
+        dx = x[:, 0] - anchor[:, 0]
+        dy = x[:, 1] - anchor[:, 1]
+        r = np.stack([*_in_frame(c, s, dx, dy), _wrap(x[:, 2] - anchor[:, 2])], axis=1)
+        if not jac:
+            return r, ()
+        return r, (_planar_block(c, s, (0.0, 0.0, 1.0)),)
 
-    def _odo_jacobian(self, poses, rows, cols, vals):
-        n = len(self._odo_idx)
-        if n == 0:
-            return
-        row0 = self._row_offsets[1]
+    def _odometry(self, poses, quadrics, jac):
         xi = poses[self._odo_idx]
         xn = poses[self._odo_idx + 1]
-        v = self._odo_u[:, 0]
+        v, om = self._odo_u[:, 0], self._odo_u[:, 1]
         ci, si = np.cos(xi[:, 2]), np.sin(xi[:, 2])
         c, s = np.cos(xn[:, 2]), np.sin(xn[:, 2])
-        pred_x = xi[:, 0] + v * ci
-        pred_y = xi[:, 1] + v * si
-        dx, dy = pred_x - xn[:, 0], pred_y - xn[:, 1]
-        r1 = c * dx + s * dy
-        r2 = -s * dx + c * dy
+        dx = xi[:, 0] + v * ci - xn[:, 0]
+        dy = xi[:, 1] + v * si - xn[:, 1]
+        r1, r2 = _in_frame(c, s, dx, dy)
+        r = np.stack([r1, r2, _wrap(xi[:, 2] + om - xn[:, 2])], axis=1)
+        if not jac:
+            return r, ()
+        Ji = _planar_block(c, s, (*_in_frame(c, s, -v * si, v * ci), 1.0))
+        Jn = _planar_block(-c, -s, (r2, -r1, -1.0))
+        return r, (Ji, Jn)
 
-        Ji = np.zeros((n, 3, 3))
-        Ji[:, 0, 0] = c
-        Ji[:, 0, 1] = s
-        Ji[:, 0, 2] = c * (-v * si) + s * (v * ci)
-        Ji[:, 1, 0] = -s
-        Ji[:, 1, 1] = c
-        Ji[:, 1, 2] = -s * (-v * si) + c * (v * ci)
-        Ji[:, 2, 2] = 1.0
-
-        Jn = np.zeros((n, 3, 3))
-        Jn[:, 0, 0] = -c
-        Jn[:, 0, 1] = -s
-        Jn[:, 0, 2] = r2
-        Jn[:, 1, 0] = s
-        Jn[:, 1, 1] = -c
-        Jn[:, 1, 2] = -r1
-        Jn[:, 2, 2] = -1.0
-
-        Ji = np.einsum("fab,fbc->fac", self._odo_W, Ji)
-        Jn = np.einsum("fab,fbc->fac", self._odo_W, Jn)
-        r, cc = self._block_indices(row0, n, 3, 3 * self._odo_idx, 3)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(Ji.ravel())
-        r, cc = self._block_indices(row0, n, 3, 3 * (self._odo_idx + 1), 3)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(Jn.ravel())
-
-    def _bbox_jacobian(self, poses, quadrics, rows, cols, vals):
-        n = len(self._bb_pose)
-        if n == 0:
-            return
-        row0 = self._row_offsets[2]
-        a = self._bbox_planes(poses)
+    def _bbox(self, poses, quadrics, jac):
+        # Back-projected planes a = P^T l for every detection line: the
+        # rotated normal (w1, w2, g3) and the offset a4 = -p . w + t_m . m.
+        x = poses[self._bb_pose]
+        c, s = np.cos(x[:, 2])[:, None], np.sin(x[:, 2])[:, None]
+        px, py = x[:, 0, None], x[:, 1, None]
+        g1, g2, g3 = self._bb_g[..., 0], self._bb_g[..., 1], self._bb_g[..., 2]
+        w1 = c * g1 - s * g2
+        w2 = s * g1 + c * g2
+        a4 = -(px * w1 + py * w2) + self._bb_tm
+        a = np.stack([w1, w2, g3, a4], axis=-1)
         Q = _quadric_matrices(quadrics)[self._bb_quad]
         h = np.einsum("dab,dkb->dka", Q, a)
+        r = np.einsum("dka,dka->dk", a, h)
+        if not jac:
+            return r, ()
+        # d a / d theta: the derivative of the rotated normal, and of a4.
+        w1p = -s * g1 - c * g2
+        w2p = c * g1 - s * g2
+        a4p = -(px * w1p + py * w2p)
+        Jp = np.stack(
+            [
+                -2.0 * h[..., 3] * w1,
+                -2.0 * h[..., 3] * w2,
+                2.0 * (h[..., 0] * w1p + h[..., 1] * w2p + h[..., 3] * a4p),
+            ],
+            axis=-1,
+        )
+        return r, (Jp, _plane_constraint_rows(a)[..., :9])
 
-        th = poses[self._bb_pose, 2]
-        c, s = np.cos(th), np.sin(th)
-        g1, g2 = self._bb_g[..., 0], self._bb_g[..., 1]
-        w1, w2 = a[..., 0], a[..., 1]
-        # d a / d theta: derivative of the rotated normal; a4 follows from
-        # a4 = -p . w + const.
-        w1p = -s[:, None] * g1 - c[:, None] * g2
-        w2p = c[:, None] * g1 - s[:, None] * g2
-        px, py = poses[self._bb_pose, 0], poses[self._bb_pose, 1]
-        a4p = -(px[:, None] * w1p + py[:, None] * w2p)
+    def _relpos(self, poses, quadrics, jac):
+        x = poses[self._rp_pose]
+        cen = quadrics[self._rp_quad][:, [3, 6, 8]]
+        c, s = np.cos(x[:, 2]), np.sin(x[:, 2])
+        t1, t2 = _in_frame(c, s, cen[:, 0] - x[:, 0], cen[:, 1] - x[:, 1])
+        r = self._rp_z - np.stack([t1, t2, cen[:, 2]], axis=1)
+        if not jac:
+            return r, ()
+        Jp = _planar_block(c, s, (-t2, t1, 0.0))
+        # The centroid enters through q4, q7, q9 (columns 3, 6, 8 of the block).
+        Jq = np.zeros((len(c), 3, 9))
+        Jq[:, :, [3, 6, 8]] = _planar_block(-c, -s, (0.0, 0.0, -1.0))
+        return r, (Jp, Jq)
 
-        Jp = np.zeros((n, 4, 3))
-        Jp[..., 0] = -2.0 * h[..., 3] * w1
-        Jp[..., 1] = -2.0 * h[..., 3] * w2
-        Jp[..., 2] = 2.0 * (h[..., 0] * w1p + h[..., 1] * w2p + h[..., 3] * a4p)
 
-        Jq = np.empty((n, 4, 9))
-        a1, a2, a3, a4 = a[..., 0], a[..., 1], a[..., 2], a[..., 3]
-        Jq[..., 0] = a1 * a1
-        Jq[..., 1] = 2 * a1 * a2
-        Jq[..., 2] = 2 * a1 * a3
-        Jq[..., 3] = 2 * a1 * a4
-        Jq[..., 4] = a2 * a2
-        Jq[..., 5] = 2 * a2 * a3
-        Jq[..., 6] = 2 * a2 * a4
-        Jq[..., 7] = a3 * a3
-        Jq[..., 8] = 2 * a3 * a4
+def _in_frame(c, s, dx, dy):
+    """Planar offset (dx, dy) expressed in a frame with heading cos c, sin s."""
+    return c * dx + s * dy, -s * dx + c * dy
 
-        Jp = np.einsum("dab,dbc->dac", self._bb_W, Jp)
-        Jq = np.einsum("dab,dbc->dac", self._bb_W, Jq)
-        r, cc = self._block_indices(row0, n, 4, 3 * self._bb_pose, 3)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(Jp.ravel())
-        quad_col0 = 3 * self.n_poses + 9 * self._bb_quad
-        r, cc = self._block_indices(row0, n, 4, quad_col0, 9)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(Jq.ravel())
 
-    def _relpos_jacobian(self, poses, quadrics, rows, cols, vals):
-        n = len(self._rp_pose)
-        if n == 0:
-            return
-        row0 = self._row_offsets[3]
-        _, aux = self._relpos_residuals(poses, quadrics)
-        c, s, dx, dy, t1, t2 = aux
+def _planar_block(c, s, heading_col):
+    """(n, 3, 3) blocks [[c, s, h0], [-s, c, h1], [0, 0, h2]]: the planar
+    frame rotation, with the third (heading) column given."""
+    J = np.zeros((len(c), 3, 3))
+    J[:, 0, 0] = c
+    J[:, 0, 1] = s
+    J[:, 1, 0] = -s
+    J[:, 1, 1] = c
+    J[:, 0, 2], J[:, 1, 2], J[:, 2, 2] = heading_col
+    return J
 
-        Jp = np.zeros((n, 3, 3))
-        Jp[:, 0, 0] = c
-        Jp[:, 0, 1] = s
-        Jp[:, 0, 2] = -t2
-        Jp[:, 1, 0] = -s
-        Jp[:, 1, 1] = c
-        Jp[:, 1, 2] = t1
 
-        # Centroid enters through q4, q7, q9 (columns 3, 6, 8 of the block).
-        Jq = np.zeros((n, 3, 9))
-        Jq[:, 0, 3] = -c
-        Jq[:, 0, 6] = -s
-        Jq[:, 1, 3] = s
-        Jq[:, 1, 6] = -c
-        Jq[:, 2, 8] = -1.0
+def _plane_constraint_rows(planes: np.ndarray) -> np.ndarray:
+    """Tangency constraints as linear rows against (q1..q9, q10).
 
-        Jp = np.einsum("fab,fbc->fac", self._rp_W, Jp)
-        Jq = np.einsum("fab,fbc->fac", self._rp_W, Jq)
-        r, cc = self._block_indices(row0, n, 3, 3 * self._rp_pose, 3)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(Jp.ravel())
-        quad_col0 = 3 * self.n_poses + 9 * self._rp_quad
-        r, cc = self._block_indices(row0, n, 3, quad_col0, 9)
-        rows.append(r)
-        cols.append(cc)
-        vals.append(Jq.ravel())
+    Each plane pi (last axis, length 4) contributes the exact symmetric
+    expansion of pi^T Q* pi = 0, with cross terms carrying their factor of 2
+    and the trailing coefficient multiplying the fixed-scale entry. The
+    first nine coefficients are the derivative of the tangency residual
+    with respect to the quadric parameters.
+    """
+    p1, p2, p3, p4 = planes[..., 0], planes[..., 1], planes[..., 2], planes[..., 3]
+    return np.stack(
+        [
+            p1 * p1,
+            2 * p1 * p2,
+            2 * p1 * p3,
+            2 * p1 * p4,
+            p2 * p2,
+            2 * p2 * p3,
+            2 * p2 * p4,
+            p3 * p3,
+            2 * p3 * p4,
+            p4 * p4,
+        ],
+        axis=-1,
+    )
 
 
 def _wrap(angles: np.ndarray) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, setting
-from .factors import motion_model
+from .factors import _plane_constraint_rows, motion_model
 from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
@@ -70,31 +70,6 @@ def init_poses(odometry, x0: RobotPose) -> list:
     for u in odometry:
         poses.append(motion_model(poses[-1], u))
     return poses
-
-
-def _plane_constraint_rows(planes: np.ndarray) -> np.ndarray:
-    """Tangency constraints as linear rows against (q1..q9, q10).
-
-    Each plane pi contributes the exact symmetric expansion of
-    pi^T Q* pi = 0, with cross terms carrying their factor of 2 and the
-    trailing coefficient multiplying the fixed-scale entry.
-    """
-    p1, p2, p3, p4 = planes[:, 0], planes[:, 1], planes[:, 2], planes[:, 3]
-    return np.stack(
-        [
-            p1 * p1,
-            2 * p1 * p2,
-            2 * p1 * p3,
-            2 * p1 * p4,
-            p2 * p2,
-            2 * p2 * p3,
-            2 * p2 * p4,
-            p3 * p3,
-            2 * p3 * p4,
-            p4 * p4,
-        ],
-        axis=1,
-    )
 
 
 def fit_dual_quadric(

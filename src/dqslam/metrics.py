@@ -2,8 +2,7 @@
 cross-trial aggregation.
 
 The position and centroid errors are mean Euclidean distances (the square
-root sits inside the sum); set conventional=True for the usual
-root-of-mean-of-squares instead. Volumes compare the cube of the smallest
+root sits inside the sum). Volumes compare the cube of the smallest
 semi-axis of the estimated quadric against the true cube volume; estimates
 whose shape matrix is not ellipsoidal are flagged invalid and excluded
 from (but counted in) the aggregation.
@@ -50,24 +49,18 @@ class TrialResult:
         return sum(not ok for ok in self.volume_valid)
 
 
-def rmse_pos(est, gt, conventional: bool = False) -> float:
-    """Mean planar distance between estimated and true robot positions.
-
-    With conventional=True, computes sqrt(mean(squared distance)) instead
-    of the mean distance.
-    """
+def rmse_pos(est, gt) -> float:
+    """Mean planar distance between estimated and true robot positions."""
     if len(est) != len(gt):
         raise ValueError(f"trajectory length mismatch: {len(est)} vs {len(gt)}")
     d = np.array(
         [[e.x - g.x, e.y - g.y] for e, g in zip(est, gt)]
     )
     dist = np.hypot(d[:, 0], d[:, 1])
-    if conventional:
-        return float(np.sqrt(np.mean(dist**2)))
     return float(np.mean(dist))
 
 
-def rmse_lm(est, gt, conventional: bool = False) -> float:
+def rmse_lm(est, gt) -> float:
     """Mean distance between estimated quadric centroids and true cube
     centers, matched by landmark id."""
     by_id = {lm.id: lm for lm in gt}
@@ -79,8 +72,6 @@ def rmse_lm(est, gt, conventional: bool = False) -> float:
             for j in range(len(est))
         ]
     )
-    if conventional:
-        return float(np.sqrt(np.mean(dist**2)))
     return float(np.mean(dist))
 
 

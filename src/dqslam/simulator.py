@@ -21,7 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, check_fields, setting
-from .factors import BBoxDetection, OdometryMeasurement, RelativePositionMeasurement
+from .factors import (
+    BBoxDetection,
+    OdometryMeasurement,
+    RelativePositionMeasurement,
+    _plane_constraint_rows,
+)
 from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
@@ -33,7 +38,7 @@ from .geometry import (
     left_facing_mount,
     pose_to_extrinsics,
 )
-from .initialization import _plane_constraint_rows, init_poses
+from .initialization import init_poses
 
 __all__ = [
     "WorldConfig",
@@ -149,12 +154,16 @@ class Dataset:
 
     world_config: WorldConfig
     sensor_config: SensorConfig
-    seed: int
     ground_truth_poses: list
     landmarks: list
     odometry: list
     detections: list
     relative_positions: list
+
+    @property
+    def seed(self) -> int:
+        """The trial seed, which is the world configuration's."""
+        return self.world_config.seed
 
     def intrinsics(self) -> CameraIntrinsics:
         return self.sensor_config.intrinsics()
@@ -429,7 +438,6 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
     return Dataset(
         world_config=world_cfg,
         sensor_config=sensor_cfg,
-        seed=world_cfg.seed,
         ground_truth_poses=trajectory,
         landmarks=landmarks,
         odometry=odometry,

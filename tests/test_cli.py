@@ -75,6 +75,14 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
          "--offset-min"),
         (["evaluate", "--condition-threshold", "2", "--out-dir", str(tmp_path / "e2"),
           *small_batch], "--condition-threshold"),
+        (["evaluate", "--out-dir", str(tmp_path / "e3"), *small_batch, "--trials", "0"],
+         "--trials"),
+        (["evaluate", "--out-dir", str(tmp_path / "e4"), *small_batch, "--trials", "-2"],
+         "--trials"),
+        (["evaluate", "--out-dir", str(tmp_path / "e5"), *small_batch, "--workers", "-1"],
+         "--workers"),
+        (["evaluate", "--base-seed", "-1", "--out-dir", str(tmp_path / "e6"), *small_batch],
+         "--base-seed"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -84,8 +92,8 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert "error: argument " + flag in error
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
-    for out_dir in ("e1", "e2"):
-        assert not (tmp_path / out_dir / "results.csv").exists()
+    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6"):
+        assert not (tmp_path / out_dir).exists()
 
 
 # Which config classes each subcommand exposes; evaluate takes each trial's
@@ -203,6 +211,27 @@ def test_rerun_reproduces_outputs(tmp_path):
     csv_before = (out / "results.csv").read_bytes()
     assert main(["rerun", str(out / "run_manifest.json")]) == 0
     assert (out / "results.csv").read_bytes() == csv_before
+
+
+@pytest.mark.parametrize(
+    "manifest",
+    [
+        {"schema": "dqslam.run-manifest", "version": 1},
+        {"schema": "dqslam.run-manifest", "version": 1,
+         "argv": ["rerun", "{dir}/run_manifest.json"]},
+        {"schema": "something-else", "version": 1, "argv": ["simulate", "--out", "{dir}/x.json"]},
+    ],
+    ids=["missing-argv", "recursive-argv", "wrong-schema"],
+)
+def test_rerun_rejects_malformed_manifest(manifest, tmp_path, capsys):
+    path = tmp_path / "run_manifest.json"
+    if "argv" in manifest:
+        manifest = dict(manifest, argv=[a.format(dir=tmp_path) for a in manifest["argv"]])
+    path.write_text(json.dumps(manifest))
+    assert main(["rerun", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not (tmp_path / "x.json").exists()
 
 
 def test_missing_dataset_reports_error(tmp_path, capsys):

@@ -112,6 +112,7 @@ CORRUPTIONS = {
     "duplicate-landmark-id": (_set(["ground_truth", "landmarks", 1, "id"], 0),
                               "ground_truth.landmarks.id"),
     "non-integer-seed": (_set(["seed"], 3.0), "seed"),
+    "seed-mismatch": (_set(["seed"], 5), "seed"),
 }
 
 

@@ -346,19 +346,48 @@ def test_jacobian_matches_finite_differences(rng):
 
 
 def test_jacobian_sparsity_pattern(rng):
+    # Every row stores exactly the columns of the variables its factor
+    # touches, in the documented stacking order, and the stored pattern is
+    # the same at any variable values.
     g = random_graph(rng, n_poses=5, n_quadrics=2)
     ev = GraphEvaluator(g)
-    J = ev.jacobian(g.pose_array(), g.quadric_array()).toarray()
+    J = ev.jacobian(g.pose_array(), g.quadric_array())
     n = len(g.poses)
-    row = 3 * len(g.prior_factors) + 3 * len(g.odometry_factors)
-    for f in sorted(g.bbox_factors, key=lambda f: (f.detection.pose_index, f.detection.landmark_id)):
-        i, j = f.detection.pose_index, f.detection.landmark_id
-        block = J[row : row + 4]
-        allowed = np.zeros(J.shape[1], dtype=bool)
-        allowed[3 * i : 3 * i + 3] = True
-        allowed[3 * n + 9 * j : 3 * n + 9 * j + 9] = True
-        assert not np.any(block[:, ~allowed])
-        row += 4
+
+    def pose(i):
+        return list(range(3 * i, 3 * i + 3))
+
+    def quad(j):
+        return list(range(3 * n + 9 * j, 3 * n + 9 * j + 9))
+
+    def by_pose_and_landmark(ms):
+        return sorted(ms, key=lambda m: (m.pose_index, m.landmark_id))
+
+    dets = by_pose_and_landmark(f.detection for f in g.bbox_factors)
+    zs = by_pose_and_landmark(f.measurement for f in g.relpos_factors)
+    blocks = (
+        [(3, pose(f.pose_index)) for f in sorted(g.prior_factors, key=lambda f: f.pose_index)]
+        + [
+            (3, pose(f.pose_index) + pose(f.pose_index + 1))
+            for f in sorted(g.odometry_factors, key=lambda f: f.pose_index)
+        ]
+        + [(4, pose(d.pose_index) + quad(d.landmark_id)) for d in dets]
+        + [(3, pose(z.pose_index) + quad(z.landmark_id)) for z in zs]
+    )
+    assert g.prior_factors and g.odometry_factors and dets and zs
+    row = 0
+    for dim, cols in blocks:
+        for k in range(row, row + dim):
+            assert sorted(J.indices[J.indptr[k] : J.indptr[k + 1]]) == cols, k
+        row += dim
+    assert row == J.shape[0]
+
+    poses = g.pose_array() + rng.normal(0, 1, (n, 3))
+    quadrics = g.quadric_array() + rng.normal(0, 1, (len(g.quadrics), 9))
+    J2 = ev.jacobian(poses, quadrics)
+    assert np.array_equal(J2.indices, J.indices)
+    assert np.array_equal(J2.indptr, J.indptr)
+    assert not np.array_equal(J2.data, J.data)
 
 
 def test_pose_hessian_block_tridiagonal_without_bbox(rng):

@@ -95,7 +95,7 @@ def test_fit_dual_quadric_recovers_ellipsoid(rng):
     assert est.matrix()[3, 3] == 1.0  # exact fixed scale
 
     # residual invariant: the fit annihilates its own constraint system
-    from dqslam.initialization import _plane_constraint_rows
+    from dqslam.factors import _plane_constraint_rows
 
     planes_n = planes / np.linalg.norm(planes, axis=1, keepdims=True)
     A = _plane_constraint_rows(planes_n)

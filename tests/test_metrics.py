@@ -1,7 +1,5 @@
 from __future__ import annotations
 
-import math
-
 import numpy as np
 import pytest
 
@@ -51,7 +49,6 @@ def test_rmse_pos_is_mean_distance():
     est = [RobotPose(1, 0, 0), RobotPose(3, 0, 0)]
     gt = [RobotPose(0, 0, 0), RobotPose(0, 0, 0)]
     assert rmse_pos(est, gt) == pytest.approx(2.0)  # mean of {1, 3}
-    assert rmse_pos(est, gt, conventional=True) == pytest.approx(math.sqrt(5.0))
 
 
 def test_rmse_pos_ignores_heading():
