@@ -319,7 +319,9 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
 
     os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
-    workers = args.workers or os.cpu_count() or 1
+    # A pool forks all its workers at the first submit; more than one per
+    # trial would only sit idle.
+    workers = min(args.workers or os.cpu_count() or 1, args.trials)
     if workers == 1:
         outcomes = list(map(job, worlds))
     else:
@@ -462,7 +464,7 @@ def _build_parser():
         "--workers",
         type=_int_at_least(0),
         default=0,
-        help="worker processes (default: 0 = available parallelism)",
+        help="worker processes, at most one per trial (default: 0 = available parallelism)",
     )
     _add_config_flags(p_eval, _CONFIGS["evaluate"], skip=("seed",))
 

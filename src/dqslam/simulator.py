@@ -28,6 +28,7 @@ from .factors import (
     _plane_constraint_rows,
 )
 from .geometry import (
+    _EPS_SCALE,
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
@@ -36,7 +37,8 @@ from .geometry import (
     bbox_to_lines,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
-    pose_to_extrinsics,
+    pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
+    rotz,
 )
 from .initialization import init_poses
 
@@ -46,7 +48,7 @@ __all__ = [
     "CubeLandmark",
     "Dataset",
     "ground_truth_odometry",
-    "generate_world",
+    "camera_frames",
     "project_cube_bbox",
     "project_sphere_bbox",
     "corrupt_bbox",
@@ -216,90 +218,87 @@ def _sample_landmark(cfg: WorldConfig, trajectory, rng, lm_id: int) -> CubeLandm
     return CubeLandmark(id=lm_id, center=np.array([cx, cy, z]), side=side)
 
 
-def generate_world(cfg: WorldConfig, rng=None):
-    """Ground-truth trajectory and landmark layout for one seed.
+def camera_frames(trajectory, mount: CameraExtrinsics):
+    """World-to-camera rotations (n, 3, 3) and translations (n, 3) of the
+    mounted camera at every pose of a trajectory.
 
-    Returns:
-        (trajectory, landmarks): the planar pose sequence and the cubes.
+    Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
+    pose_to_extrinsics(pose, mount) bit for bit.
     """
-    if rng is None:
-        rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(4)[0])
-    trajectory = init_poses(ground_truth_odometry(cfg), RobotPose(0.0, 0.0, 0.0))
-    landmarks = [
-        _sample_landmark(cfg, trajectory, rng, lm_id)
-        for lm_id in range(cfg.n_landmarks)
-    ]
-    return trajectory, landmarks
+    R_wr = np.stack([rotz(x.theta) for x in trajectory])  # robot-to-world
+    R_rw = R_wr.transpose(0, 2, 1)
+    p = np.array([[x.x, x.y, 0.0] for x in trajectory])
+    t_rw = (-R_rw @ p[:, :, None])[:, :, 0]
+    R = mount.rotation @ R_rw
+    t = (mount.rotation @ t_rw[:, :, None])[:, :, 0] + mount.translation
+    return R, t
+
+
+def _visible_boxes(u_min, v_min, u_max, v_max, seen, K: CameraIntrinsics, min_px):
+    """Detectability mask and (n, 4, 2) cyclic box corners per pose."""
+    seen = (
+        seen
+        & (u_min >= 0) & (v_min >= 0) & (u_max <= K.width) & (v_max <= K.height)
+        & (np.maximum(u_max - u_min, v_max - v_min) >= min_px)
+    )
+    boxes = np.stack([u_min, v_min, u_max, v_min, u_max, v_max, u_min, v_max], -1)
+    return seen, boxes.reshape(-1, 4, 2)
 
 
 def project_cube_bbox(
-    landmark: CubeLandmark,
-    x: RobotPose,
-    K: CameraIntrinsics,
-    mount: CameraExtrinsics,
-    min_px: float = 100.0,
+    landmark: CubeLandmark, R, t, K: CameraIntrinsics, min_px: float = 100.0
 ):
-    """Axis-aligned hull of the projected cube corners, if detectable.
+    """Axis-aligned hull of the projected cube corners at every camera frame.
 
-    Returns the (4, 2) pixel corners in cyclic order, or None when any
-    corner is behind the camera, the hull is not fully inside the image,
-    or the hull's larger side is below min_px.
+    R, t are the stacked world-to-camera frames from camera_frames. Returns
+    (seen, boxes): seen[i] is False when any corner is behind camera i, the
+    hull is not fully inside the image, or the hull's larger side is below
+    min_px; boxes[i] holds the (4, 2) pixel corners in cyclic order (not
+    meaningful where seen[i] is False).
     """
-    E = pose_to_extrinsics(x, mount)
-    cam = landmark.corners() @ E.rotation.T + E.translation
-    z = cam[:, 2]
-    if np.any(z <= 0):
-        return None
-    u = K.fx * cam[:, 0] / z + K.cx
-    v = K.fy * cam[:, 1] / z + K.cy
-    u_min, u_max = u.min(), u.max()
-    v_min, v_max = v.min(), v.max()
-    if u_min < 0 or v_min < 0 or u_max > K.width or v_max > K.height:
-        return None
-    if max(u_max - u_min, v_max - v_min) < min_px:
-        return None
-    return np.array(
-        [[u_min, v_min], [u_max, v_min], [u_max, v_max], [u_min, v_max]]
+    cam = landmark.corners() @ R.transpose(0, 2, 1) + t[:, None, :]
+    z = cam[:, :, 2]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        u = K.fx * cam[:, :, 0] / z + K.cx
+        v = K.fy * cam[:, :, 1] / z + K.cy
+    return _visible_boxes(
+        u.min(1), v.min(1), u.max(1), v.max(1), np.all(z > 0, axis=1), K, min_px
     )
+
+
+def _projection_matrices(R, t, K: CameraIntrinsics) -> np.ndarray:
+    """Stacked P = K [R | t], (n, 3, 4)."""
+    return K.K @ np.concatenate([R, t[:, :, None]], axis=2)
 
 
 def project_sphere_bbox(
-    landmark: CubeLandmark,
-    x: RobotPose,
-    K: CameraIntrinsics,
-    mount: CameraExtrinsics,
-    min_px: float = 100.0,
+    landmark: CubeLandmark, R, t, K: CameraIntrinsics, min_px: float = 100.0
 ):
-    """Exact silhouette bounding box of the cube's inscribed sphere.
+    """Exact silhouette bounding box of the cube's inscribed sphere at every
+    camera frame: the dual_conic_bbox formula on the image conics P Q* P^T.
 
     Unlike the cube-corner hull, these box lines are exactly tangent to the
     landmark's ground-truth quadric, which the noise-free consistency
-    oracles rely on. Same detectability rules as project_cube_bbox.
+    oracles rely on. Same arguments, detectability rules and result as
+    project_cube_bbox; a view is also unseen when the sphere is not entirely
+    in front of the camera or its conic has no real axis-aligned tangents.
     """
-    from .geometry import DegenerateGeometryError, dual_conic_bbox, project_quadric, projection_matrix
-
-    E = pose_to_extrinsics(x, mount)
-    center_cam = E.transform(landmark.center)
-    if center_cam[2] <= landmark.side / 2.0:
-        return None  # sphere not entirely in front of the camera
-    P = projection_matrix(K, E)
-    try:
-        u_min, v_min, u_max, v_max = dual_conic_bbox(
-            project_quadric(P, inscribed_ellipsoid(landmark))
-        )
-    except DegenerateGeometryError:
-        return None
-    if u_min < 0 or v_min < 0 or u_max > K.width or v_max > K.height:
-        return None
-    if max(u_max - u_min, v_max - v_min) < min_px:
-        return None
-    return np.array(
-        [[u_min, v_min], [u_max, v_min], [u_max, v_max], [u_min, v_max]]
+    P = _projection_matrices(R, t, K)
+    C = P @ inscribed_ellipsoid(landmark).matrix() @ P.transpose(0, 2, 1)
+    C = 0.5 * (C + C.transpose(0, 2, 1))
+    c13, c23, c33 = C[:, 0, 2], C[:, 1, 2], C[:, 2, 2]
+    # float_power calls C pow like the scalar ** 2 in dual_conic_bbox; array
+    # ** 2 computes x * x, which can differ from pow in the last bit.
+    du = np.float_power(c13, 2) - C[:, 0, 0] * c33
+    dv = np.float_power(c23, 2) - C[:, 1, 1] * c33
+    seen = (
+        ((R @ landmark.center + t)[:, 2] > landmark.side / 2.0)
+        & (np.abs(c33) >= _EPS_SCALE) & (du > 0) & (dv > 0)
     )
-
-
-def _bbox_projector(shape: str):
-    return project_cube_bbox if shape == "cube" else project_sphere_bbox
+    with np.errstate(divide="ignore", invalid="ignore"):
+        hu, hv = np.sqrt(du) / np.abs(c33), np.sqrt(dv) / np.abs(c33)
+        u0, v0 = c13 / c33, c23 / c33
+    return _visible_boxes(u0 - hu, v0 - hv, u0 + hu, v0 + hv, seen, K, min_px)
 
 
 def corrupt_bbox(corners: np.ndarray, sigma_px: float, rng) -> tuple:
@@ -343,28 +342,27 @@ def measure_relative_position(
     )
 
 
-def _landmark_condition(landmark, detected_poses, K, mount) -> float:
+def _landmark_condition(landmark, seen, R, t, K: CameraIntrinsics) -> float:
     """Uniqueness margin of the landmark's plane-constraint system.
 
     Ratio of the second-smallest to largest singular value of the tangency
-    system built from noise-free silhouette boxes at the detected poses.
-    Near zero means several quadrics fit the views exactly (the planar
+    system built from noise-free silhouette boxes at the views marked in
+    seen. Near zero means several quadrics fit the views exactly (the planar
     degeneracy) and the landmark would be unrecoverable without depth
     measurements.
     """
-    from .geometry import projection_matrix
-
-    planes = []
-    for pose in detected_poses:
-        corners = project_sphere_bbox(landmark, pose, K, mount, min_px=0.0)
-        if corners is None:
-            continue
-        P = projection_matrix(K, pose_to_extrinsics(pose, mount)).P
-        for line in bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in corners]):
-            planes.append(P.T @ line.coords)
-    if len(planes) < 10:
+    sphere_seen, boxes = project_sphere_bbox(landmark, R, t, K, min_px=0.0)
+    views = seen & sphere_seen
+    if 4 * np.count_nonzero(views) < 10:
         return 0.0
-    planes = np.array(planes)
+    P, boxes = _projection_matrices(R[views], t[views], K), boxes[views]
+    # The box line v = v0 back-projects to the plane P[1] - v0 P[2], and
+    # u = u0 to P[0] - u0 P[2]: the planes of bbox_to_lines' lines (top,
+    # right, bottom, left) up to sign and scale, which the normalized
+    # constraint rows do not see.
+    rows = [1, 0, 1, 0]
+    coords = np.stack([boxes[:, 0, 1], boxes[:, 1, 0], boxes[:, 2, 1], boxes[:, 3, 0]], 1)
+    planes = (P[:, rows] - coords[:, :, None] * P[:, 2:3]).reshape(-1, 4)
     planes /= np.linalg.norm(planes, axis=1, keepdims=True)
     S = np.linalg.svd(_plane_constraint_rows(planes), compute_uv=False)
     return float(S[-2] / S[0])
@@ -376,7 +374,11 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
     Landmark placements are resampled (bounded retries) until every
     landmark is detectable at least landmark_min_detections times from the
     ground-truth trajectory; 3 detections is the theoretical minimum for a
-    determined quadric.
+    determined quadric. Each candidate is projected once over the whole
+    trajectory, and an accepted landmark's boxes are the ones measured.
+
+    Raises:
+        ValueError: if some landmark cannot be placed within the retries.
     """
     streams = np.random.SeedSequence(world_cfg.seed).spawn(4)
     world_rng = np.random.default_rng(streams[0])
@@ -385,53 +387,46 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
     relpos_rng = np.random.default_rng(streams[3])
 
     K = sensor_cfg.intrinsics()
-    mount = left_facing_mount()
-
     gt_odometry = ground_truth_odometry(world_cfg)
     trajectory = init_poses(gt_odometry, RobotPose(0.0, 0.0, 0.0))
+    R, t = camera_frames(trajectory, left_facing_mount())
     min_px = sensor_cfg.detection_min_px
-    project = _bbox_projector(world_cfg.landmark_shape)
+    project = project_cube_bbox if world_cfg.landmark_shape == "cube" else project_sphere_bbox
     min_det = world_cfg.landmark_min_detections
-    landmarks = []
+    landmarks, seen, boxes = [], [], []
     for lm_id in range(world_cfg.n_landmarks):
         for _ in range(_PLACEMENT_RETRIES):
             lm = _sample_landmark(world_cfg, trajectory, world_rng, lm_id)
-            detected = [
-                pose
-                for pose in trajectory
-                if project(lm, pose, K, mount, min_px) is not None
-            ]
-            if len(detected) < min_det:
+            lm_seen, lm_boxes = project(lm, R, t, K, min_px)
+            if np.count_nonzero(lm_seen) < min_det:
                 continue
             if (
                 world_cfg.landmark_min_condition > 0
-                and _landmark_condition(lm, detected, K, mount)
+                and _landmark_condition(lm, lm_seen, R, t, K)
                 < world_cfg.landmark_min_condition
             ):
                 continue
             landmarks.append(lm)
+            seen.append(lm_seen)
+            boxes.append(lm_boxes)
             break
         else:
-            raise RuntimeError(
+            raise ValueError(
                 f"could not place landmark {lm_id} with >= {min_det} "
-                "well-conditioned detections"
+                f"well-conditioned detections in {_PLACEMENT_RETRIES} tries"
             )
 
     detections, relpos = [], []
-    for i, pose in enumerate(trajectory):
-        for lm in landmarks:
-            corners = project(lm, pose, K, mount, min_px)
-            if corners is None:
-                continue
-            lines = corrupt_bbox(corners, sensor_cfg.bbox_corner_sigma_px, bbox_rng)
-            detections.append(
-                BBoxDetection(pose_index=i, landmark_id=lm.id, lines=lines)
+    # (pose, landmark) order: the noise streams are drawn in this order.
+    for i, j in np.argwhere(np.array(seen).T).tolist():
+        lm = landmarks[j]
+        lines = corrupt_bbox(boxes[j][i], sensor_cfg.bbox_corner_sigma_px, bbox_rng)
+        detections.append(BBoxDetection(pose_index=i, landmark_id=lm.id, lines=lines))
+        relpos.append(
+            measure_relative_position(
+                lm, trajectory[i], sensor_cfg.relpos_sigma_m, relpos_rng, pose_index=i
             )
-            relpos.append(
-                measure_relative_position(
-                    lm, pose, sensor_cfg.relpos_sigma_m, relpos_rng, pose_index=i
-                )
-            )
+        )
 
     odometry = corrupt_odometry(gt_odometry, sensor_cfg, odo_rng)
 

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import concurrent.futures
 import json
+import os
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
@@ -202,6 +204,56 @@ def test_evaluate_summary_single_trial_avg_equals_med(tmp_path):
     agg = summary["aggregate"]["monocular"]
     assert agg["rmse_pos_slam"]["avg"] == agg["rmse_pos_slam"]["med"]
     assert summary["n_failures"] == 0
+
+
+def test_unplaceable_landmark_is_an_input_error(tmp_path, capsys):
+    # 1000 detections cannot fit on the 261-pose default trajectory.
+    out = tmp_path / "x.json"
+    assert main(["simulate", "--landmark-min-detections", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: could not place landmark 0") and err.count("\n") == 1, err
+    assert list(tmp_path.iterdir()) == []
+    # evaluate records it as a failed trial
+    d = tmp_path / "e"
+    assert main(["evaluate", "--landmark-min-detections", "1000", "--trials", "1",
+                 "--out-dir", str(d)]) == 1
+    failures = json.loads((d / "summary.json").read_text())["failures"]
+    assert failures["0"].startswith("ValueError: could not place landmark 0")
+
+
+TINY = ["--n-landmarks", "1", "--trajectory-length", "20", "--n-loops", "1"]
+
+
+@pytest.mark.parametrize(
+    "trials, workers, width",
+    [(1, 64, 1), (2, 64, 2), (3, 2, 2), (3, 0, min(os.cpu_count() or 1, 3))],
+    ids=["one-trial", "wider-than-trials", "narrower-than-trials", "default-width"],
+)
+def test_evaluate_pool_width_at_most_trials(trials, workers, width, tmp_path, monkeypatch):
+    widths = []
+
+    class InlinePool:
+        """Records its width and runs the jobs in this process."""
+
+        def __init__(self, max_workers):
+            widths.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+    out = tmp_path / "r"
+    assert main(["evaluate", "--trials", str(trials), "--workers", str(workers),
+                 "--out-dir", str(out), *TINY]) == 0
+    assert widths == ([] if width == 1 else [width])
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["config"]["workers"] == width
 
 
 def test_rerun_reproduces_outputs(tmp_path):

@@ -1,22 +1,35 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
 import pytest
 
 from dqslam.dataset_io import dumps_dataset
-from dqslam.geometry import RobotPose, left_facing_mount
+from dqslam.factors import _plane_constraint_rows
+from dqslam.geometry import (
+    HomPoint2,
+    RobotPose,
+    bbox_corners,
+    bbox_to_lines,
+    dual_conic_bbox,
+    left_facing_mount,
+    pose_to_extrinsics,
+    project_quadric,
+    projection_matrix,
+)
 from dqslam.initialization import init_poses
 from dqslam.simulator import (
     CubeLandmark,
     SensorConfig,
     WorldConfig,
+    _landmark_condition,
     _sample_landmark,
+    camera_frames,
     corrupt_bbox,
     corrupt_odometry,
     generate_dataset,
-    generate_world,
     ground_truth_odometry,
     inscribed_ellipsoid,
     measure_relative_position,
@@ -50,16 +63,9 @@ def test_ground_truth_odometry_length_and_closure():
     assert (last.x, last.y) == pytest.approx((0, 0), abs=1e-12)
 
 
-def test_generate_world_deterministic():
-    t1, l1 = generate_world(WorldConfig(seed=9))
-    t2, l2 = generate_world(WorldConfig(seed=9))
-    assert all(a == b for a, b in zip(t1, t2))
-    assert all(np.array_equal(a.center, b.center) and a.side == b.side for a, b in zip(l1, l2))
-
-
 def test_sample_landmark_side_distribution(rng):
     cfg = WorldConfig()
-    trajectory, _ = generate_world(cfg)
+    trajectory = init_poses(ground_truth_odometry(cfg), RobotPose(0, 0, 0))
     sides = np.array(
         [_sample_landmark(cfg, trajectory, rng, 0).side for _ in range(10000)]
     )
@@ -67,34 +73,66 @@ def test_sample_landmark_side_distribution(rng):
     assert 0.5 <= sides.mean() <= 0.62
 
 
+def test_camera_frames_match_pose_to_extrinsics():
+    trajectory = init_poses(ground_truth_odometry(WorldConfig()), RobotPose(0, 0, 0))
+    R, t = camera_frames(trajectory, MOUNT)
+    assert R.shape == (len(trajectory), 3, 3) and t.shape == (len(trajectory), 3)
+    for i, pose in enumerate(trajectory):
+        E = pose_to_extrinsics(pose, MOUNT)
+        assert R[i].tobytes() == E.rotation.tobytes()
+        assert t[i].tobytes() == E.translation.tobytes()
+
+
 def test_project_cube_bbox_detection_ranges():
     # camera looks along +y from the origin; 0.5 m cube on the optical axis
-    pose = RobotPose(0, 0, 0)
+    R, t = camera_frames([RobotPose(0, 0, 0)], MOUNT)
     near = CubeLandmark(id=0, center=np.array([0.0, 5.0, 0.0]), side=0.5)
-    box = project_cube_bbox(near, pose, K, MOUNT, min_px=100.0)
-    assert box is not None
-    width = box[:, 0].max() - box[:, 0].min()
+    seen, boxes = project_cube_bbox(near, R, t, K, min_px=100.0)
+    assert seen.tolist() == [True] and boxes.shape == (1, 4, 2)
+    width = boxes[0, :, 0].max() - boxes[0, :, 0].min()
     assert 140 <= width <= 165  # ~ f * side / depth with corner-depth spread
 
     far = CubeLandmark(id=0, center=np.array([0.0, 10.0, 0.0]), side=0.5)
-    assert project_cube_bbox(far, pose, K, MOUNT, min_px=100.0) is None
+    assert project_cube_bbox(far, R, t, K, min_px=100.0)[0].tolist() == [False]
 
     behind = CubeLandmark(id=0, center=np.array([0.0, -5.0, 0.0]), side=0.5)
-    assert project_cube_bbox(behind, pose, K, MOUNT, min_px=100.0) is None
+    assert project_cube_bbox(behind, R, t, K, min_px=100.0)[0].tolist() == [False]
 
 
 def test_project_sphere_bbox_tangency():
-    pose = RobotPose(0, 0, 0)
+    poses = [RobotPose(0, 0, 0), RobotPose(0, 0, math.pi)]  # facing it, facing away
+    R, t = camera_frames(poses, MOUNT)
     lm = CubeLandmark(id=0, center=np.array([0.2, 5.0, -0.1]), side=0.5)
-    box = project_sphere_bbox(lm, pose, K, MOUNT, min_px=0.0)
-    assert box is not None
+    seen, boxes = project_sphere_bbox(lm, R, t, K, min_px=0.0)
+    assert seen.tolist() == [True, False]
+    box = boxes[0]
     # the silhouette box lines are exactly tangent to the projected conic
-    from dqslam.geometry import projection_matrix, pose_to_extrinsics, project_quadric, bbox_to_lines, HomPoint2
-
-    P = projection_matrix(K, pose_to_extrinsics(pose, MOUNT))
+    P = projection_matrix(K, pose_to_extrinsics(poses[0], MOUNT))
     C = project_quadric(P, inscribed_ellipsoid(lm))
     for line in bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in box]):
         assert abs(line.coords @ C.C @ line.coords) < 1e-7 * np.abs(C.C).max()
+    # and equal, bit for bit, to the scalar conic box
+    u_min, v_min, u_max, v_max = dual_conic_bbox(C)
+    assert box.tolist() == [[u_min, v_min], [u_max, v_min], [u_max, v_max], [u_min, v_max]]
+
+
+def test_landmark_condition_matches_back_projected_box_lines():
+    # Reference: the scalar silhouette box, its normalized lines l and their
+    # back-projected planes P^T l.
+    ds = generate_dataset(WorldConfig(seed=0), SensorConfig())
+    poses = ds.ground_truth_poses
+    R, t = camera_frames(poses, MOUNT)
+    for lm in ds.landmarks[:3]:
+        seen, boxes = project_cube_bbox(lm, R, t, K, SensorConfig().detection_min_px)
+        planes = []
+        for i in np.flatnonzero(seen):
+            P = projection_matrix(K, pose_to_extrinsics(poses[i], MOUNT))
+            box = dual_conic_bbox(project_quadric(P, inscribed_ellipsoid(lm)))
+            planes.extend(P.P.T @ line.coords for line in bbox_to_lines(bbox_corners(*box)))
+        planes = np.array(planes)
+        planes /= np.linalg.norm(planes, axis=1, keepdims=True)
+        S = np.linalg.svd(_plane_constraint_rows(planes), compute_uv=False)
+        assert _landmark_condition(lm, seen, R, t, K) == pytest.approx(S[-2] / S[0], rel=1e-9)
 
 
 def test_corrupt_bbox_zero_sigma_exact(rng):
@@ -185,12 +223,30 @@ def test_generate_dataset_deterministic(small_world):
 def test_generate_dataset_emitted_boxes_satisfy_predicate(small_world):
     sensor = SensorConfig()
     ds = generate_dataset(small_world, sensor)
-    by_id = {lm.id: lm for lm in ds.landmarks}
+    R, t = camera_frames(ds.ground_truth_poses, MOUNT)
+    seen = {
+        lm.id: project_cube_bbox(lm, R, t, K, sensor.detection_min_px)[0]
+        for lm in ds.landmarks
+    }
     for det in ds.detections:
-        pose = ds.ground_truth_poses[det.pose_index]
-        assert project_cube_bbox(
-            by_id[det.landmark_id], pose, K, MOUNT, sensor.detection_min_px
-        ) is not None
+        assert seen[det.landmark_id][det.pose_index]
+    # and every detectable (pose, landmark) pair is emitted
+    assert sum(int(s.sum()) for s in seen.values()) == len(ds.detections) > 0
+
+
+# dumps_dataset SHA-256 of default-config datasets, as pinned in
+# bench/reference/simulate-io.json: a simulator change that moves a single
+# byte of a default dataset must say so.
+DEFAULT_DATASET_SHA256 = {
+    0: "e41845a052d92c7107e5cad3d6e9a5de9e910f1c932d80742e2822f5a3eb5b25",
+    2: "054a7829704a832d8126b5231059018d84c3bf389d5314fa8fc9ce1c03efcb60",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DEFAULT_DATASET_SHA256))
+def test_default_dataset_fingerprint(seed):
+    text = dumps_dataset(generate_dataset(WorldConfig(seed=seed), SensorConfig()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_DATASET_SHA256[seed]
 
 
 def test_generate_dataset_relpos_paired(small_world):
