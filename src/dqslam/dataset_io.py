@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ConfigError
 from .factors import BBoxDetection, OdometryMeasurement, RelativePositionMeasurement
-from .geometry import ImageLine, RobotPose
+from .geometry import DegenerateGeometryError, ImageLine, RobotPose
 from .simulator import CubeLandmark, Dataset, SensorConfig, WorldConfig
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_to_dict", "dataset_from_dict",
@@ -94,8 +94,9 @@ def _column(records, key: str, where: str) -> list:
     return [r[key] for r in records]
 
 
-def _numbers(values, shape: tuple, where: str) -> list:
-    """values, a list of entries of the given shape, as finite floats."""
+def _numbers(values, shape: tuple, where: str) -> np.ndarray:
+    """values, a list of entries of the given shape, as an (n, *shape)
+    array of finite floats."""
     try:
         a = np.asarray(values)
     except ValueError:  # ragged nesting
@@ -104,7 +105,7 @@ def _numbers(values, shape: tuple, where: str) -> list:
         a.shape[1:] != shape and a.shape != (0,)
     ):
         raise ValueError(f"{where} must be a list of finite numbers of shape {shape}")
-    return a.astype(float).tolist()
+    return a.astype(float).reshape((-1,) + shape)
 
 
 def _indices(values: list, n: int, where: str) -> list:
@@ -139,7 +140,9 @@ def dataset_from_dict(doc: dict) -> Dataset:
     """Rebuild a dataset from its document; a malformed one (missing or
     unknown key, config value out of range, non-finite number, index out of
     range, odometry not one entry shorter than the poses, seed unequal to
-    world_config.seed) raises ValueError naming the key."""
+    world_config.seed, non-positive cube side, degenerate box line, a
+    landmark detected fewer than world_config.landmark_min_detections
+    times) raises ValueError naming the key."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ValueError(f"not a {SCHEMA} document")
     if doc.get("version") != SCHEMA_VERSION:
@@ -154,17 +157,20 @@ def dataset_from_dict(doc: dict) -> Dataset:
 
     truth = _get(doc, "ground_truth", "dataset")
     rows = _numbers(_get(truth, "poses", "ground_truth"), (3,), "ground_truth.poses")
-    poses = [RobotPose(*row) for row in rows]
+    poses = [RobotPose(*row) for row in rows.tolist()]
     lms, where = _get(truth, "landmarks", "ground_truth"), "ground_truth.landmarks"
     ids = _column(lms, "id", where)
     if sorted(_indices(ids, len(ids), f"{where}.id")) != list(range(len(ids))):
         raise ValueError(f"{where}.id must be distinct")
+    sides = _numbers(_column(lms, "side", where), (), f"{where}.side")
+    if (sides <= 0).any():
+        raise ValueError(f"{where}.side must be positive")
     landmarks = [
-        CubeLandmark(id=j, center=np.array(center), side=side)
+        CubeLandmark(id=j, center=center, side=side)
         for j, center, side in zip(
             ids,
             _numbers(_column(lms, "center", where), (3,), f"{where}.center"),
-            _numbers(_column(lms, "side", where), (), f"{where}.side"),
+            sides.tolist(),
         )
     ]
 
@@ -177,25 +183,28 @@ def dataset_from_dict(doc: dict) -> Dataset:
     odometry = [
         OdometryMeasurement(v=v, omega=omega, turn=turn)
         for v, omega, turn in zip(
-            _numbers(_column(odo, "v", "odometry"), (), "odometry.v"),
-            _numbers(_column(odo, "omega", "odometry"), (), "odometry.omega"),
+            _numbers(_column(odo, "v", "odometry"), (), "odometry.v").tolist(),
+            _numbers(_column(odo, "omega", "odometry"), (), "odometry.omega").tolist(),
             turns,
         )
     ]
 
     dets = _get(doc, "detections", "dataset")
     boxes = _numbers(_column(dets, "lines", "detections"), (4, 3), "detections.lines")
-    detections = [
-        BBoxDetection(pose_index=i, landmark_id=j, lines=tuple(map(ImageLine, box)))
-        for (i, j), box in zip(_measured(dets, "detections", len(poses), len(ids)), boxes)
-    ]
+    try:
+        detections = [
+            BBoxDetection(pose_index=i, landmark_id=j, lines=tuple(map(ImageLine, box)))
+            for (i, j), box in zip(_measured(dets, "detections", len(poses), len(ids)), boxes)
+        ]
+    except DegenerateGeometryError as exc:
+        raise ValueError(f"detections.lines: {exc}") from None
     rels = _get(doc, "relative_positions", "dataset")
     zs = _numbers(_column(rels, "z", "relative_positions"), (3,), "relative_positions.z")
     relpos = [
-        RelativePositionMeasurement(pose_index=i, landmark_id=j, z=np.array(z))
+        RelativePositionMeasurement(pose_index=i, landmark_id=j, z=z)
         for (i, j), z in zip(_measured(rels, "relative_positions", len(poses), len(ids)), zs)
     ]
-    return Dataset(
+    dataset = Dataset(
         world_config=world,
         sensor_config=sensor,
         ground_truth_poses=poses,
@@ -204,6 +213,13 @@ def dataset_from_dict(doc: dict) -> Dataset:
         detections=detections,
         relative_positions=relpos,
     )
+    for j, n in dataset.detections_per_landmark().items():
+        if n < world.landmark_min_detections:
+            raise ValueError(
+                f"detections: landmark {j} has {n} detections, fewer than "
+                f"world_config.landmark_min_detections = {world.landmark_min_detections}"
+            )
+    return dataset
 
 
 def dumps_dataset(ds: Dataset) -> str:

@@ -37,6 +37,7 @@ __all__ = [
     "wrap_angle",
     "rot2",
     "rotz",
+    "lines_through",
     "line_from_points",
     "bbox_to_lines",
     "bbox_corners",
@@ -114,22 +115,6 @@ class HomPoint2:
         return self.coords[:2] / self.coords[2]
 
 
-def _normalize_line_coords(coords: np.ndarray) -> np.ndarray:
-    norm = math.hypot(coords[0], coords[1])
-    # Skipping the division when the norm is already 1 (to rounding) makes
-    # normalization bit-exactly idempotent, which serialization relies on.
-    if norm > _EPS_SCALE:
-        if abs(norm - 1.0) > 1e-12:
-            coords = coords / norm
-    else:
-        # Line at infinity: only the third component carries information.
-        if coords[2] != 1.0 and coords[2] != -1.0:
-            coords = coords / abs(coords[2])
-    l1, l2, l3 = coords
-    flip = l3 < 0 or (l3 == 0 and (l1 < 0 or (l1 == 0 and l2 < 0)))
-    return -coords if flip else coords
-
-
 @dataclass(frozen=True)
 class ImageLine:
     """Homogeneous image line (l1, l2, l3), stored normalized.
@@ -142,10 +127,24 @@ class ImageLine:
     coords: np.ndarray
 
     def __post_init__(self):
-        coords = np.array(self.coords, dtype=float).reshape(3)
-        if not np.any(coords):
+        l1, l2, l3 = np.asarray(self.coords, dtype=float).reshape(3).tolist()
+        if not (l1 or l2 or l3):
             raise DegenerateGeometryError("image line must be nonzero")
-        coords = _normalize_line_coords(coords)
+        norm = math.hypot(l1, l2)
+        # Skipping the division when the norm is already 1 (to rounding) makes
+        # normalization bit-exactly idempotent, which serialization relies on.
+        if norm > _EPS_SCALE:
+            if abs(norm - 1.0) > 1e-12:
+                l1, l2, l3 = l1 / norm, l2 / norm, l3 / norm
+        elif l3 == 0.0:
+            raise DegenerateGeometryError("image line cannot be normalized")
+        elif l3 != 1.0 and l3 != -1.0:
+            # Line at infinity: only the third component carries information.
+            s = abs(l3)
+            l1, l2, l3 = l1 / s, l2 / s, l3 / s
+        if l3 < 0 or (l3 == 0 and (l1 < 0 or (l1 == 0 and l2 < 0))):
+            l1, l2, l3 = -l1, -l2, -l3
+        coords = np.array((l1, l2, l3))
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
 
@@ -309,17 +308,31 @@ class DualConic:
         object.__setattr__(self, "C", C)
 
 
+def lines_through(a, b) -> np.ndarray:
+    """Lines joining pairs of homogeneous 2D points, unnormalized.
+
+    a, b are (..., 3) arrays of points; the result holds their cross
+    products, (..., 3), which ImageLine normalizes.
+
+    Raises:
+        DegenerateGeometryError: if some pair is proportional (coincident).
+    """
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    cross = np.cross(a, b)
+    scale = np.maximum(np.abs(a).max(-1) * np.abs(b).max(-1), _EPS_SCALE)
+    if np.any(np.abs(cross).max(-1) <= _EPS_SCALE * scale):
+        raise DegenerateGeometryError("points are coincident; line is undefined")
+    return cross
+
+
 def line_from_points(a: HomPoint2, b: HomPoint2) -> ImageLine:
     """Line through two homogeneous points, via their cross product.
 
     Raises:
         DegenerateGeometryError: if the points are proportional (coincident).
     """
-    cross = np.cross(a.coords, b.coords)
-    scale = max(np.max(np.abs(a.coords)) * np.max(np.abs(b.coords)), _EPS_SCALE)
-    if np.max(np.abs(cross)) <= _EPS_SCALE * scale:
-        raise DegenerateGeometryError("points are coincident; line is undefined")
-    return ImageLine(cross)
+    return ImageLine(lines_through(a.coords, b.coords))
 
 
 def bbox_corners(u_min: float, v_min: float, u_max: float, v_max: float) -> tuple:
@@ -340,9 +353,8 @@ def bbox_to_lines(corners) -> tuple:
     """
     if len(corners) != 4:
         raise ValueError("a bounding box has exactly four corners")
-    return tuple(
-        line_from_points(corners[k], corners[(k + 1) % 4]) for k in range(4)
-    )
+    points = np.array([p.coords for p in corners])
+    return tuple(map(ImageLine, lines_through(points, np.roll(points, -1, axis=0))))
 
 
 def projection_matrix(K: CameraIntrinsics, E: CameraExtrinsics) -> ProjectionMatrix:

@@ -25,6 +25,7 @@ from .factors import (
     BBoxDetection,
     OdometryMeasurement,
     RelativePositionMeasurement,
+    _in_frame,
     _plane_constraint_rows,
 )
 from .geometry import (
@@ -32,11 +33,11 @@ from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
-    HomPoint2,
+    ImageLine,
     RobotPose,
-    bbox_to_lines,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
+    lines_through,
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
     rotz,
 )
@@ -301,15 +302,19 @@ def project_sphere_bbox(
     return _visible_boxes(u0 - hu, v0 - hv, u0 + hu, v0 + hv, seen, K, min_px)
 
 
-def corrupt_bbox(corners: np.ndarray, sigma_px: float, rng) -> tuple:
-    """Gaussian pixel noise on every corner coordinate, then lines.
+def corrupt_bbox(corners: np.ndarray, sigma_px: float, rng) -> list:
+    """Gaussian pixel noise on every corner coordinate of n boxes, then lines.
 
-    Noise is applied in pixel space before the lines are built and
-    normalized.
+    corners is (n, 4, 2), each box's pixel corners in cyclic order. Noise is
+    applied in pixel space, drawn in one call (the same values as n draws in
+    order), before the lines are built and normalized. Returns n tuples of
+    four ImageLines; line k joins corner k to corner k+1.
     """
-    noisy = np.asarray(corners, dtype=float) + rng.normal(0.0, sigma_px, size=(4, 2))
-    points = [HomPoint2.from_xy(px, py) for px, py in noisy]
-    return bbox_to_lines(points)
+    corners = np.asarray(corners, dtype=float)
+    noisy = corners + rng.normal(0.0, sigma_px, size=corners.shape)
+    points = np.concatenate([noisy, np.ones(noisy.shape[:-1] + (1,))], axis=-1)
+    lines = lines_through(points, np.roll(points, -1, axis=-2))
+    return [tuple(map(ImageLine, box)) for box in lines]
 
 
 def corrupt_odometry(odometry, cfg: SensorConfig, rng) -> list:
@@ -328,18 +333,19 @@ def corrupt_odometry(odometry, cfg: SensorConfig, rng) -> list:
     return noisy
 
 
-def measure_relative_position(
-    landmark: CubeLandmark, x: RobotPose, sigma: float, rng, pose_index: int = 0
-) -> RelativePositionMeasurement:
-    """Cube center in the robot frame of pose x, with per-axis noise."""
-    c, s = math.cos(x.theta), math.sin(x.theta)
-    dx, dy = landmark.center[0] - x.x, landmark.center[1] - x.y
-    local = np.array([c * dx + s * dy, -s * dx + c * dy, landmark.center[2]])
-    return RelativePositionMeasurement(
-        pose_index=pose_index,
-        landmark_id=landmark.id,
-        z=local + rng.normal(0.0, sigma, size=3),
-    )
+def measure_relative_position(centers, poses, sigma: float, rng) -> np.ndarray:
+    """Landmark centers (n, 3) in the robot frames of poses (n, 3) rows
+    (x, y, theta), with per-axis noise drawn in one call (the same values as
+    n draws in order)."""
+    centers = np.asarray(centers, dtype=float)
+    poses = np.asarray(poses, dtype=float)
+    # math, not np.cos/np.sin, which may differ from libm in the last bit.
+    theta = poses[:, 2].tolist()
+    c = np.array([math.cos(th) for th in theta])
+    s = np.array([math.sin(th) for th in theta])
+    dx, dy = centers[:, 0] - poses[:, 0], centers[:, 1] - poses[:, 1]
+    local = np.stack([*_in_frame(c, s, dx, dy), centers[:, 2]], axis=1)
+    return local + rng.normal(0.0, sigma, size=local.shape)
 
 
 def _landmark_condition(landmark, seen, R, t, K: CameraIntrinsics) -> float:
@@ -408,7 +414,7 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
                 continue
             landmarks.append(lm)
             seen.append(lm_seen)
-            boxes.append(lm_boxes)
+            boxes.append(lm_boxes[lm_seen])
             break
         else:
             raise ValueError(
@@ -416,17 +422,24 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
                 f"well-conditioned detections in {_PLACEMENT_RETRIES} tries"
             )
 
-    detections, relpos = [], []
-    # (pose, landmark) order: the noise streams are drawn in this order.
-    for i, j in np.argwhere(np.array(seen).T).tolist():
-        lm = landmarks[j]
-        lines = corrupt_bbox(boxes[j][i], sensor_cfg.bbox_corner_sigma_px, bbox_rng)
-        detections.append(BBoxDetection(pose_index=i, landmark_id=lm.id, lines=lines))
-        relpos.append(
-            measure_relative_position(
-                lm, trajectory[i], sensor_cfg.relpos_sigma_m, relpos_rng, pose_index=i
-            )
-        )
+    # Each landmark's boxes are in pose order; a stable sort by pose gives
+    # (pose, landmark) order, in which the noise streams are drawn. Landmark
+    # j has id j.
+    of_lm, at_pose = np.nonzero(np.array(seen))
+    order = np.argsort(at_pose, kind="stable")
+    of_lm, at_pose = of_lm[order], at_pose[order]
+    lines = corrupt_bbox(
+        np.concatenate(boxes)[order], sensor_cfg.bbox_corner_sigma_px, bbox_rng
+    )
+    z = measure_relative_position(
+        np.array([lm.center for lm in landmarks])[of_lm],
+        np.array([[x.x, x.y, x.theta] for x in trajectory])[at_pose],
+        sensor_cfg.relpos_sigma_m,
+        relpos_rng,
+    )
+    pairs = list(zip(at_pose.tolist(), of_lm.tolist()))
+    detections = [BBoxDetection(i, j, box) for (i, j), box in zip(pairs, lines)]
+    relpos = [RelativePositionMeasurement(i, j, zk) for (i, j), zk in zip(pairs, z)]
 
     odometry = corrupt_odometry(gt_odometry, sensor_cfg, odo_rng)
 

@@ -20,6 +20,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "LinearSolveError",
+    "normal_equations",
     "linear_step",
     "solve",
 ]
@@ -56,21 +57,28 @@ class SolveReport:
     termination_reason: str  # cost-tol | grad-tol | max-iters | stalled
 
 
-def linear_step(J, r: np.ndarray, lam: float) -> np.ndarray:
-    """One damped Gauss-Newton step: solve (J^T J + lam diag(J^T J)) d = -J^T r.
+def normal_equations(J, r: np.ndarray):
+    """The Gauss-Newton normal equations of a linearization: (J^T J, J^T r).
 
-    Accepts a dense or scipy-sparse Jacobian. lam = 0 gives the plain
-    Gauss-Newton step.
+    Accepts a dense or scipy-sparse Jacobian; J^T J is returned as CSC.
+    """
+    if not sp.issparse(J):
+        J = sp.csr_matrix(np.asarray(J, dtype=float))
+    return (J.T @ J).tocsc(), J.T @ r
+
+
+def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
+    """One damped Gauss-Newton step: solve (JtJ + lam diag(JtJ)) d = -g.
+
+    JtJ, g are the normal equations from normal_equations, formed once per
+    linearization and reused across damping retries. lam = 0 gives the
+    plain Gauss-Newton step.
 
     Raises:
         LinearSolveError: singular system or non-finite solution.
     """
     if lam < 0:
         raise ValueError("damping must be nonnegative")
-    if not sp.issparse(J):
-        J = sp.csr_matrix(np.asarray(J, dtype=float))
-    JtJ = (J.T @ J).tocsc()
-    g = J.T @ r
     M = JtJ + sp.diags(lam * JtJ.diagonal(), format="csc")
     try:
         delta = spla.splu(M).solve(-g)
@@ -110,8 +118,8 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     reason = "max-iters"
 
     for _ in range(config.max_iterations):
-        J = ev.jacobian(poses, quadrics)
-        grad = np.abs(J.T @ r).max() if J.nnz else 0.0
+        JtJ, g = normal_equations(ev.jacobian(poses, quadrics), r)
+        grad = np.abs(g).max() if g.size else 0.0
         if grad < config.grad_tol:
             converged = True
             reason = "grad-tol"
@@ -127,7 +135,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         escalated = False
         while True:
             try:
-                delta = linear_step(J, r, lam)
+                delta = linear_step(JtJ, g, lam)
             except LinearSolveError:
                 stalled = True
                 break

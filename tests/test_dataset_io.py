@@ -113,6 +113,15 @@ CORRUPTIONS = {
                               "ground_truth.landmarks.id"),
     "non-integer-seed": (_set(["seed"], 3.0), "seed"),
     "seed-mismatch": (_set(["seed"], 5), "seed"),
+    "zero-box-line": (_set(["detections", 0, "lines", 2], [0.0, 0.0, 0.0]),
+                      "detections.lines"),
+    "non-positive-side": (_set(["ground_truth", "landmarks", 1, "side"], 0.0),
+                          "ground_truth.landmarks.side"),
+    "too-few-detections": (
+        lambda doc: doc.update(
+            detections=[d for d in doc["detections"] if d["landmark_id"] != 0]),
+        "detections: landmark 0",
+    ),
 }
 
 

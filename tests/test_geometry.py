@@ -21,6 +21,7 @@ from dqslam.geometry import (
     ellipsoid_to_dual_quadric,
     left_facing_mount,
     line_from_points,
+    lines_through,
     pose_to_extrinsics,
     project_quadric,
     projection_matrix,
@@ -86,6 +87,67 @@ def test_image_line_normalization_idempotent_bitwise(rng):
         l = ImageLine(rng.normal(size=3))
         again = ImageLine(l.coords.copy())
         assert again.coords.tobytes() == l.coords.tobytes()
+
+
+def _reference_normalize(coords: np.ndarray) -> np.ndarray:
+    """The numpy line normalization ImageLine used before it worked on
+    Python floats: the oracle for bit-identical normalization."""
+    norm = math.hypot(coords[0], coords[1])
+    if norm > 1e-12:
+        if abs(norm - 1.0) > 1e-12:
+            coords = coords / norm
+    else:
+        if coords[2] != 1.0 and coords[2] != -1.0:
+            coords = coords / abs(coords[2])
+    l1, l2, l3 = coords
+    flip = l3 < 0 or (l3 == 0 and (l1 < 0 or (l1 == 0 and l2 < 0)))
+    return -coords if flip else coords
+
+
+def test_image_line_matches_reference_normalization(rng):
+    lines = [
+        *rng.normal(size=(2000, 3)),
+        *(rng.normal(size=(200, 3)) * [1e-13, 1e-13, 1.0]),  # tiny normals
+        [0.0, 0.0, -3.0], [0.0, 0.0, 2.5], [0.0, 0.0, 1.0], [0.0, -0.0, -1.0],  # at infinity
+        [-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [-3.0, 4.0, 0.0], [3.0, -4.0, -0.0],  # l3 == 0
+        [0.6, 0.8, -7.0], [-0.6, -0.8, 7.0], [1.0, 0.0, 0.0],  # already unit
+    ]
+    for coords in lines:
+        coords = np.array(coords, dtype=float)
+        expected = _reference_normalize(coords.copy())
+        assert ImageLine(coords).coords.tobytes() == expected.tobytes(), coords
+    unit = ImageLine([0.6, 0.8, 7.0])
+    assert ImageLine(unit.coords).coords.tobytes() == unit.coords.tobytes()
+
+
+def test_image_line_tiny_normal_at_origin_rejected():
+    # Neither a finite line nor the line at infinity: no normalization exists.
+    with pytest.raises(DegenerateGeometryError):
+        ImageLine([1e-13, 0.0, 0.0])
+
+
+def test_lines_through_matches_per_pair_cross_products(rng):
+    corners = rng.uniform(0, 1000, size=(50, 4, 2)) + rng.normal(0, 1.0, size=(50, 4, 2))
+    points = np.concatenate([corners, np.ones((50, 4, 1))], axis=-1)
+    lines = lines_through(points, np.roll(points, -1, axis=1))
+    assert lines.shape == (50, 4, 3)
+    for box, box_lines in zip(points, lines):
+        for k in range(4):
+            cross = np.cross(box[k], box[(k + 1) % 4])
+            assert box_lines[k].tobytes() == cross.tobytes()
+        per_box = bbox_to_lines([HomPoint2(p) for p in box])
+        assert [ImageLine(l).coords.tobytes() for l in box_lines] == [
+            l.coords.tobytes() for l in per_box
+        ]
+
+
+def test_lines_through_coincident_corners_raise():
+    points = np.ones((3, 4, 3))
+    points[:, :, :2] = [[0, 0], [1, 0], [1, 1], [0, 1]]
+    lines_through(points, np.roll(points, -1, axis=1))  # regular boxes pass
+    points[1, 2] = points[1, 1]
+    with pytest.raises(DegenerateGeometryError):
+        lines_through(points, np.roll(points, -1, axis=1))
 
 
 def test_line_from_points_axis_lines():

@@ -137,10 +137,8 @@ def test_landmark_condition_matches_back_projected_box_lines():
 
 def test_corrupt_bbox_zero_sigma_exact(rng):
     corners = np.array([[100.0, 100.0], [300.0, 100.0], [300.0, 250.0], [100.0, 250.0]])
-    from dqslam.geometry import HomPoint2, bbox_to_lines
-
     exact = bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in corners])
-    noisy = corrupt_bbox(corners, 0.0, rng)
+    (noisy,) = corrupt_bbox(corners[None], 0.0, rng)
     for a, b in zip(exact, noisy):
         assert np.array_equal(a.coords, b.coords)
 
@@ -148,14 +146,25 @@ def test_corrupt_bbox_zero_sigma_exact(rng):
 def test_corrupt_bbox_noise_statistics(rng):
     corners = np.array([[100.0, 100.0], [300.0, 100.0], [300.0, 250.0], [100.0, 250.0]])
     devs = []
-    for _ in range(2500):
-        lines = corrupt_bbox(corners, 1.0, rng)
+    for lines in corrupt_bbox(np.broadcast_to(corners, (2500, 4, 2)), 1.0, rng):
         # recover the noisy corners as intersections of adjacent lines
         for k in range(4):
             p = np.cross(lines[(k - 1) % 4].coords, lines[k].coords)
             devs.append(p[:2] / p[2] - corners[k])
     devs = np.array(devs).ravel()
     assert 0.97 <= devs.std() <= 1.03
+
+
+def test_corrupt_bbox_one_draw_equals_per_box_draws():
+    # One (n, 4, 2) draw yields the values of n (4, 2) draws in order, and
+    # each box's lines equal bbox_to_lines of its noisy corners bit for bit.
+    boxes = np.random.default_rng(7).uniform(0, 1000, size=(30, 4, 2))
+    batch = corrupt_bbox(boxes, 1.5, np.random.default_rng(8))
+    rng = np.random.default_rng(8)
+    for box, lines in zip(boxes, batch):
+        noisy = box + rng.normal(0.0, 1.5, size=(4, 2))
+        expected = bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in noisy])
+        assert [l.coords.tobytes() for l in lines] == [l.coords.tobytes() for l in expected]
 
 
 def test_corrupt_odometry_zero_sigma(rng):
@@ -188,20 +197,33 @@ def test_noisy_odometry_drift_magnitude():
 
 
 def test_measure_relative_position_examples(rng):
-    lm = CubeLandmark(id=0, center=np.array([0.0, 3.0, 0.0]), side=0.5)
-    z = measure_relative_position(lm, RobotPose(0, 0, 0), 0.0, rng)
-    assert np.allclose(z.z, [0, 3, 0])
-    z = measure_relative_position(lm, RobotPose(0, 0, math.pi / 2), 0.0, rng)
-    assert np.allclose(z.z, [3, 0, 0], atol=1e-15)
+    centers = np.array([[0.0, 3.0, 0.0], [0.0, 3.0, 0.0]])
+    poses = np.array([[0.0, 0.0, 0.0], [0.0, 0.0, math.pi / 2]])
+    z = measure_relative_position(centers, poses, 0.0, rng)
+    assert np.allclose(z[0], [0, 3, 0])
+    assert np.allclose(z[1], [3, 0, 0], atol=1e-15)
 
 
 def test_measure_relative_position_noise_std(rng):
-    lm = CubeLandmark(id=0, center=np.array([1.0, 2.0, 0.2]), side=0.5)
-    draws = np.array(
-        [measure_relative_position(lm, RobotPose(0, 0, 0), 0.1, rng).z for _ in range(10000)]
-    )
+    centers = np.broadcast_to([1.0, 2.0, 0.2], (10000, 3))
+    draws = measure_relative_position(centers, np.zeros((10000, 3)), 0.1, rng)
     stds = draws.std(axis=0)
     assert np.all((0.095 <= stds) & (stds <= 0.105))
+
+
+def test_measure_relative_position_matches_per_pose_formula():
+    # Reference: the per-measurement formula with math.cos/math.sin and one
+    # size-3 draw per measurement, in order; equal bit for bit.
+    gen = np.random.default_rng(3)
+    centers = gen.normal(0, 5, size=(200, 3))
+    poses = np.column_stack([gen.normal(0, 20, size=(200, 2)), gen.uniform(-4, 4, 200)])
+    z = measure_relative_position(centers, poses, 0.1, np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    for (cx, cy, cz), (x, y, theta), zk in zip(centers, poses, z):
+        c, s = math.cos(theta), math.sin(theta)
+        dx, dy = cx - x, cy - y
+        expected = np.array([c * dx + s * dy, -s * dx + c * dy, cz]) + rng.normal(0, 0.1, 3)
+        assert zk.tobytes() == expected.tobytes()
 
 
 def test_generate_dataset_detection_floor(small_world, zero_noise_sensor):
@@ -247,6 +269,28 @@ DEFAULT_DATASET_SHA256 = {
 def test_default_dataset_fingerprint(seed):
     text = dumps_dataset(generate_dataset(WorldConfig(seed=seed), SensorConfig()))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DEFAULT_DATASET_SHA256[seed]
+
+
+# dumps_dataset SHA-256 of a 40-landmark world (as pinned in
+# bench/reference/large-map-solve.json) and of a sphere-shape world, whose
+# boxes take the other projection path.
+WORLD_DATASET_SHA256 = {
+    "40-landmarks-seed1": (
+        WorldConfig(n_landmarks=40, seed=1),
+        "93fc524043602a51be05449d115003449bb6eb1f8719e3a8514fbeafac2d9fbc",
+    ),
+    "sphere-seed0": (
+        WorldConfig(landmark_shape="sphere", seed=0),
+        "3058918364082cd5fdda2bd33fb8c2839ece05930f40c6ca1fc67bfa72cbf3b6",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WORLD_DATASET_SHA256))
+def test_world_dataset_fingerprint(name):
+    world, expected = WORLD_DATASET_SHA256[name]
+    text = dumps_dataset(generate_dataset(world, SensorConfig()))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == expected
 
 
 def test_generate_dataset_relpos_paired(small_world):

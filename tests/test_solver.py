@@ -12,7 +12,14 @@ from dqslam.factors import (
 from dqslam.geometry import DualQuadric, RobotPose, CameraIntrinsics, left_facing_mount
 from dqslam.pipeline import build_graph, ground_truth_graph, run_trial
 from dqslam.simulator import WorldConfig, generate_dataset
-from dqslam.solver import LinearSolveError, SolveReport, SolverConfig, linear_step, solve
+from dqslam.solver import (
+    LinearSolveError,
+    SolveReport,
+    SolverConfig,
+    linear_step,
+    normal_equations,
+    solve,
+)
 
 
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
@@ -47,7 +54,7 @@ def test_linear_step_gauss_newton_matches_pseudoinverse(rng):
         m, n = 40, 17
         J = rng.normal(size=(m, n))
         r = rng.normal(size=m)
-        delta = linear_step(J, r, lam=0.0)
+        delta = linear_step(*normal_equations(J, r), lam=0.0)
         expected = -np.linalg.pinv(J) @ r
         assert np.allclose(delta, expected, atol=1e-10)
 
@@ -55,14 +62,15 @@ def test_linear_step_gauss_newton_matches_pseudoinverse(rng):
 def test_linear_step_damping_shrinks_step(rng):
     J = rng.normal(size=(30, 10))
     r = rng.normal(size=30)
-    norms = [np.linalg.norm(linear_step(J, r, lam)) for lam in (0, 1, 1e2, 1e4, 1e8)]
+    JtJ, g = normal_equations(J, r)
+    norms = [np.linalg.norm(linear_step(JtJ, g, lam)) for lam in (0, 1, 1e2, 1e4, 1e8)]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-6 * norms[0]
 
 
 def test_linear_step_zero_residual(rng):
     J = rng.normal(size=(20, 6))
-    delta = linear_step(J, np.zeros(20), lam=0.1)
+    delta = linear_step(*normal_equations(J, np.zeros(20)), lam=0.1)
     assert np.allclose(delta, 0)
 
 
@@ -70,12 +78,12 @@ def test_linear_step_singular_raises(rng):
     J = np.zeros((10, 4))
     J[:, 0] = rng.normal(size=10)  # three unconstrained columns
     with pytest.raises(LinearSolveError):
-        linear_step(J, rng.normal(size=10), lam=0.0)
+        linear_step(*normal_equations(J, rng.normal(size=10)), lam=0.0)
 
 
 def test_linear_step_rejects_negative_damping(rng):
     with pytest.raises(ValueError):
-        linear_step(rng.normal(size=(5, 2)), rng.normal(size=5), lam=-1.0)
+        linear_step(*normal_equations(rng.normal(size=(5, 2)), rng.normal(size=5)), lam=-1.0)
 
 
 # -- solve ---------------------------------------------------------------------
