@@ -275,23 +275,27 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
 
 # -- evaluate ---------------------------------------------------------------
 
-def _evaluate_seed(world, sensor, noise, solver_cfg, strategy):
-    """Worker: one seed through both modes (shared dataset)."""
+def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
+    """Worker: one seed in one mode. The dataset is regenerated from the
+    seed, which is deterministic and cheap next to a solve.
+
+    Returns (result, error message, wall seconds); exactly one of result
+    and error is None.
+    """
+    t0 = time.perf_counter()
     try:
         dataset = generate_dataset(world, sensor)
-        results = []
-        for mode in MODES:
-            run = run_trial(
-                dataset,
-                mode=mode,
-                noise=noise,
-                solver_config=solver_cfg,
-                init_strategy=strategy,
-            )
-            results.append(run.result)
-        return world.seed, results, None
+        run = run_trial(
+            dataset,
+            mode=mode,
+            noise=noise,
+            solver_config=solver_cfg,
+            init_strategy=strategy,
+        )
+        result, error = run.result, None
     except Exception as exc:  # trial failure: recorded, run continues
-        return world.seed, None, f"{type(exc).__name__}: {exc}"
+        result, error = None, f"{type(exc).__name__}: {exc}"
+    return result, error, time.perf_counter() - t0
 
 
 def _csv_row(result) -> str:
@@ -312,29 +316,41 @@ def _csv_row(result) -> str:
 
 def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int:
     seeds = [args.base_seed + i for i in range(args.trials)]
-    worlds = [replace(world, seed=seed) for seed in seeds]
+    # One job per (seed, mode), mode-major: MODES starts with the monocular
+    # solves, which take most of a batch's time, so the pool starts the
+    # longest jobs first and the short with-relpos ones fill in at the end.
+    jobs = [(seed, mode) for mode in MODES for seed in seeds]
     job = functools.partial(
-        _evaluate_seed, sensor=sensor, noise=noise, solver_cfg=solver_cfg, strategy=strategy
+        _evaluate_job, sensor=sensor, noise=noise, solver_cfg=solver_cfg, strategy=strategy
     )
+    job_worlds = [replace(world, seed=seed) for seed, _ in jobs]
+    job_modes = [mode for _, mode in jobs]
 
     os.makedirs(args.out_dir, exist_ok=True)
     t0 = time.perf_counter()
     # A pool forks all its workers at the first submit; more than one per
-    # trial would only sit idle.
-    workers = min(args.workers or os.cpu_count() or 1, args.trials)
+    # job would only sit idle.
+    workers = min(args.workers or os.cpu_count() or 1, len(jobs))
     if workers == 1:
-        outcomes = list(map(job, worlds))
+        outcomes = list(map(job, job_worlds, job_modes))
     else:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, worlds))
+            outcomes = list(pool.map(job, job_worlds, job_modes))
     elapsed = time.perf_counter() - t0
 
-    all_results, failures = [], {}
-    for seed, results, error in outcomes:
-        if error is not None:
-            failures[seed] = error
+    # Back into seed order, then MODES order. A seed with a failed mode
+    # contributes no rows and one failure: its first failing mode's message.
+    by_job = dict(zip(jobs, outcomes))
+    all_results, failures, timings = [], {}, {"evaluate": elapsed}
+    for seed in seeds:
+        runs = [by_job[seed, mode] for mode in MODES]
+        errors = [error for _, error, _ in runs if error is not None]
+        if errors:
+            failures[seed] = errors[0]
         else:
-            all_results.extend(results)
+            all_results.extend(result for result, _, _ in runs)
+        for mode, (_, _, seconds) in zip(MODES, runs):
+            timings[f"trial/{seed}/{mode}"] = seconds
 
     csv_path = os.path.join(args.out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -379,7 +395,7 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
         },
         seeds,
         [csv_path, summary_path],
-        {"evaluate": elapsed},
+        timings,
     )
     return 1 if failures else 0
 
@@ -448,9 +464,9 @@ def _build_parser():
         "evaluate",
         help="run a seeded batch of trials in both modes",
         description="Run n seeded trials (seed_i = base-seed + i) through "
-        "simulate -> solve -> metrics in both modes, sharing each trial's "
-        "dataset across modes, and write per-trial CSV plus an aggregate "
-        "summary in the published table layout.",
+        "simulate -> solve -> metrics in both modes, one pool job per seed "
+        "and mode, all monocular jobs first, and write per-trial CSV plus an "
+        "aggregate summary in the published table layout.",
     )
     seed_min = {f.name: f for f in fields(WorldConfig)}["seed"].metadata["ge"]
     p_eval.add_argument(
@@ -464,7 +480,8 @@ def _build_parser():
         "--workers",
         type=_int_at_least(0),
         default=0,
-        help="worker processes, at most one per trial (default: 0 = available parallelism)",
+        help="worker processes, at most one per job, i.e. two per trial "
+        "(default: 0 = available parallelism)",
     )
     _add_config_flags(p_eval, _CONFIGS["evaluate"], skip=("seed",))
 

@@ -17,8 +17,10 @@ fixed Jacobian sparsity pattern, then evaluates residual and sparse
 Jacobian at arbitrary variable values; it is what the solver iterates with.
 It has one vectorized linearization per factor kind, which yields the raw
 residual and its Jacobian blocks from the same intermediate values, and
-whitens all kinds in one place. It matches the per-factor functions below,
-which remain its independent reference, exactly.
+whitens all kinds in one place, as a scale per residual row: it takes
+diagonal noise models only. It matches the per-factor functions below,
+which whiten with the full sqrt-information matrix and remain its
+independent reference, exactly.
 """
 
 from __future__ import annotations
@@ -334,13 +336,15 @@ class GraphEvaluator:
     """Compiled residual/Jacobian evaluator for a fixed graph structure.
 
     Compilation freezes the factor ordering, copies measurements into flat
-    arrays and fixes the Jacobian's sparsity pattern: its row and column
-    indices depend only on which variables each factor touches. Each factor
+    arrays and fixes the Jacobian's CSR pattern: its column indices and row
+    pointers depend only on which variables each factor touches. Each factor
     kind then has one linearization, vectorized across its factors, that
     returns the raw residual and, on request, the raw Jacobian blocks from
-    the same intermediate values; whitening by the sqrt-information matrices
-    is applied once for all kinds. Evaluation is a pure function of the
-    variable values, so results do not depend on insertion order or
+    the same intermediate values; whitening scales each residual row by its
+    sqrt-information diagonal, once for all kinds. Every noise model must
+    therefore be diagonal (compilation raises ValueError otherwise), as
+    all of `pipeline.build_graph`'s are. Evaluation is a pure function of
+    the variable values, so results do not depend on insertion order or
     threading.
     """
 
@@ -374,12 +378,13 @@ class GraphEvaluator:
         self._bb_g = lines @ K @ R_m
         self._bb_tm = lines @ K @ t_m
 
-        # Per kind, in stacking order: the sqrt-information matrices, and the
-        # first column and width of each Jacobian block its linearization
-        # returns, in the order it returns them.
+        # Per kind, in stacking order: the sqrt-information diagonals, one
+        # scale per residual row, and the first column and width of each
+        # Jacobian block its linearization returns, in the order it returns
+        # them.
         q0 = 3 * self.n_poses
-        self._sqrt_info = [
-            np.array([f.noise.sqrt_info for f in fs]).reshape(-1, d, d)
+        self._row_scale = [
+            _sqrt_info_diagonals([f.noise for f in fs], d)
             for fs, d in ((priors, 3), (odo, 3), (bbox, 4), (relpos, 3))
         ]
         block_cols = [
@@ -388,20 +393,21 @@ class GraphEvaluator:
             [(3 * self._bb_pose, 3), (q0 + 9 * self._bb_quad, 9)],
             [(3 * self._rp_pose, 3), (q0 + 9 * self._rp_quad, 9)],
         ]
-        rows, cols = [], []
-        row0 = 0
-        for W, blocks in zip(self._sqrt_info, block_cols):
-            n, d = W.shape[:2]
-            r = row0 + d * np.arange(n)[:, None, None] + np.arange(d)[None, :, None]
-            for col0, width in blocks:
-                c = col0[:, None, None] + np.arange(width)[None, None, :]
-                rr, cc = np.broadcast_arrays(r, c)
-                rows.append(rr.ravel())
-                cols.append(cc.ravel())
-            row0 += n * d
-        self._rows = np.concatenate(rows)
-        self._cols = np.concatenate(cols)
-        self.n_rows = row0
+        # The CSR pattern. Each row stores its factor's blocks side by side,
+        # and every kind returns its blocks in increasing column order, so
+        # the blocks of a row, concatenated, are that row's CSR entries.
+        indices, widths = [], []
+        for w, blocks in zip(self._row_scale, block_cols):
+            n, d = w.shape
+            cols = np.concatenate(
+                [col0[:, None] + np.arange(width) for col0, width in blocks], axis=1
+            )
+            indices.append(np.repeat(cols, d, axis=0).ravel())
+            widths.append(np.full(n * d, cols.shape[1]))
+        widths = np.concatenate(widths)
+        self._indices = np.concatenate(indices).astype(np.int32)
+        self._indptr = np.concatenate([[0], np.cumsum(widths)]).astype(np.int32)
+        self.n_rows = widths.size
         self.n_cols = q0 + 9 * self.n_quadrics
 
     def _linearize(self, poses, quadrics, jac):
@@ -415,10 +421,7 @@ class GraphEvaluator:
         """Stacked whitened residual at the given variable values."""
         kinds = self._linearize(poses, quadrics, False)
         return np.concatenate(
-            [
-                np.einsum("fab,fb->fa", W, r).ravel()
-                for W, (r, _) in zip(self._sqrt_info, kinds)
-            ]
+            [(w * r).ravel() for w, (r, _) in zip(self._row_scale, kinds)]
         )
 
     def jacobian(self, poses: np.ndarray, quadrics: np.ndarray) -> sp.csr_matrix:
@@ -430,13 +433,12 @@ class GraphEvaluator:
         kinds = self._linearize(poses, quadrics, True)
         vals = np.concatenate(
             [
-                np.einsum("fab,fbc->fac", W, J).ravel()
-                for W, (_, blocks) in zip(self._sqrt_info, kinds)
-                for J in blocks
+                (w[:, :, None] * np.concatenate(blocks, axis=2)).ravel()
+                for w, (_, blocks) in zip(self._row_scale, kinds)
             ]
         )
         return sp.csr_matrix(
-            (vals, (self._rows, self._cols)), shape=(self.n_rows, self.n_cols)
+            (vals, self._indices, self._indptr), shape=(self.n_rows, self.n_cols)
         )
 
     # -- one linearization per factor kind --------------------------------
@@ -513,6 +515,20 @@ class GraphEvaluator:
         Jq = np.zeros((len(c), 3, 9))
         Jq[:, :, [3, 6, 8]] = _planar_block(-c, -s, (0.0, 0.0, -1.0))
         return r, (Jp, Jq)
+
+
+def _sqrt_info_diagonals(noises, d: int) -> np.ndarray:
+    """(n, d) diagonals of the noise models' sqrt-information matrices.
+
+    Raises:
+        ValueError: a noise model is not diagonal; whitening by a row scale
+            would drop its correlations.
+    """
+    W = np.array([nm.sqrt_info for nm in noises]).reshape(-1, d, d)
+    diag = np.einsum("fii->fi", W)
+    if np.any(W != diag[:, :, None] * np.eye(d)):
+        raise ValueError("GraphEvaluator supports diagonal noise models only")
+    return diag.copy()
 
 
 def _in_frame(c, s, dx, dy):

@@ -60,11 +60,15 @@ class SolveReport:
 def normal_equations(J, r: np.ndarray):
     """The Gauss-Newton normal equations of a linearization: (J^T J, J^T r).
 
-    Accepts a dense or scipy-sparse Jacobian; J^T J is returned as CSC.
+    Accepts a dense or scipy-sparse Jacobian. J^T J is returned as CSC in
+    canonical form: sorted row indices, no duplicates, and no explicit
+    zeros (the sparse product stores none).
     """
     if not sp.issparse(J):
         J = sp.csr_matrix(np.asarray(J, dtype=float))
-    return (J.T @ J).tocsc(), J.T @ r
+    JtJ = (J.T @ J).tocsc()
+    JtJ.sum_duplicates()
+    return JtJ, J.T @ r
 
 
 def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
@@ -74,12 +78,21 @@ def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
     linearization and reused across damping retries. lam = 0 gives the
     plain Gauss-Newton step.
 
+    The damped matrix is a canonical copy of JtJ with lam * d added to each
+    stored diagonal entry d: entry for entry, what `splu` factors when
+    given `JtJ + sp.diags(lam * d)`, without building and sorting that sum.
+
     Raises:
         LinearSolveError: singular system or non-finite solution.
     """
     if lam < 0:
         raise ValueError("damping must be nonnegative")
-    M = JtJ + sp.diags(lam * JtJ.diagonal(), format="csc")
+    M = sp.csc_matrix(JtJ, copy=True)
+    M.sum_duplicates()
+    M.eliminate_zeros()
+    col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
+    diag = M.indices == col
+    M.data[diag] += lam * M.data[diag]
     try:
         delta = spla.splu(M).solve(-g)
     except RuntimeError as exc:

@@ -1,17 +1,22 @@
 from __future__ import annotations
 
 import concurrent.futures
+import hashlib
 import json
 import os
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
 
 import pytest
 
+from dqslam import cli
 from dqslam.cli import _build_parser, main
 from dqslam.dataset_io import read_dataset
 from dqslam.factors import graph_residual
 from dqslam.initialization import InitStrategy
+from dqslam.metrics import MODES
 from dqslam.pipeline import GraphNoiseConfig, build_graph, ground_truth_graph
 from dqslam.simulator import SensorConfig, WorldConfig
 from dqslam.solver import SolverConfig
@@ -224,12 +229,13 @@ def test_unplaceable_landmark_is_an_input_error(tmp_path, capsys):
 TINY = ["--n-landmarks", "1", "--trajectory-length", "20", "--n-loops", "1"]
 
 
+# evaluate runs one job per (seed, mode): two per trial.
 @pytest.mark.parametrize(
     "trials, workers, width",
-    [(1, 64, 1), (2, 64, 2), (3, 2, 2), (3, 0, min(os.cpu_count() or 1, 3))],
-    ids=["one-trial", "wider-than-trials", "narrower-than-trials", "default-width"],
+    [(1, 64, 2), (2, 64, 4), (3, 2, 2), (3, 0, min(os.cpu_count() or 1, 6)), (2, 1, 1)],
+    ids=["one-trial", "wider-than-jobs", "narrower-than-jobs", "default-width", "one-worker"],
 )
-def test_evaluate_pool_width_at_most_trials(trials, workers, width, tmp_path, monkeypatch):
+def test_evaluate_pool_width_at_most_jobs(trials, workers, width, tmp_path, monkeypatch):
     widths = []
 
     class InlinePool:
@@ -254,6 +260,55 @@ def test_evaluate_pool_width_at_most_trials(trials, workers, width, tmp_path, mo
     assert widths == ([] if width == 1 else [width])
     manifest = json.loads((out / "run_manifest.json").read_text())
     assert manifest["config"]["workers"] == width
+
+
+def test_evaluate_results_fingerprint(tmp_path):
+    # The paper-batch reproduction command; its results.csv bytes are the
+    # behaviour fingerprint that every refactor keeps.
+    out = tmp_path / "r"
+    assert main(["evaluate", "--trials", "8", "--base-seed", "0", "--workers", "2",
+                 "--out-dir", str(out)]) == 0
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == "0981c439a1c47840975642576c6ef728a99221e683401421b52add1c126a28d6"
+
+
+def test_evaluate_job_failure_fails_its_seed_only(tmp_path, monkeypatch):
+    argv = ["evaluate", "--trials", "3", "--base-seed", "4", "--workers", "1", *TINY]
+    assert main(argv + ["--out-dir", str(tmp_path / "ok")]) == 0
+    rows = (tmp_path / "ok" / "results.csv").read_text().splitlines()
+
+    real_run_trial = cli.run_trial
+
+    def run_trial(dataset, mode, **kwargs):
+        if (dataset.seed, mode) == (5, "with-relpos"):
+            raise RuntimeError("boom")
+        return real_run_trial(dataset, mode=mode, **kwargs)
+
+    monkeypatch.setattr(cli, "run_trial", run_trial)
+    out = tmp_path / "failed"
+    assert main(argv + ["--out-dir", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["n_failures"] == 1
+    assert summary["failures"] == {"5": "RuntimeError: boom"}
+    expected = [row for row in rows if not row.startswith("5,")]
+    assert len(expected) == len(rows) - 2
+    assert (out / "results.csv").read_text().splitlines() == expected
+
+    # Every job's wall time is in the manifest, in seed then mode order.
+    timings = json.loads((out / "run_manifest.json").read_text())["timings_s"]
+    assert list(timings) == ["evaluate"] + [
+        f"trial/{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES
+    ]
+    assert all(t > 0 for t in timings.values())
+
+
+def test_python_m_dqslam_runs_the_cli():
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "dqslam", "evaluate", "--help"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert "--workers" in proc.stdout
 
 
 def test_rerun_reproduces_outputs(tmp_path):

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from dqslam.factors import (
     BBoxDetection,
@@ -32,7 +33,7 @@ from dqslam.geometry import (
     left_facing_mount,
 )
 from dqslam.pipeline import build_graph, ground_truth_graph
-from dqslam.simulator import WorldConfig, generate_dataset, inscribed_ellipsoid
+from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset, inscribed_ellipsoid
 
 
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
@@ -388,6 +389,86 @@ def test_jacobian_sparsity_pattern(rng):
     assert np.array_equal(J2.indices, J.indices)
     assert np.array_equal(J2.indptr, J.indptr)
     assert not np.array_equal(J2.data, J.data)
+
+
+def einsum_whitened(ev, graph, poses, quadrics):
+    """Residual and Jacobian whitened by the full sqrt-information matrices,
+    the Jacobian assembled from COO triplets: the evaluator's earlier
+    whitening and assembly, applied to its raw linearizations."""
+    n = len(graph.poses)
+
+    def by_pair(m):
+        return (m.pose_index, m.landmark_id)
+
+    priors = sorted(graph.prior_factors, key=lambda f: f.pose_index)
+    odo = sorted(graph.odometry_factors, key=lambda f: f.pose_index)
+    bbox = sorted(graph.bbox_factors, key=lambda f: by_pair(f.detection))
+    relpos = sorted(graph.relpos_factors, key=lambda f: by_pair(f.measurement))
+
+    def pose(ms, shift=0):
+        return 3 * (np.array([m.pose_index for m in ms], dtype=int) + shift)
+
+    def quad(ms):
+        return 3 * n + 9 * np.array([m.landmark_id for m in ms], dtype=int)
+
+    dets = [f.detection for f in bbox]
+    zs = [f.measurement for f in relpos]
+    kinds = [
+        (priors, [(pose(priors), 3)]),
+        (odo, [(pose(odo), 3), (pose(odo, shift=1), 3)]),
+        (bbox, [(pose(dets), 3), (quad(dets), 9)]),
+        (relpos, [(pose(zs), 3), (quad(zs), 9)]),
+    ]
+    residuals, vals, rows, cols = [], [], [], []
+    row0 = 0
+    for (fs, blocks), (r, Js) in zip(kinds, ev._linearize(poses, quadrics, True)):
+        f, d = r.shape
+        W = np.array([x.noise.sqrt_info for x in fs]).reshape(f, d, d)
+        residuals.append(np.einsum("fab,fb->fa", W, r).ravel())
+        rr = row0 + d * np.arange(f)[:, None, None] + np.arange(d)[None, :, None]
+        for (col0, width), Jb in zip(blocks, Js):
+            vals.append(np.einsum("fab,fbc->fac", W, Jb).ravel())
+            a, b = np.broadcast_arrays(rr, col0[:, None, None] + np.arange(width))
+            rows.append(a.ravel())
+            cols.append(b.ravel())
+        row0 += f * d
+    J = sp.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(row0, 3 * n + 9 * len(graph.quadrics)),
+    )
+    return np.concatenate(residuals), J
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+def test_row_scale_whitening_matches_einsum_whitening(seed):
+    # Bit for bit, at points away from the initial estimate.
+    rng = np.random.default_rng(seed)
+    g = build_graph(generate_dataset(WorldConfig(seed=seed), SensorConfig()), mode="with-relpos")
+    ev = GraphEvaluator(g)
+    for scale in (0.0, 0.05, 0.5):
+        poses = g.pose_array() + rng.normal(0, scale, (len(g.poses), 3))
+        quadrics = g.quadric_array() + rng.normal(0, scale, (len(g.quadrics), 9))
+        r_ref, J_ref = einsum_whitened(ev, g, poses, quadrics)
+        assert np.array_equal(ev.residual(poses, quadrics), r_ref)
+        J = ev.jacobian(poses, quadrics)
+        assert J.shape == J_ref.shape
+        for name in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(J, name), getattr(J_ref, name)), name
+
+
+def test_evaluator_rejects_non_diagonal_noise(rng):
+    g = random_graph(rng)
+    A = rng.normal(size=(3, 3))
+    f = g.odometry_factors[1]
+    g.odometry_factors[1] = OdometryFactor(
+        f.pose_index, f.measurement, NoiseModel(A @ A.T + 3 * np.eye(3))
+    )
+    with pytest.raises(ValueError, match="diagonal noise"):
+        GraphEvaluator(g)
+    # The per-factor functions whiten with the full matrix, as before.
+    xi, xn = g.poses[f.pose_index], g.poses[f.pose_index + 1]
+    r = g.odometry_factors[1].noise.whiten(odometry_residual(xi, xn, f.measurement))
+    assert r.shape == (3,) and np.all(np.isfinite(r))
 
 
 def test_pose_hessian_block_tridiagonal_without_bbox(rng):

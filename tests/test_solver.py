@@ -2,7 +2,9 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from dqslam import solver
 from dqslam.factors import (
     FactorGraph,
     NoiseModel,
@@ -79,6 +81,92 @@ def test_linear_step_singular_raises(rng):
     J[:, 0] = rng.normal(size=10)  # three unconstrained columns
     with pytest.raises(LinearSolveError):
         linear_step(*normal_equations(J, rng.normal(size=10)), lam=0.0)
+
+
+def damped_matrix(monkeypatch, JtJ, lam):
+    """The matrix linear_step hands to splu (which is not run)."""
+    seen = []
+
+    class NoFactor:
+        def solve(self, b):
+            return np.zeros_like(b)
+
+    def splu(M, *args, **kwargs):
+        seen.append(M)
+        return NoFactor()
+
+    with monkeypatch.context() as m:
+        m.setattr(solver.spla, "splu", splu)
+        linear_step(JtJ, np.zeros(JtJ.shape[0]), lam)
+    (M,) = seen
+    return M
+
+
+def reference_damped(JtJ, lam):
+    """The damped matrix as built by adding a diagonal matrix, put in the
+    canonical form that splu sorts its input into before factoring."""
+    M = JtJ + sp.diags(lam * JtJ.diagonal(), format="csc")
+    M.sum_duplicates()
+    return M
+
+
+def assert_same_csc(A, B):
+    assert A.format == B.format == "csc"
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(A, name), getattr(B, name)), name
+
+
+def test_linear_step_damped_matrix_matches_diagonal_sum(rng, monkeypatch):
+    J = rng.normal(size=(30, 12)) * (rng.uniform(size=(30, 12)) < 0.4)
+    J[:, 5] = 0.0  # an unconstrained variable: no diagonal entry to damp
+    JtJ, _ = normal_equations(J, np.zeros(30))
+    assert JtJ.has_sorted_indices and JtJ.has_canonical_format
+    assert np.all(JtJ.data != 0)
+    before = JtJ.copy()
+    for lam in (0.0, 1e-4, 1.0, 1e12):
+        # Canonical input: the sum itself, no sorting needed.
+        M = damped_matrix(monkeypatch, JtJ, lam)
+        assert_same_csc(M, JtJ + sp.diags(lam * JtJ.diagonal(), format="csc"))
+        assert_same_csc(M, reference_damped(JtJ, lam))
+    assert_same_csc(JtJ, before)  # damping works on a copy
+
+    # Unsorted columns, a duplicate off-diagonal and diagonal entry, and an
+    # explicit zero: the same matrix as the sum once splu has sorted it.
+    n = JtJ.shape[0]
+    data, indices, indptr = [], [], [0]
+    for j in range(n):
+        lo, hi = JtJ.indptr[j], JtJ.indptr[j + 1]
+        rows, vals = list(JtJ.indices[lo:hi][::-1]), list(JtJ.data[lo:hi][::-1])
+        if j == 2:
+            k = rows.index(2)
+            rows.append(2)
+            vals.append(0.25 * vals[k])
+            vals[k] *= 0.75
+            rows.append(rows[0] if rows[0] != 2 else rows[1])
+            vals.append(-1.5)
+        if j == 3:
+            rows.append(next(i for i in range(n) if i not in rows))
+            vals.append(0.0)
+        if j == 5:
+            rows.append(5)  # an explicit zero where the diagonal is missing
+            vals.append(0.0)
+        data += vals
+        indices += rows
+        indptr.append(len(indices))
+    messy = sp.csc_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(n, n))
+    assert not messy.has_sorted_indices
+    for lam in (0.0, 1e-4, 1.0):
+        assert_same_csc(damped_matrix(monkeypatch, messy, lam), reference_damped(messy, lam))
+
+
+def test_linear_step_missing_diagonal_raises(rng):
+    J = rng.normal(size=(10, 4))
+    J[:, 2] = 0.0  # column 2 of J^T J stores nothing, so damping adds nothing
+    JtJ, g = normal_equations(J, rng.normal(size=10))
+    assert JtJ.indptr[3] == JtJ.indptr[2]
+    for lam in (0.0, 1e-4, 1e4):
+        with pytest.raises(LinearSolveError):
+            linear_step(JtJ, g, lam)
 
 
 def test_linear_step_rejects_negative_damping(rng):
