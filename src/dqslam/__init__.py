@@ -16,13 +16,7 @@ from .geometry import (
     ProjectionMatrix,
     RobotPose,
 )
-from .factors import (
-    BBoxDetection,
-    FactorGraph,
-    NoiseModel,
-    OdometryMeasurement,
-    RelativePositionMeasurement,
-)
+from .factors import FactorGraph, Measurements
 from .initialization import InitStrategy
 from .metrics import TrialResult
 from .pipeline import GraphNoiseConfig, build_graph, run_trial

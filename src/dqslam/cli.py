@@ -164,7 +164,7 @@ def _cmd_simulate(args, argv, world, sensor) -> int:
         f"detections: {len(dataset.detections)}  "
         f"landmarks: {len(dataset.landmarks)}"
     )
-    print("detections per landmark:", " ".join(f"{j}:{n}" for j, n in sorted(counts.items())))
+    print("detections per landmark:", " ".join(f"{j}:{n}" for j, n in enumerate(counts)))
     _write_manifest(
         _manifest_path(args.out),
         "simulate",

@@ -9,13 +9,13 @@ byte.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 
 import numpy as np
 
 from .config import ConfigError
-from .factors import BBoxDetection, OdometryMeasurement, RelativePositionMeasurement
-from .geometry import DegenerateGeometryError, ImageLine, RobotPose
+from .factors import Measurements
+from .geometry import DegenerateGeometryError, RobotPose, normalize_lines
 from .simulator import CubeLandmark, Dataset, SensorConfig, WorldConfig
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_to_dict", "dataset_from_dict",
@@ -60,26 +60,21 @@ def dataset_to_dict(ds: Dataset) -> dict:
             ],
         },
         "odometry": [
-            {"v": float(u.v), "omega": float(u.omega), "turn": bool(u.turn)}
-            for u in ds.odometry
+            {"v": v, "omega": omega, "turn": turn}
+            for (v, omega), turn in zip(ds.odometry.tolist(), ds.turn.tolist())
         ],
-        "detections": [
-            {
-                "pose_index": int(d.pose_index),
-                "landmark_id": int(d.landmark_id),
-                "lines": [_floats(l.coords) for l in d.lines],
-            }
-            for d in ds.detections
-        ],
-        "relative_positions": [
-            {
-                "pose_index": int(z.pose_index),
-                "landmark_id": int(z.landmark_id),
-                "z": _floats(z.z),
-            }
-            for z in ds.relative_positions
-        ],
+        "detections": _measurement_records(ds.detections, "lines"),
+        "relative_positions": _measurement_records(ds.relative_positions, "z"),
     }
+
+
+def _measurement_records(column: Measurements, key: str) -> list:
+    return [
+        {"pose_index": i, "landmark_id": j, key: value}
+        for i, j, value in zip(
+            column.pose_index.tolist(), column.landmark_id.tolist(), column.values.tolist()
+        )
+    ]
 
 
 def _get(obj, key: str, where: str):
@@ -114,11 +109,17 @@ def _indices(values: list, n: int, where: str) -> list:
     return values
 
 
-def _measured(records, where: str, n_poses: int, n_landmarks: int):
-    """The range-checked (pose_index, landmark_id) pairs of measurements."""
-    return zip(
-        _indices(_column(records, "pose_index", where), n_poses, f"{where}.pose_index"),
-        _indices(_column(records, "landmark_id", where), n_landmarks, f"{where}.landmark_id"),
+def _measurements(doc: dict, where: str, key: str, shape: tuple, n_poses: int,
+                  n_landmarks: int) -> Measurements:
+    """The measurements listed under doc[where], with range-checked indices
+    and finite values of the given shape under key."""
+    records = _get(doc, where, "dataset")
+    return Measurements(
+        np.array(_indices(_column(records, "pose_index", where), n_poses,
+                          f"{where}.pose_index"), dtype=int),
+        np.array(_indices(_column(records, "landmark_id", where), n_landmarks,
+                          f"{where}.landmark_id"), dtype=int),
+        _numbers(_column(records, key, where), shape, f"{where}.{key}"),
     )
 
 
@@ -180,40 +181,29 @@ def dataset_from_dict(doc: dict) -> Dataset:
         raise ValueError(f"odometry has {len(turns)} entries for {len(poses)} poses")
     if not all(type(t) is bool for t in turns):
         raise ValueError("odometry.turn must be booleans")
-    odometry = [
-        OdometryMeasurement(v=v, omega=omega, turn=turn)
-        for v, omega, turn in zip(
-            _numbers(_column(odo, "v", "odometry"), (), "odometry.v").tolist(),
-            _numbers(_column(odo, "omega", "odometry"), (), "odometry.omega").tolist(),
-            turns,
-        )
-    ]
+    odometry = np.column_stack([
+        _numbers(_column(odo, "v", "odometry"), (), "odometry.v"),
+        _numbers(_column(odo, "omega", "odometry"), (), "odometry.omega"),
+    ])
 
-    dets = _get(doc, "detections", "dataset")
-    boxes = _numbers(_column(dets, "lines", "detections"), (4, 3), "detections.lines")
+    detections = _measurements(doc, "detections", "lines", (4, 3), len(poses), len(ids))
     try:
-        detections = [
-            BBoxDetection(pose_index=i, landmark_id=j, lines=tuple(map(ImageLine, box)))
-            for (i, j), box in zip(_measured(dets, "detections", len(poses), len(ids)), boxes)
-        ]
+        detections = replace(detections, values=normalize_lines(detections.values))
     except DegenerateGeometryError as exc:
         raise ValueError(f"detections.lines: {exc}") from None
-    rels = _get(doc, "relative_positions", "dataset")
-    zs = _numbers(_column(rels, "z", "relative_positions"), (3,), "relative_positions.z")
-    relpos = [
-        RelativePositionMeasurement(pose_index=i, landmark_id=j, z=z)
-        for (i, j), z in zip(_measured(rels, "relative_positions", len(poses), len(ids)), zs)
-    ]
     dataset = Dataset(
         world_config=world,
         sensor_config=sensor,
         ground_truth_poses=poses,
         landmarks=landmarks,
         odometry=odometry,
+        turn=np.array(turns, dtype=bool),
         detections=detections,
-        relative_positions=relpos,
+        relative_positions=_measurements(
+            doc, "relative_positions", "z", (3,), len(poses), len(ids)
+        ),
     )
-    for j, n in dataset.detections_per_landmark().items():
+    for j, n in enumerate(dataset.detections_per_landmark().tolist()):
         if n < world.landmark_min_detections:
             raise ValueError(
                 f"detections: landmark {j} has {n} detections, fewer than "

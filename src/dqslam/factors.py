@@ -5,11 +5,13 @@ pose, unicycle odometry between consecutive poses, bounding-box tangency
 factors between a pose and a quadric (one scalar residual per box line),
 and optional relative-position factors on the quadric centroid.
 
-Residuals are whitened by each factor's noise model; the total cost is
-half the squared norm of the stacked whitened residual. The stacking order
-is deterministic: priors, then odometry by pose index, then bounding-box
-factors by (pose, landmark), then relative-position factors by (pose,
-landmark).
+A graph holds each factor kind as columns: the variable indices, the
+measurements, and the standard deviations of a diagonal Gaussian noise,
+one per residual component. Whitening divides each residual component by
+its sigma; the total cost is half the squared norm of the stacked whitened
+residual. The stacking order is deterministic: priors, then odometry by
+pose index, then bounding-box factors by (pose, landmark), then
+relative-position factors by (pose, landmark).
 
 `graph_residual` / `graph_jacobian` evaluate a graph at the variables it
 carries. `GraphEvaluator` compiles a graph once into flat arrays and a
@@ -17,16 +19,16 @@ fixed Jacobian sparsity pattern, then evaluates residual and sparse
 Jacobian at arbitrary variable values; it is what the solver iterates with.
 It has one vectorized linearization per factor kind, which yields the raw
 residual and its Jacobian blocks from the same intermediate values, and
-whitens all kinds in one place, as a scale per residual row: it takes
-diagonal noise models only. It matches the per-factor functions below,
-which whiten with the full sqrt-information matrix and remain its
-independent reference, exactly.
+whitens all kinds in one place, as a scale per residual row. The scalar
+per-factor functions below (`motion_model`, `odometry_residual`,
+`prior_residual`, `bbox_factor_residual`, `relpos_residual`) compute one
+factor's raw residual and are its independent reference.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -35,20 +37,12 @@ from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
-    ImageLine,
     RobotPose,
     wrap_angle,
 )
 
 __all__ = [
-    "OdometryMeasurement",
-    "BBoxDetection",
-    "RelativePositionMeasurement",
-    "NoiseModel",
-    "PriorFactor",
-    "OdometryFactor",
-    "BBoxFactor",
-    "RelPosFactor",
+    "Measurements",
     "FactorGraph",
     "motion_model",
     "se2_boxminus",
@@ -63,176 +57,107 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class OdometryMeasurement:
-    """Per-step odometry: forward speed v (m/step) and turn rate omega
-    (rad/step). `turn` tags steps taken on a turn arc, which carry a
-    different noise level than straight driving."""
+class Measurements:
+    """A column of k landmark measurements, as arrays: row r was taken from
+    pose pose_index[r] (k,), observes landmark landmark_id[r] (k,), and
+    measured values[r]. The values are four normalized box lines (k, 4, 3)
+    for bounding-box detections, and landmark positions in the robot frame
+    (k, 3) for relative-position measurements."""
 
-    v: float
-    omega: float
-    turn: bool = False
+    pose_index: np.ndarray
+    landmark_id: np.ndarray
+    values: np.ndarray
 
-    def __post_init__(self):
-        if not (math.isfinite(self.v) and math.isfinite(self.omega)):
-            raise ValueError("odometry measurement must be finite")
+    def __len__(self) -> int:
+        return len(self.pose_index)
 
-
-@dataclass(frozen=True)
-class BBoxDetection:
-    """One bounding-box observation: the four box lines seen from pose
-    `pose_index`, belonging to landmark `landmark_id`."""
-
-    pose_index: int
-    landmark_id: int
-    lines: tuple
-
-    def __post_init__(self):
-        lines = tuple(self.lines)
-        if len(lines) != 4 or not all(isinstance(l, ImageLine) for l in lines):
-            raise ValueError("a detection carries exactly four ImageLines")
-        object.__setattr__(self, "lines", lines)
-
-    def line_array(self) -> np.ndarray:
-        return np.array([l.coords for l in self.lines])
+    def __getitem__(self, rows) -> "Measurements":
+        """The measurements in rows: a mask, an index array or a slice."""
+        return Measurements(self.pose_index[rows], self.landmark_id[rows], self.values[rows])
 
 
-@dataclass(frozen=True)
-class RelativePositionMeasurement:
-    """Landmark position measured in the robot frame of pose `pose_index`."""
-
-    pose_index: int
-    landmark_id: int
-    z: np.ndarray
-
-    def __post_init__(self):
-        z = np.array(self.z, dtype=float).reshape(3)
-        if not np.all(np.isfinite(z)):
-            raise ValueError("relative position measurement must be finite")
-        z.setflags(write=False)
-        object.__setattr__(self, "z", z)
+def _rows(*shape, dtype=float):
+    """A field defaulting to an empty column of rows of the given shape."""
+    return field(default_factory=lambda: np.zeros((0, *shape), dtype))
 
 
-@dataclass(frozen=True)
-class NoiseModel:
-    """Gaussian factor noise, stored as a covariance matrix.
-
-    Whitening multiplies a residual by the inverse lower Cholesky factor of
-    the covariance, so the whitened squared norm is the Mahalanobis distance.
-    """
-
-    covariance: np.ndarray
-    sqrt_info: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        cov = np.array(self.covariance, dtype=float)
-        if cov.ndim != 2 or cov.shape[0] != cov.shape[1]:
-            raise ValueError("covariance must be a square matrix")
-        try:
-            L = np.linalg.cholesky(cov)
-        except np.linalg.LinAlgError as exc:
-            raise ValueError("covariance must be positive definite") from exc
-        W = np.linalg.inv(L)
-        cov.setflags(write=False)
-        W.setflags(write=False)
-        object.__setattr__(self, "covariance", cov)
-        object.__setattr__(self, "sqrt_info", W)
-
-    @classmethod
-    def isotropic(cls, sigma: float, dim: int) -> "NoiseModel":
-        return cls(np.eye(dim) * sigma**2)
-
-    @classmethod
-    def diagonal(cls, sigmas) -> "NoiseModel":
-        return cls(np.diag(np.square(np.asarray(sigmas, dtype=float))))
-
-    @property
-    def dim(self) -> int:
-        return self.covariance.shape[0]
-
-    def whiten(self, r: np.ndarray) -> np.ndarray:
-        return self.sqrt_info @ r
-
-
-@dataclass(frozen=True)
-class PriorFactor:
-    pose_index: int
-    anchor: RobotPose
-    noise: NoiseModel
-
-    def __post_init__(self):
-        if self.noise.dim != 3:
-            raise ValueError("prior factor needs a 3D noise model")
-
-
-@dataclass(frozen=True)
-class OdometryFactor:
-    """Connects pose_index and pose_index + 1 through the motion model."""
-
-    pose_index: int
-    measurement: OdometryMeasurement
-    noise: NoiseModel
-
-    def __post_init__(self):
-        if self.noise.dim != 3:
-            raise ValueError("odometry factor needs a 3D noise model")
-
-
-@dataclass(frozen=True)
-class BBoxFactor:
-    detection: BBoxDetection
-    noise: NoiseModel
-
-    def __post_init__(self):
-        if self.noise.dim != 4:
-            raise ValueError("bounding-box factor needs a 4D noise model")
-
-
-@dataclass(frozen=True)
-class RelPosFactor:
-    measurement: RelativePositionMeasurement
-    noise: NoiseModel
-
-    def __post_init__(self):
-        if self.noise.dim != 3:
-            raise ValueError("relative-position factor needs a 3D noise model")
+def _no_measurements(*shape):
+    return field(
+        default_factory=lambda: Measurements(
+            np.zeros(0, int), np.zeros(0, int), np.zeros((0, *shape))
+        )
+    )
 
 
 @dataclass
 class FactorGraph:
     """Variables (poses, quadrics) plus the factors constraining them.
 
-    The camera intrinsics and robot-to-camera mount are shared by all
-    bounding-box factors. The graph must contain at least one prior factor
-    to anchor the global frame.
+    Each factor kind is a set of columns of k rows:
+
+    - priors anchor poses prior_index (k,) at prior_anchor (k, 3) rows
+      (x, y, theta);
+    - odometry ties each pose odometry_index (k,) to the next one by
+      odometry (k, 2) rows (v, omega);
+    - bbox holds bounding-box detections, relpos relative-position
+      measurements;
+
+    and each kind has a (k, d) column of noise standard deviations, one per
+    residual component (d = 3, 3, 4, 3). The camera intrinsics and
+    robot-to-camera mount are shared by all bounding-box factors. The graph
+    must contain at least one prior factor to anchor the global frame.
     """
 
     poses: list
     quadrics: list
     intrinsics: CameraIntrinsics
     mount: CameraExtrinsics
-    prior_factors: list = field(default_factory=list)
-    odometry_factors: list = field(default_factory=list)
-    bbox_factors: list = field(default_factory=list)
-    relpos_factors: list = field(default_factory=list)
+    prior_index: np.ndarray = _rows(dtype=int)
+    prior_anchor: np.ndarray = _rows(3)
+    prior_sigma: np.ndarray = _rows(3)
+    odometry_index: np.ndarray = _rows(dtype=int)
+    odometry: np.ndarray = _rows(2)
+    odometry_sigma: np.ndarray = _rows(3)
+    bbox: Measurements = _no_measurements(4, 3)
+    bbox_sigma: np.ndarray = _rows(4)
+    relpos: Measurements = _no_measurements(3)
+    relpos_sigma: np.ndarray = _rows(3)
 
     def validate(self) -> None:
+        """Check every factor kind's columns: indices of existing variables,
+        finite measurements and finite positive sigmas, each of its kind's
+        shape.
+
+        Raises:
+            ValueError: naming the first factor kind that fails.
+        """
         n, m = len(self.poses), len(self.quadrics)
-        if not self.prior_factors:
+        if len(self.prior_index) == 0:
             raise ValueError("graph needs at least one prior factor (gauge anchor)")
-        for f in self.prior_factors:
-            if not 0 <= f.pose_index < n:
-                raise ValueError(f"prior references missing pose {f.pose_index}")
-        for f in self.odometry_factors:
-            if not 0 <= f.pose_index < n - 1:
-                raise ValueError(f"odometry references missing pose pair {f.pose_index}")
-        for f in self.bbox_factors:
-            det = f.detection
-            if not (0 <= det.pose_index < n and 0 <= det.landmark_id < m):
-                raise ValueError("detection references missing variable")
-        for f in self.relpos_factors:
-            z = f.measurement
-            if not (0 <= z.pose_index < n and 0 <= z.landmark_id < m):
-                raise ValueError("relative-position factor references missing variable")
+        b, z = self.bbox, self.relpos
+        # kind, (index column, bound)s, measurements, row shape, sigmas, d
+        for kind, indices, values, shape, sigma, d in (
+            ("prior", [(self.prior_index, n)], self.prior_anchor, (3,), self.prior_sigma, 3),
+            ("odometry", [(self.odometry_index, n - 1)], self.odometry, (2,),
+             self.odometry_sigma, 3),
+            ("bbox", [(b.pose_index, n), (b.landmark_id, m)], b.values, (4, 3),
+             self.bbox_sigma, 4),
+            ("relpos", [(z.pose_index, n), (z.landmark_id, m)], z.values, (3,),
+             self.relpos_sigma, 3),
+        ):
+            k = len(indices[0][0])
+            for index, bound in indices:
+                index = np.asarray(index)
+                if index.shape != (k,) or index.dtype.kind not in "iu" or (
+                    k and not 0 <= index.min() <= index.max() < bound
+                ):
+                    raise ValueError(f"{kind} factors reference a missing variable")
+            values = np.asarray(values, dtype=float)
+            if values.shape != (k, *shape) or not np.isfinite(values).all():
+                raise ValueError(f"{kind} measurements must be finite, of shape {(k, *shape)}")
+            sigma = np.asarray(sigma, dtype=float)
+            if sigma.shape != (k, d) or not (np.isfinite(sigma) & (sigma > 0)).all():
+                raise ValueError(f"{kind} sigmas must be finite and positive, of shape {(k, d)}")
 
     def pose_array(self) -> np.ndarray:
         return np.array([[p.x, p.y, p.theta] for p in self.poses]).reshape(-1, 3)
@@ -242,24 +167,21 @@ class FactorGraph:
 
     def with_variables(self, poses: np.ndarray, quadrics: np.ndarray) -> "FactorGraph":
         """Copy of the graph with replaced variable values."""
-        return FactorGraph(
+        return replace(
+            self,
             poses=[RobotPose.from_array(row) for row in poses],
             quadrics=[DualQuadric(row) for row in quadrics],
-            intrinsics=self.intrinsics,
-            mount=self.mount,
-            prior_factors=self.prior_factors,
-            odometry_factors=self.odometry_factors,
-            bbox_factors=self.bbox_factors,
-            relpos_factors=self.relpos_factors,
         )
 
 
-def motion_model(x: RobotPose, u: OdometryMeasurement) -> RobotPose:
-    """Unicycle step: advance v along the current heading, then turn by omega."""
+def motion_model(x: RobotPose, u) -> RobotPose:
+    """Unicycle step under odometry u = (v, omega): advance v along the
+    current heading, then turn by omega."""
+    v, omega = u
     return RobotPose(
-        x.x + u.v * math.cos(x.theta),
-        x.y + u.v * math.sin(x.theta),
-        wrap_angle(x.theta + u.omega),
+        x.x + v * math.cos(x.theta),
+        x.y + v * math.sin(x.theta),
+        wrap_angle(x.theta + omega),
     )
 
 
@@ -271,10 +193,9 @@ def se2_boxminus(a: RobotPose, b: RobotPose) -> np.ndarray:
     return np.array([c * dx + s * dy, -s * dx + c * dy, wrap_angle(a.theta - b.theta)])
 
 
-def odometry_residual(
-    x_i: RobotPose, x_next: RobotPose, u: OdometryMeasurement
-) -> np.ndarray:
-    """Motion-model prediction from x_i minus the actual next pose, in SE(2)."""
+def odometry_residual(x_i: RobotPose, x_next: RobotPose, u) -> np.ndarray:
+    """Motion-model prediction from x_i under odometry u = (v, omega) minus
+    the actual next pose, in SE(2)."""
     return se2_boxminus(motion_model(x_i, u), x_next)
 
 
@@ -286,27 +207,26 @@ def prior_residual(x_0: RobotPose, anchor: RobotPose) -> np.ndarray:
 def bbox_factor_residual(
     x_i: RobotPose,
     q_j: DualQuadric,
-    det: BBoxDetection,
+    lines,
     K: CameraIntrinsics,
     mount: CameraExtrinsics,
 ) -> np.ndarray:
-    """Tangency defect of each of the four box lines against the projected
-    quadric, under the camera at pose x_i."""
+    """Tangency defect of each of the four box lines (4, 3) against the
+    projected quadric, under the camera at pose x_i."""
     from .geometry import pose_to_extrinsics, projection_matrix
 
     P = projection_matrix(K, pose_to_extrinsics(x_i, mount)).P
     Q = q_j.matrix()
     r = np.empty(4)
-    for k, line in enumerate(det.lines):
-        a = P.T @ line.coords
+    for k, line in enumerate(np.asarray(lines, dtype=float).reshape(4, 3)):
+        a = P.T @ line
         r[k] = a @ Q @ a
     return r
 
 
-def relpos_residual(
-    x_i: RobotPose, q_j: DualQuadric, z: RelativePositionMeasurement
-) -> np.ndarray:
-    """Measured minus predicted landmark position in the robot frame.
+def relpos_residual(x_i: RobotPose, q_j: DualQuadric, z) -> np.ndarray:
+    """Measured position z (3,) minus the predicted landmark position, in
+    the robot frame.
 
     The quadric centroid is transformed into the frame of the planar pose;
     the z coordinate passes through unchanged.
@@ -315,21 +235,7 @@ def relpos_residual(
     cth, sth = math.cos(x_i.theta), math.sin(x_i.theta)
     dx, dy = c[0] - x_i.x, c[1] - x_i.y
     local = np.array([cth * dx + sth * dy, -sth * dx + cth * dy, c[2]])
-    return z.z - local
-
-
-def _sorted_factors(graph: FactorGraph):
-    priors = sorted(graph.prior_factors, key=lambda f: f.pose_index)
-    odo = sorted(graph.odometry_factors, key=lambda f: f.pose_index)
-    bbox = sorted(
-        graph.bbox_factors,
-        key=lambda f: (f.detection.pose_index, f.detection.landmark_id),
-    )
-    relpos = sorted(
-        graph.relpos_factors,
-        key=lambda f: (f.measurement.pose_index, f.measurement.landmark_id),
-    )
-    return priors, odo, bbox, relpos
+    return np.asarray(z, dtype=float) - local
 
 
 class GraphEvaluator:
@@ -340,11 +246,9 @@ class GraphEvaluator:
     pointers depend only on which variables each factor touches. Each factor
     kind then has one linearization, vectorized across its factors, that
     returns the raw residual and, on request, the raw Jacobian blocks from
-    the same intermediate values; whitening scales each residual row by its
-    sqrt-information diagonal, once for all kinds. Every noise model must
-    therefore be diagonal (compilation raises ValueError otherwise), as
-    all of `pipeline.build_graph`'s are. Evaluation is a pure function of
-    the variable values, so results do not depend on insertion order or
+    the same intermediate values; whitening scales each residual row by the
+    inverse of its sigma, once for all kinds. Evaluation is a pure function
+    of the variable values, so results do not depend on insertion order or
     threading.
     """
 
@@ -352,25 +256,23 @@ class GraphEvaluator:
         graph.validate()
         self.n_poses = len(graph.poses)
         self.n_quadrics = len(graph.quadrics)
-        priors, odo, bbox, relpos = _sorted_factors(graph)
+        # Stacking order: stable sorts by pose index, then landmark id.
+        b, z = graph.bbox, graph.relpos
+        prior = np.lexsort((graph.prior_index,))
+        odo = np.lexsort((graph.odometry_index,))
+        bbox = np.lexsort((b.landmark_id, b.pose_index))
+        relpos = np.lexsort((z.landmark_id, z.pose_index))
 
-        self._prior_idx = np.array([f.pose_index for f in priors], dtype=int)
-        self._prior_anchor = np.array(
-            [[f.anchor.x, f.anchor.y, f.anchor.theta] for f in priors]
-        ).reshape(-1, 3)
-
-        self._odo_idx = np.array([f.pose_index for f in odo], dtype=int)
-        self._odo_u = np.array(
-            [[f.measurement.v, f.measurement.omega] for f in odo]
-        ).reshape(-1, 2)
-
-        self._bb_pose = np.array([f.detection.pose_index for f in bbox], dtype=int)
-        self._bb_quad = np.array([f.detection.landmark_id for f in bbox], dtype=int)
-        lines = np.array([f.detection.line_array() for f in bbox]).reshape(-1, 4, 3)
-
-        self._rp_pose = np.array([f.measurement.pose_index for f in relpos], dtype=int)
-        self._rp_quad = np.array([f.measurement.landmark_id for f in relpos], dtype=int)
-        self._rp_z = np.array([f.measurement.z for f in relpos]).reshape(-1, 3)
+        self._prior_idx = np.asarray(graph.prior_index)[prior]
+        self._prior_anchor = np.asarray(graph.prior_anchor, dtype=float)[prior]
+        self._odo_idx = np.asarray(graph.odometry_index)[odo]
+        self._odo_u = np.asarray(graph.odometry, dtype=float)[odo]
+        self._bb_pose = np.asarray(b.pose_index)[bbox]
+        self._bb_quad = np.asarray(b.landmark_id)[bbox]
+        lines = np.asarray(b.values, dtype=float)[bbox]
+        self._rp_pose = np.asarray(z.pose_index)[relpos]
+        self._rp_quad = np.asarray(z.landmark_id)[relpos]
+        self._rp_z = np.asarray(z.values, dtype=float)[relpos]
 
         K = graph.intrinsics.K
         R_m, t_m = graph.mount.rotation, graph.mount.translation
@@ -378,14 +280,18 @@ class GraphEvaluator:
         self._bb_g = lines @ K @ R_m
         self._bb_tm = lines @ K @ t_m
 
-        # Per kind, in stacking order: the sqrt-information diagonals, one
-        # scale per residual row, and the first column and width of each
-        # Jacobian block its linearization returns, in the order it returns
-        # them.
+        # Per kind, in stacking order: the whitening scale of each residual
+        # row, and the first column and width of each Jacobian block its
+        # linearization returns, in the order it returns them.
         q0 = 3 * self.n_poses
         self._row_scale = [
-            _sqrt_info_diagonals([f.noise for f in fs], d)
-            for fs, d in ((priors, 3), (odo, 3), (bbox, 4), (relpos, 3))
+            1.0 / np.asarray(sigma, dtype=float)[order]
+            for sigma, order in (
+                (graph.prior_sigma, prior),
+                (graph.odometry_sigma, odo),
+                (graph.bbox_sigma, bbox),
+                (graph.relpos_sigma, relpos),
+            )
         ]
         block_cols = [
             [(3 * self._prior_idx, 3)],
@@ -515,20 +421,6 @@ class GraphEvaluator:
         Jq = np.zeros((len(c), 3, 9))
         Jq[:, :, [3, 6, 8]] = _planar_block(-c, -s, (0.0, 0.0, -1.0))
         return r, (Jp, Jq)
-
-
-def _sqrt_info_diagonals(noises, d: int) -> np.ndarray:
-    """(n, d) diagonals of the noise models' sqrt-information matrices.
-
-    Raises:
-        ValueError: a noise model is not diagonal; whitening by a row scale
-            would drop its correlations.
-    """
-    W = np.array([nm.sqrt_info for nm in noises]).reshape(-1, d, d)
-    diag = np.einsum("fii->fi", W)
-    if np.any(W != diag[:, :, None] * np.eye(d)):
-        raise ValueError("GraphEvaluator supports diagonal noise models only")
-    return diag.copy()
 
 
 def _in_frame(c, s, dx, dy):

@@ -37,6 +37,7 @@ __all__ = [
     "wrap_angle",
     "rot2",
     "rotz",
+    "normalize_lines",
     "lines_through",
     "line_from_points",
     "bbox_to_lines",
@@ -127,26 +128,39 @@ class ImageLine:
     coords: np.ndarray
 
     def __post_init__(self):
-        l1, l2, l3 = np.asarray(self.coords, dtype=float).reshape(3).tolist()
-        if not (l1 or l2 or l3):
-            raise DegenerateGeometryError("image line must be nonzero")
-        norm = math.hypot(l1, l2)
-        # Skipping the division when the norm is already 1 (to rounding) makes
-        # normalization bit-exactly idempotent, which serialization relies on.
-        if norm > _EPS_SCALE:
-            if abs(norm - 1.0) > 1e-12:
-                l1, l2, l3 = l1 / norm, l2 / norm, l3 / norm
-        elif l3 == 0.0:
-            raise DegenerateGeometryError("image line cannot be normalized")
-        elif l3 != 1.0 and l3 != -1.0:
-            # Line at infinity: only the third component carries information.
-            s = abs(l3)
-            l1, l2, l3 = l1 / s, l2 / s, l3 / s
-        if l3 < 0 or (l3 == 0 and (l1 < 0 or (l1 == 0 and l2 < 0))):
-            l1, l2, l3 = -l1, -l2, -l3
-        coords = np.array((l1, l2, l3))
+        coords = normalize_lines(np.asarray(self.coords, dtype=float).reshape(3))
         coords.setflags(write=False)
         object.__setattr__(self, "coords", coords)
+
+
+def normalize_lines(lines) -> np.ndarray:
+    """A normalized copy of homogeneous image lines (..., 3), in ImageLine's
+    convention.
+
+    Raises:
+        DegenerateGeometryError: some line is zero, or has a vanishing
+            normal and no third component to normalize by instead.
+    """
+    lines = np.array(lines, dtype=float)
+    flat = lines.reshape(-1, 3)
+    l1, l2, l3 = flat.T
+    if not np.all(np.any(flat, axis=1)):
+        raise DegenerateGeometryError("image line must be nonzero")
+    # math.hypot, not np.hypot: they differ in the last bit on some lines.
+    norm = np.array(list(map(math.hypot, l1.tolist(), l2.tolist())))
+    finite = norm > _EPS_SCALE
+    if np.any(~finite & (l3 == 0.0)):
+        raise DegenerateGeometryError("image line cannot be normalized")
+    # A line at infinity is scaled by its third component, the only one
+    # carrying information. Skipping the division when the scale is already
+    # 1 (to rounding, for a unit normal) makes normalization bit-exactly
+    # idempotent, which serialization relies on.
+    scale = np.where(finite, norm, np.abs(l3))
+    divide = np.where(finite, np.abs(norm - 1.0) > 1e-12, scale != 1.0)
+    flat[divide] /= scale[divide, None]
+    flip = (l3 < 0) | ((l3 == 0) & ((l1 < 0) | ((l1 == 0) & (l2 < 0))))
+    flat[flip] = -flat[flip]
+    return lines
 
 
 @dataclass(frozen=True)

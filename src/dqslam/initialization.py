@@ -65,9 +65,10 @@ class InitStrategy:
 
 
 def init_poses(odometry, x0: RobotPose) -> list:
-    """Chain the motion model through raw odometry, starting at x0."""
+    """Chain the motion model through raw odometry, (n, 2) rows (v, omega),
+    starting at x0."""
     poses = [x0]
-    for u in odometry:
+    for u in np.asarray(odometry, dtype=float).reshape(-1, 2).tolist():
         poses.append(motion_model(poses[-1], u))
     return poses
 
@@ -117,7 +118,8 @@ def init_quadric_svd(
     *,
     condition_threshold: float = 0.1,
 ) -> DualQuadric:
-    """SVD initialization of one landmark from its bounding-box detections.
+    """SVD initialization of one landmark from its bounding-box detections
+    (a Measurements column).
 
     poses is indexed by each detection's pose_index and may contain
     RobotPose entries (combined with the mount) or ready CameraExtrinsics
@@ -127,19 +129,17 @@ def init_quadric_svd(
         InsufficientObservationsError: fewer than 3 detections.
         DegenerateSolutionError: see fit_dual_quadric.
     """
-    detections = list(detections)
     if len(detections) < 3:
         raise InsufficientObservationsError(
             f"need at least 3 detections, got {len(detections)}"
         )
     planes = []
-    for det in detections:
-        camera = poses[det.pose_index]
+    for i, lines in zip(detections.pose_index.tolist(), detections.values):
+        camera = poses[i]
         if isinstance(camera, RobotPose):
             camera = pose_to_extrinsics(camera, mount)
         P = projection_matrix(intrinsics, camera).P
-        for line in det.lines:
-            planes.append(P.T @ line.coords)
+        planes.extend(P.T @ line for line in lines)
     return fit_dual_quadric(np.array(planes), condition_threshold)
 
 
@@ -151,18 +151,14 @@ def initialize_quadrics(
     landmark_ids,
     strategy: InitStrategy | None = None,
 ):
-    """Initialize every landmark in landmark_ids per the strategy.
+    """Initialize every landmark in landmark_ids per the strategy, from the
+    bounding-box detections (a Measurements column).
 
     Returns:
         (quadrics, used_fallback): one DualQuadric per landmark id, and
         flags marking which of them came from the identity fallback.
     """
     strategy = strategy or InitStrategy()
-    by_landmark: dict = {j: [] for j in landmark_ids}
-    for det in detections:
-        if det.landmark_id in by_landmark:
-            by_landmark[det.landmark_id].append(det)
-
     quadrics, used_fallback = [], []
     for j in landmark_ids:
         if strategy.mode == "identity":
@@ -171,7 +167,7 @@ def initialize_quadrics(
             continue
         try:
             q = init_quadric_svd(
-                by_landmark[j],
+                detections[detections.landmark_id == j],
                 poses,
                 intrinsics,
                 mount,

@@ -15,14 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, setting
-from .factors import (
-    BBoxFactor,
-    FactorGraph,
-    NoiseModel,
-    OdometryFactor,
-    PriorFactor,
-    RelPosFactor,
-)
+from .factors import FactorGraph
 from .initialization import InitStrategy, init_poses, initialize_quadrics
 from .metrics import TrialResult, rmse_lm, rmse_pos, rmse_volume, quadric_volume_cube
 from .simulator import Dataset, inscribed_ellipsoid
@@ -68,8 +61,9 @@ def build_graph(
 
     Poses are initialized by chaining the (noisy) odometry from the known
     start pose, which also anchors the prior. Quadrics are initialized per
-    the strategy (identity by default). In monocular mode the dataset's
-    relative-position measurements are ignored.
+    the strategy (identity by default). The dataset's measurement columns
+    pass into the graph as they are, with the noise sigmas filled in; in
+    monocular mode its relative-position measurements are left out.
     """
     if mode not in ("monocular", "with-relpos"):
         raise ValueError(f"unknown mode {mode!r}")
@@ -90,41 +84,29 @@ def build_graph(
         init_strategy,
     )
 
-    prior_noise = NoiseModel.isotropic(noise.prior_sigma, 3)
-    straight_noise = NoiseModel.diagonal(
-        [noise.odo_sigma_xy, noise.odo_sigma_xy, noise.odo_sigma_theta]
+    n_odo = len(dataset.odometry)
+    odometry_sigma = np.full((n_odo, 3), noise.odo_sigma_xy)
+    odometry_sigma[:, 2] = np.where(
+        dataset.turn, noise.odo_sigma_theta_turn, noise.odo_sigma_theta
     )
-    turn_noise = NoiseModel.diagonal(
-        [noise.odo_sigma_xy, noise.odo_sigma_xy, noise.odo_sigma_theta_turn]
-    )
-    bbox_noise = NoiseModel.isotropic(noise.bbox_line_sigma, 4)
-    relpos_noise = NoiseModel.isotropic(noise.relpos_sigma, 3)
-
+    relpos = dataset.relative_positions
+    if mode == "monocular":
+        relpos = relpos[:0]  # no rows
     graph = FactorGraph(
         poses=poses,
         quadrics=quadrics,
         intrinsics=dataset.intrinsics(),
         mount=dataset.mount(),
-        prior_factors=[PriorFactor(pose_index=0, anchor=x0, noise=prior_noise)],
-        odometry_factors=[
-            OdometryFactor(
-                pose_index=i,
-                measurement=u,
-                noise=turn_noise if u.turn else straight_noise,
-            )
-            for i, u in enumerate(dataset.odometry)
-        ],
-        bbox_factors=[
-            BBoxFactor(detection=d, noise=bbox_noise) for d in dataset.detections
-        ],
-        relpos_factors=(
-            [
-                RelPosFactor(measurement=z, noise=relpos_noise)
-                for z in dataset.relative_positions
-            ]
-            if mode == "with-relpos"
-            else []
-        ),
+        prior_index=np.zeros(1, dtype=int),
+        prior_anchor=np.array([[x0.x, x0.y, x0.theta]]),
+        prior_sigma=np.full((1, 3), noise.prior_sigma),
+        odometry_index=np.arange(n_odo),
+        odometry=dataset.odometry,
+        odometry_sigma=odometry_sigma,
+        bbox=dataset.detections,
+        bbox_sigma=np.full((len(dataset.detections), 4), noise.bbox_line_sigma),
+        relpos=relpos,
+        relpos_sigma=np.full((len(relpos), 3), noise.relpos_sigma),
     )
     graph.validate()
     return graph

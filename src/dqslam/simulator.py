@@ -21,23 +21,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, check_fields, setting
-from .factors import (
-    BBoxDetection,
-    OdometryMeasurement,
-    RelativePositionMeasurement,
-    _in_frame,
-    _plane_constraint_rows,
-)
+from .factors import Measurements, _in_frame, _plane_constraint_rows
 from .geometry import (
     _EPS_SCALE,
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
-    ImageLine,
     RobotPose,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
     lines_through,
+    normalize_lines,
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
     rotz,
 )
@@ -153,15 +147,24 @@ def inscribed_ellipsoid(landmark: CubeLandmark) -> DualQuadric:
 
 @dataclass
 class Dataset:
-    """One simulated trial: ground truth plus noisy measurements."""
+    """One simulated trial: ground truth plus noisy measurements.
+
+    The odometry of the step from pose i to pose i + 1 is row i of
+    odometry, (n - 1, 2) rows (v, omega), and turn[i] tags steps taken on a
+    turn arc, which carry a different noise level than straight driving.
+    detections hold bounding boxes as four normalized lines each, and
+    relative_positions landmark positions in the robot frame, both in
+    (pose, landmark) order.
+    """
 
     world_config: WorldConfig
     sensor_config: SensorConfig
     ground_truth_poses: list
     landmarks: list
-    odometry: list
-    detections: list
-    relative_positions: list
+    odometry: np.ndarray
+    turn: np.ndarray
+    detections: Measurements
+    relative_positions: Measurements
 
     @property
     def seed(self) -> int:
@@ -174,15 +177,14 @@ class Dataset:
     def mount(self) -> CameraExtrinsics:
         return left_facing_mount()
 
-    def detections_per_landmark(self) -> dict:
-        counts = {lm.id: 0 for lm in self.landmarks}
-        for det in self.detections:
-            counts[det.landmark_id] += 1
-        return counts
+    def detections_per_landmark(self) -> np.ndarray:
+        """Detection count of each landmark, indexed by landmark id."""
+        return np.bincount(self.detections.landmark_id, minlength=len(self.landmarks))
 
 
-def ground_truth_odometry(cfg: WorldConfig) -> list:
-    """Noise-free odometry of the rounded-square loop, turn steps tagged.
+def ground_truth_odometry(cfg: WorldConfig):
+    """Noise-free odometry of the rounded-square loop: (odometry, turn),
+    (n, 2) rows (v, omega) and the (n,) turn-step tags.
 
     Each loop consists of four straight runs joined by four left quarter
     turns of `turn_steps` steps each; opposite straights have equal length
@@ -202,9 +204,9 @@ def ground_truth_odometry(cfg: WorldConfig) -> list:
 
     loop = []
     for straight in (s_long, s_short, s_long, s_short):
-        loop.extend([OdometryMeasurement(v, 0.0)] * straight)
-        loop.extend([OdometryMeasurement(v, omega_turn, turn=True)] * cfg.turn_steps)
-    return loop * cfg.n_loops
+        loop += [False] * straight + [True] * cfg.turn_steps
+    turn = np.array(loop * cfg.n_loops)
+    return np.column_stack([np.full(turn.size, v), np.where(turn, omega_turn, 0.0)]), turn
 
 
 def _sample_landmark(cfg: WorldConfig, trajectory, rng, lm_id: int) -> CubeLandmark:
@@ -302,35 +304,27 @@ def project_sphere_bbox(
     return _visible_boxes(u0 - hu, v0 - hv, u0 + hu, v0 + hv, seen, K, min_px)
 
 
-def corrupt_bbox(corners: np.ndarray, sigma_px: float, rng) -> list:
+def corrupt_bbox(corners: np.ndarray, sigma_px: float, rng) -> np.ndarray:
     """Gaussian pixel noise on every corner coordinate of n boxes, then lines.
 
     corners is (n, 4, 2), each box's pixel corners in cyclic order. Noise is
     applied in pixel space, drawn in one call (the same values as n draws in
-    order), before the lines are built and normalized. Returns n tuples of
-    four ImageLines; line k joins corner k to corner k+1.
+    order), before the lines are built and normalized. Returns the (n, 4, 3)
+    normalized lines; line k joins corner k to corner k+1.
     """
     corners = np.asarray(corners, dtype=float)
     noisy = corners + rng.normal(0.0, sigma_px, size=corners.shape)
     points = np.concatenate([noisy, np.ones(noisy.shape[:-1] + (1,))], axis=-1)
-    lines = lines_through(points, np.roll(points, -1, axis=-2))
-    return [tuple(map(ImageLine, box)) for box in lines]
+    return normalize_lines(lines_through(points, np.roll(points, -1, axis=-2)))
 
 
-def corrupt_odometry(odometry, cfg: SensorConfig, rng) -> list:
-    """Additive Gaussian noise on v and omega; turn steps use the larger
-    omega sigma."""
-    noisy = []
-    for u in odometry:
-        omega_sigma = cfg.odo_turn_omega_sigma if u.turn else cfg.odo_sigma
-        noisy.append(
-            OdometryMeasurement(
-                v=u.v + float(rng.normal(0.0, cfg.odo_sigma)),
-                omega=u.omega + float(rng.normal(0.0, omega_sigma)),
-                turn=u.turn,
-            )
-        )
-    return noisy
+def corrupt_odometry(odometry, turn, cfg: SensorConfig, rng) -> np.ndarray:
+    """Additive Gaussian noise on the (v, omega) rows of odometry; steps
+    tagged in turn use the larger omega sigma. The noise is drawn in one
+    call: the same values as a v draw and an omega draw per step, in order."""
+    omega_sigma = np.where(turn, cfg.odo_turn_omega_sigma, cfg.odo_sigma)
+    sigma = np.column_stack([np.full(len(turn), cfg.odo_sigma), omega_sigma])
+    return odometry + rng.normal(0.0, sigma)
 
 
 def measure_relative_position(centers, poses, sigma: float, rng) -> np.ndarray:
@@ -393,7 +387,7 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
     relpos_rng = np.random.default_rng(streams[3])
 
     K = sensor_cfg.intrinsics()
-    gt_odometry = ground_truth_odometry(world_cfg)
+    gt_odometry, turn = ground_truth_odometry(world_cfg)
     trajectory = init_poses(gt_odometry, RobotPose(0.0, 0.0, 0.0))
     R, t = camera_frames(trajectory, left_facing_mount())
     min_px = sensor_cfg.detection_min_px
@@ -437,18 +431,13 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
         sensor_cfg.relpos_sigma_m,
         relpos_rng,
     )
-    pairs = list(zip(at_pose.tolist(), of_lm.tolist()))
-    detections = [BBoxDetection(i, j, box) for (i, j), box in zip(pairs, lines)]
-    relpos = [RelativePositionMeasurement(i, j, zk) for (i, j), zk in zip(pairs, z)]
-
-    odometry = corrupt_odometry(gt_odometry, sensor_cfg, odo_rng)
-
     return Dataset(
         world_config=world_cfg,
         sensor_config=sensor_cfg,
         ground_truth_poses=trajectory,
         landmarks=landmarks,
-        odometry=odometry,
-        detections=detections,
-        relative_positions=relpos,
+        odometry=corrupt_odometry(gt_odometry, turn, sensor_cfg, odo_rng),
+        turn=turn,
+        detections=Measurements(at_pose, of_lm, lines),
+        relative_positions=Measurements(at_pose, of_lm, z),
     )

@@ -116,14 +116,25 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     Returns:
         (updated_graph, SolveReport): a copy of the graph carrying the
         optimized variables, and the solve diagnostics.
+
+    Raises:
+        ValueError: the cost at the initial values is not finite (inputs
+            so extreme that the residual overflows), so no step can be
+            measured against it.
     """
     config = config or SolverConfig()
     ev = GraphEvaluator(graph)
     poses = graph.pose_array()
     quadrics = graph.quadric_array()
 
-    r = ev.residual(poses, quadrics)
-    cost = 0.5 * float(r @ r)
+    with np.errstate(over="ignore", invalid="ignore"):
+        r = ev.residual(poses, quadrics)
+        cost = 0.5 * float(r @ r)
+    if not np.isfinite(cost):
+        raise ValueError(
+            f"cost at the initial values is not finite ({cost}): the "
+            "measurements or the initial estimate overflow the residual"
+        )
     initial_cost = cost
     lam = config.initial_lambda
     iterations = 0

@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import re
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dqslam.cli import main
 from dqslam.dataset_io import (
@@ -15,7 +18,8 @@ from dqslam.dataset_io import (
     read_dataset,
     write_dataset,
 )
-from dqslam.simulator import SensorConfig, generate_dataset
+from dqslam.pipeline import run_trial
+from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
 
 
 @pytest.fixture
@@ -48,14 +52,15 @@ def test_values_preserved_exactly(dataset):
     assert loaded.sensor_config == dataset.sensor_config
     for a, b in zip(loaded.ground_truth_poses, dataset.ground_truth_poses):
         assert (a.x, a.y, a.theta) == (b.x, b.y, b.theta)
-    for a, b in zip(loaded.detections, dataset.detections):
-        assert (a.pose_index, a.landmark_id) == (b.pose_index, b.landmark_id)
-        for la, lb in zip(a.lines, b.lines):
-            assert np.array_equal(la.coords, lb.coords)
-    for a, b in zip(loaded.relative_positions, dataset.relative_positions):
-        assert np.array_equal(a.z, b.z)
-    for a, b in zip(loaded.odometry, dataset.odometry):
-        assert a == b
+    for a, b in (
+        (loaded.detections, dataset.detections),
+        (loaded.relative_positions, dataset.relative_positions),
+    ):
+        assert np.array_equal(a.pose_index, b.pose_index)
+        assert np.array_equal(a.landmark_id, b.landmark_id)
+        assert a.values.tobytes() == b.values.tobytes()
+    assert loaded.odometry.tobytes() == dataset.odometry.tobytes()
+    assert np.array_equal(loaded.turn, dataset.turn)
 
 
 def test_schema_validation(dataset):
@@ -125,6 +130,18 @@ CORRUPTIONS = {
 }
 
 
+def assert_solve_rejects(doc, tmp_path, capsys, *flags):
+    """`dqslam solve` on the document exits 2 with one error line and
+    writes no results."""
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "res.json"
+    assert main(["solve", "--dataset", str(path), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_corrupted_document_rejected_at_read(name, dataset, tmp_path, capsys):
     corrupt, expected = CORRUPTIONS[name]
@@ -132,11 +149,75 @@ def test_corrupted_document_rejected_at_read(name, dataset, tmp_path, capsys):
     corrupt(doc)
     with pytest.raises(ValueError, match=re.escape(expected)):
         dataset_from_dict(doc)
+    assert_solve_rejects(doc, tmp_path, capsys)
 
-    path = tmp_path / "bad.json"
-    path.write_text(json.dumps(doc))
-    out = tmp_path / "res.json"
-    assert main(["solve", "--dataset", str(path), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert not out.exists()
+
+# Documents the reader accepts, whose finite extremes overflow the residual
+# of the solve mode given: solve rejects them before its first iteration.
+OVERFLOWS = {
+    "overflowing-odometry": (_set(["odometry", 3, "v"], -1e308), "monocular"),
+    "overflowing-relpos": (_set(["relative_positions", 0, "z", 0], 1e308), "with-relpos"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERFLOWS))
+def test_overflowing_document_rejected_at_solve(name, dataset, tmp_path, capsys):
+    corrupt, mode = OVERFLOWS[name]
+    doc = copy.deepcopy(dataset_to_dict(dataset))
+    corrupt(doc)
+    loaded = dataset_from_dict(doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow warnings on the way
+        with pytest.raises(ValueError, match="cost at the initial values is not finite"):
+            run_trial(loaded, mode=mode)
+    assert_solve_rejects(doc, tmp_path, capsys, "--mode", mode)
+
+
+# -- properties of the reader ---------------------------------------------------
+
+def _small_world(seed: int, shape: str) -> WorldConfig:
+    return WorldConfig(
+        n_landmarks=3, trajectory_length=65.0, n_loops=1, landmark_shape=shape, seed=seed
+    )
+
+
+@settings(max_examples=20, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**31), shape=st.sampled_from(["cube", "sphere"]))
+def test_read_then_write_reproduces_the_text(seed, shape):
+    text = dumps_dataset(generate_dataset(_small_world(seed, shape), SensorConfig()))
+    assert dumps_dataset(dataset_from_dict(json.loads(text))) == text
+
+
+@functools.lru_cache(maxsize=1)
+def _small_document() -> str:
+    return dumps_dataset(generate_dataset(_small_world(3, "cube"), SensorConfig()))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=4,
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(data=st.data())
+def test_corrupted_leaf_raises_only_value_error(data):
+    # Walk from the root to a leaf, one drawn key or index per level, then
+    # delete the leaf or replace it by a drawn JSON value. The reader may
+    # accept the result (a changed number can be valid) but must reject
+    # anything else with ValueError, never another exception.
+    doc = json.loads(_small_document())
+    parent, key, node = None, None, doc
+    while isinstance(node, (dict, list)) and node:
+        parent, key = node, data.draw(st.sampled_from(list(node) if isinstance(node, dict)
+                                                      else range(len(node))))
+        node = parent[key]
+    if data.draw(st.booleans()):
+        del parent[key]
+    else:
+        parent[key] = data.draw(_JSON_VALUES)
+    try:
+        dataset_from_dict(doc)
+    except ValueError:
+        pass

@@ -1,22 +1,16 @@
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from dqslam.factors import (
-    BBoxDetection,
-    BBoxFactor,
     FactorGraph,
     GraphEvaluator,
-    NoiseModel,
-    OdometryFactor,
-    OdometryMeasurement,
-    PriorFactor,
-    RelativePositionMeasurement,
-    RelPosFactor,
+    Measurements,
     bbox_factor_residual,
     graph_jacobian,
     graph_residual,
@@ -28,9 +22,9 @@ from dqslam.factors import (
 from dqslam.geometry import (
     CameraIntrinsics,
     DualQuadric,
-    ImageLine,
     RobotPose,
     left_facing_mount,
+    normalize_lines,
 )
 from dqslam.pipeline import build_graph, ground_truth_graph
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset, inscribed_ellipsoid
@@ -46,76 +40,72 @@ def random_graph(rng, n_poses=4, n_quadrics=2, with_relpos=True):
         DualQuadric(rng.normal(0, 1, 9) + np.array([2, 0, 0, 0, 2, 0, 0, 2, 0]))
         for _ in range(n_quadrics)
     ]
-    dets = [
-        BBoxDetection(
-            pose_index=int(i),
-            landmark_id=j,
-            lines=tuple(ImageLine(rng.normal(size=3)) for _ in range(4)),
-        )
-        for j in range(n_quadrics)
-        for i in rng.choice(n_poses, size=min(2, n_poses), replace=False)
+    det_pose, det_lm, lines = [], [], []
+    for j in range(n_quadrics):
+        for i in rng.choice(n_poses, size=min(2, n_poses), replace=False):
+            det_pose.append(int(i))
+            det_lm.append(j)
+            lines.append([rng.normal(size=3) for _ in range(4)])
+    z_pose, z = [], []
+    for j in range(n_quadrics if with_relpos else 0):
+        z_pose.append(int(rng.integers(0, n_poses)))
+        z.append(rng.normal(0, 2, 3))
+    anchor = rng.normal(0, 0.1, 3)
+    odometry = [
+        (float(rng.uniform(0.2, 1.0)), float(rng.normal(0, 0.3))) for _ in range(n_poses - 1)
     ]
-    relpos = (
-        [
-            RelPosFactor(
-                RelativePositionMeasurement(
-                    int(rng.integers(0, n_poses)), j, rng.normal(0, 2, 3)
-                ),
-                NoiseModel.isotropic(0.1, 3),
-            )
-            for j in range(n_quadrics)
-        ]
-        if with_relpos
-        else []
-    )
     return FactorGraph(
         poses=poses,
         quadrics=quadrics,
         intrinsics=K,
         mount=MOUNT,
-        prior_factors=[
-            PriorFactor(0, RobotPose(*rng.normal(0, 0.1, 3)), NoiseModel.isotropic(0.3, 3))
-        ],
-        odometry_factors=[
-            OdometryFactor(
-                i,
-                OdometryMeasurement(float(rng.uniform(0.2, 1.0)), float(rng.normal(0, 0.3))),
-                NoiseModel.diagonal([0.05, 0.07, 0.03]),
-            )
-            for i in range(n_poses - 1)
-        ],
-        bbox_factors=[BBoxFactor(d, NoiseModel.isotropic(1e5, 4)) for d in dets],
-        relpos_factors=relpos,
+        prior_index=np.array([0]),
+        prior_anchor=np.array([anchor]),
+        prior_sigma=np.full((1, 3), 0.3),
+        odometry_index=np.arange(n_poses - 1),
+        odometry=np.array(odometry).reshape(-1, 2),
+        odometry_sigma=np.tile([0.05, 0.07, 0.03], (n_poses - 1, 1)),
+        bbox=Measurements(np.array(det_pose), np.array(det_lm), normalize_lines(lines)),
+        bbox_sigma=np.full((len(det_pose), 4), 1e5),
+        relpos=Measurements(
+            np.array(z_pose, dtype=int), np.arange(len(z_pose)), np.array(z).reshape(-1, 3)
+        ),
+        relpos_sigma=np.full((len(z_pose), 3), 0.1),
     )
+
+
+def stacking_order(*keys):
+    """Row order of a factor kind in the stacked residual: by the keys in
+    turn (pose index, then landmark id), stable."""
+    return sorted(range(len(keys[0])), key=lambda r: tuple(int(k[r]) for k in keys))
 
 
 # -- motion model and residual conventions -----------------------------------
 
 def test_motion_model_examples():
-    assert motion_model(RobotPose(0, 0, 0), OdometryMeasurement(1, 0)) == RobotPose(1, 0, 0)
-    p = motion_model(RobotPose(0, 0, math.pi / 2), OdometryMeasurement(2, 0))
+    assert motion_model(RobotPose(0, 0, 0), (1, 0)) == RobotPose(1, 0, 0)
+    p = motion_model(RobotPose(0, 0, math.pi / 2), (2, 0))
     assert (p.x, p.y, p.theta) == pytest.approx((0, 2, math.pi / 2), abs=1e-15)
-    p = motion_model(RobotPose(1, 1, 0), OdometryMeasurement(0, math.pi / 2))
+    p = motion_model(RobotPose(1, 1, 0), (0, math.pi / 2))
     assert (p.x, p.y, p.theta) == pytest.approx((1, 1, math.pi / 2))
 
 
 def test_odometry_residual_exact_prediction(rng):
     for _ in range(10):
         x = RobotPose(*rng.normal(0, 2, 3))
-        u = OdometryMeasurement(float(rng.uniform(0, 1)), float(rng.normal(0, 0.5)))
+        u = (float(rng.uniform(0, 1)), float(rng.normal(0, 0.5)))
         assert np.allclose(odometry_residual(x, motion_model(x, u), u), 0, atol=1e-14)
 
 
 def test_odometry_residual_overshoot_convention():
-    r = odometry_residual(RobotPose(0, 0, 0), RobotPose(2, 0, 0), OdometryMeasurement(1, 0))
+    r = odometry_residual(RobotPose(0, 0, 0), RobotPose(2, 0, 0), (1, 0))
     assert np.allclose(r, [-1, 0, 0])
 
 
 def test_odometry_residual_angle_wrap():
     # prediction theta = pi - 0.1, actual theta = -pi + 0.1
     x = RobotPose(0, 0, math.pi - 0.1)
-    u = OdometryMeasurement(0, 0)
-    r = odometry_residual(x, RobotPose(0, 0, -math.pi + 0.1), u)
+    r = odometry_residual(x, RobotPose(0, 0, -math.pi + 0.1), (0, 0))
     assert r[2] == pytest.approx(-0.2, abs=1e-12)
 
 
@@ -127,22 +117,20 @@ def test_prior_residual():
 
 
 def test_relpos_residual_examples():
-    z = RelativePositionMeasurement(0, 0, np.array([1, 2, 0.3]))
     q = DualQuadric(np.array([1, 0, 0, 1, 1, 0, 2, 1, 0.3]))  # centroid (1, 2, 0.3)
-    assert np.allclose(relpos_residual(RobotPose(0, 0, 0), q, z), 0)
+    assert np.allclose(relpos_residual(RobotPose(0, 0, 0), q, [1, 2, 0.3]), 0)
 
     q2 = DualQuadric(np.array([1, 0, 0, 1, 1, 0, 1, 1, 0.0]))  # centroid (1, 1, 0)
-    z2 = RelativePositionMeasurement(0, 0, np.array([1, 0, 0]))
-    assert np.allclose(relpos_residual(RobotPose(1, 0, math.pi / 2), q2, z2), 0, atol=1e-15)
+    assert np.allclose(relpos_residual(RobotPose(1, 0, math.pi / 2), q2, [1, 0, 0]), 0, atol=1e-15)
 
 
 def test_relpos_residual_z_passthrough(rng):
     for _ in range(10):
         pose = RobotPose(*rng.normal(0, 3, 3))
         q = DualQuadric(rng.normal(0, 2, 9))
-        z = RelativePositionMeasurement(0, 0, rng.normal(0, 2, 3))
+        z = rng.normal(0, 2, 3)
         r = relpos_residual(pose, q, z)
-        assert r[2] == pytest.approx(z.z[2] - q.q[8], abs=1e-12)
+        assert r[2] == pytest.approx(z[2] - q.q[8], abs=1e-12)
 
 
 # -- bbox factor ---------------------------------------------------------------
@@ -150,88 +138,42 @@ def test_relpos_residual_z_passthrough(rng):
 def test_bbox_residual_noise_free_silhouette(zero_noise_sensor):
     ds = generate_dataset(WorldConfig(seed=1, landmark_shape="sphere", n_landmarks=3), zero_noise_sensor)
     quads = {lm.id: inscribed_ellipsoid(lm) for lm in ds.landmarks}
-    for det in ds.detections[:40]:
-        pose = ds.ground_truth_poses[det.pose_index]
-        r = bbox_factor_residual(pose, quads[det.landmark_id], det, ds.intrinsics(), ds.mount())
+    dets = ds.detections[:40]
+    for i, j, lines in zip(dets.pose_index, dets.landmark_id, dets.values):
+        pose = ds.ground_truth_poses[i]
+        r = bbox_factor_residual(pose, quads[j], lines, ds.intrinsics(), ds.mount())
         assert np.max(np.abs(r)) < 1e-8 * ds.intrinsics().fx**2
 
 
 def test_bbox_residual_far_identity_quadric():
-    det_lines = tuple(
-        ImageLine(l)
-        for l in ([1, 0, -600.0], [0, 1, -500.0], [1, 0, -680.0], [0, 1, -560.0])
-    )
-    det = BBoxDetection(0, 0, det_lines)
+    lines = normalize_lines([[1, 0, -600.0], [0, 1, -500.0], [1, 0, -680.0], [0, 1, -560.0]])
     # identity quadric at the origin seen from far away: tiny box is far from
     # tangent, residuals large and positive
-    r = bbox_factor_residual(RobotPose(30, 0, 0), DualQuadric.identity(), det, K, MOUNT)
+    r = bbox_factor_residual(RobotPose(30, 0, 0), DualQuadric.identity(), lines, K, MOUNT)
     assert np.all(r > 1e4)
 
 
 def test_bbox_residual_renormalization_idempotent(rng):
-    lines = tuple(ImageLine(rng.normal(size=3)) for _ in range(4))
-    det1 = BBoxDetection(0, 0, lines)
-    det2 = BBoxDetection(0, 0, tuple(ImageLine(l.coords.copy()) for l in lines))
+    lines = normalize_lines(rng.normal(size=(4, 3)))
     pose = RobotPose(0.5, -1.0, 0.3)
     q = DualQuadric(rng.normal(size=9))
     assert np.array_equal(
-        bbox_factor_residual(pose, q, det1, K, MOUNT),
-        bbox_factor_residual(pose, q, det2, K, MOUNT),
+        bbox_factor_residual(pose, q, lines, K, MOUNT),
+        bbox_factor_residual(pose, q, normalize_lines(lines), K, MOUNT),
     )
 
 
-# -- noise models ----------------------------------------------------------------
-
-def test_noise_model_requires_pd():
-    with pytest.raises(ValueError):
-        NoiseModel(np.diag([1.0, -1.0, 1.0]))
-    with pytest.raises(ValueError):
-        NoiseModel(np.zeros((3, 3)))
-
-
-def test_noise_model_whitening_matches_mahalanobis(rng):
-    A = rng.normal(size=(3, 3))
-    cov = A @ A.T + 3 * np.eye(3)
-    nm = NoiseModel(cov)
-    r = rng.normal(size=3)
-    w = nm.whiten(r)
-    assert w @ w == pytest.approx(r @ np.linalg.solve(cov, r), rel=1e-12)
-
-
-def test_factor_noise_dimension_checked():
-    with pytest.raises(ValueError):
-        PriorFactor(0, RobotPose(0, 0, 0), NoiseModel.isotropic(1.0, 4))
-    with pytest.raises(ValueError):
-        BBoxFactor(
-            BBoxDetection(0, 0, tuple(ImageLine([1, 0, -i - 1.0]) for i in range(4))),
-            NoiseModel.isotropic(1.0, 3),
-        )
-
+# -- noise -----------------------------------------------------------------------
 
 def test_doubling_covariance_halves_cost(rng):
     g = random_graph(rng)
     _, cost1 = graph_residual(g)
-    doubled = FactorGraph(
-        poses=g.poses,
-        quadrics=g.quadrics,
-        intrinsics=g.intrinsics,
-        mount=g.mount,
-        prior_factors=[
-            PriorFactor(f.pose_index, f.anchor, NoiseModel(2 * f.noise.covariance))
-            for f in g.prior_factors
-        ],
-        odometry_factors=[
-            OdometryFactor(f.pose_index, f.measurement, NoiseModel(2 * f.noise.covariance))
-            for f in g.odometry_factors
-        ],
-        bbox_factors=[
-            BBoxFactor(f.detection, NoiseModel(2 * f.noise.covariance))
-            for f in g.bbox_factors
-        ],
-        relpos_factors=[
-            RelPosFactor(f.measurement, NoiseModel(2 * f.noise.covariance))
-            for f in g.relpos_factors
-        ],
+    doubled = replace(
+        g,
+        prior_sigma=g.prior_sigma * math.sqrt(2),
+        odometry_sigma=g.odometry_sigma * math.sqrt(2),
+        bbox_sigma=g.bbox_sigma * math.sqrt(2),
+        relpos_sigma=g.relpos_sigma * math.sqrt(2),
     )
     _, cost2 = graph_residual(doubled)
     assert cost2 == pytest.approx(cost1 / 2, rel=1e-12)
@@ -241,9 +183,61 @@ def test_doubling_covariance_halves_cost(rng):
 
 def test_graph_requires_prior(rng):
     g = random_graph(rng)
-    g.prior_factors = []
+    g.prior_index = g.prior_index[:0]
     with pytest.raises(ValueError):
         g.validate()
+
+
+def _corrupt_column(name, value):
+    def corrupt(g):
+        kind, _, column = name.partition(".")
+        if column:
+            col = getattr(getattr(g, kind), column).copy()
+            col[0] = value
+            setattr(g, kind, replace(getattr(g, kind), **{column: col}))
+        else:
+            col = getattr(g, kind).copy()
+            col[0] = value
+            setattr(g, kind, col)
+    return corrupt
+
+
+# Each corruption of a valid graph's columns, and the factor kind its
+# error must name.
+BAD_COLUMNS = {
+    "prior-pose-missing": (_corrupt_column("prior_index", 4), "prior"),
+    "prior-anchor-nan": (_corrupt_column("prior_anchor", np.nan), "prior"),
+    "prior-sigma-zero": (_corrupt_column("prior_sigma", 0.0), "prior"),
+    "odometry-last-pose-has-no-successor": (_corrupt_column("odometry_index", 3), "odometry"),
+    "odometry-negative-index": (_corrupt_column("odometry_index", -1), "odometry"),
+    "odometry-inf": (_corrupt_column("odometry", np.inf), "odometry"),
+    "odometry-sigma-negative": (_corrupt_column("odometry_sigma", -0.1), "odometry"),
+    "odometry-sigma-wrong-shape": (lambda g: setattr(g, "odometry_sigma", g.odometry_sigma[:, :2]),
+                                   "odometry"),
+    "bbox-landmark-missing": (_corrupt_column("bbox.landmark_id", 2), "bbox"),
+    "bbox-lines-nan": (_corrupt_column("bbox.values", np.nan), "bbox"),
+    "bbox-lines-wrong-shape": (lambda g: setattr(g, "bbox", replace(g.bbox, values=g.bbox.values[:, :3])),
+                               "bbox"),
+    "bbox-float-index": (lambda g: setattr(g, "bbox", replace(g.bbox, pose_index=g.bbox.pose_index * 1.0)),
+                         "bbox"),
+    "bbox-sigma-inf": (_corrupt_column("bbox_sigma", np.inf), "bbox"),
+    "bbox-sigma-short": (lambda g: setattr(g, "bbox_sigma", g.bbox_sigma[1:]), "bbox"),
+    "relpos-pose-missing": (_corrupt_column("relpos.pose_index", 4), "relpos"),
+    "relpos-z-inf": (_corrupt_column("relpos.values", -np.inf), "relpos"),
+    "relpos-sigma-nan": (_corrupt_column("relpos_sigma", np.nan), "relpos"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_COLUMNS))
+def test_graph_validate_rejects_bad_columns(name, rng):
+    g = random_graph(rng)
+    g.validate()
+    corrupt, kind = BAD_COLUMNS[name]
+    corrupt(g)
+    with pytest.raises(ValueError, match=f"^{kind} "):
+        g.validate()
+    with pytest.raises(ValueError, match=f"^{kind} "):
+        GraphEvaluator(g)
 
 
 def test_graph_residual_matches_per_factor_functions(rng):
@@ -251,30 +245,22 @@ def test_graph_residual_matches_per_factor_functions(rng):
     r, cost = graph_residual(g)
 
     expected = []
-    for f in sorted(g.prior_factors, key=lambda f: f.pose_index):
-        expected.append(f.noise.whiten(prior_residual(g.poses[f.pose_index], f.anchor)))
-    for f in sorted(g.odometry_factors, key=lambda f: f.pose_index):
-        expected.append(
-            f.noise.whiten(
-                odometry_residual(
-                    g.poses[f.pose_index], g.poses[f.pose_index + 1], f.measurement
-                )
-            )
-        )
-    for f in sorted(g.bbox_factors, key=lambda f: (f.detection.pose_index, f.detection.landmark_id)):
-        d = f.detection
-        expected.append(
-            f.noise.whiten(
-                bbox_factor_residual(
-                    g.poses[d.pose_index], g.quadrics[d.landmark_id], d, g.intrinsics, g.mount
-                )
-            )
-        )
-    for f in sorted(g.relpos_factors, key=lambda f: (f.measurement.pose_index, f.measurement.landmark_id)):
-        z = f.measurement
-        expected.append(
-            f.noise.whiten(relpos_residual(g.poses[z.pose_index], g.quadrics[z.landmark_id], z))
-        )
+    for k in stacking_order(g.prior_index):
+        anchor = RobotPose(*g.prior_anchor[k])
+        expected.append(prior_residual(g.poses[g.prior_index[k]], anchor) / g.prior_sigma[k])
+    for k in stacking_order(g.odometry_index):
+        i = g.odometry_index[k]
+        res = odometry_residual(g.poses[i], g.poses[i + 1], g.odometry[k])
+        expected.append(res / g.odometry_sigma[k])
+    b = g.bbox
+    for k in stacking_order(b.pose_index, b.landmark_id):
+        pose, quadric = g.poses[b.pose_index[k]], g.quadrics[b.landmark_id[k]]
+        res = bbox_factor_residual(pose, quadric, b.values[k], g.intrinsics, g.mount)
+        expected.append(res / g.bbox_sigma[k])
+    z = g.relpos
+    for k in stacking_order(z.pose_index, z.landmark_id):
+        pose, quadric = g.poses[z.pose_index[k]], g.quadrics[z.landmark_id[k]]
+        expected.append(relpos_residual(pose, quadric, z.values[k]) / g.relpos_sigma[k])
     expected = np.concatenate(expected)
     assert np.allclose(r, expected, rtol=1e-12, atol=1e-12)
     assert cost == pytest.approx(0.5 * expected @ expected, rel=1e-12)
@@ -282,15 +268,15 @@ def test_graph_residual_matches_per_factor_functions(rng):
 
 def test_cost_invariant_to_insertion_order(rng):
     g = random_graph(rng)
-    shuffled = FactorGraph(
-        poses=g.poses,
-        quadrics=g.quadrics,
-        intrinsics=g.intrinsics,
-        mount=g.mount,
-        prior_factors=g.prior_factors,
-        odometry_factors=list(reversed(g.odometry_factors)),
-        bbox_factors=list(reversed(g.bbox_factors)),
-        relpos_factors=list(reversed(g.relpos_factors)),
+    shuffled = replace(
+        g,
+        odometry_index=g.odometry_index[::-1],
+        odometry=g.odometry[::-1],
+        odometry_sigma=g.odometry_sigma[::-1],
+        bbox=g.bbox[::-1],
+        bbox_sigma=g.bbox_sigma[::-1],
+        relpos=g.relpos[::-1],
+        relpos_sigma=g.relpos_sigma[::-1],
     )
     r1, c1 = graph_residual(g)
     r2, c2 = graph_residual(shuffled)
@@ -310,7 +296,7 @@ def test_residual_angles_in_range(rng):
     for _ in range(20):
         a = RobotPose(*rng.uniform(-10, 10, 3))
         b = RobotPose(*rng.uniform(-10, 10, 3))
-        u = OdometryMeasurement(float(rng.uniform(0, 1)), float(rng.normal(0, 2)))
+        u = (float(rng.uniform(0, 1)), float(rng.normal(0, 2)))
         r = odometry_residual(a, b, u)
         assert -math.pi < r[2] <= math.pi
         assert -math.pi < prior_residual(a, b)[2] <= math.pi
@@ -361,21 +347,20 @@ def test_jacobian_sparsity_pattern(rng):
     def quad(j):
         return list(range(3 * n + 9 * j, 3 * n + 9 * j + 9))
 
-    def by_pose_and_landmark(ms):
-        return sorted(ms, key=lambda m: (m.pose_index, m.landmark_id))
-
-    dets = by_pose_and_landmark(f.detection for f in g.bbox_factors)
-    zs = by_pose_and_landmark(f.measurement for f in g.relpos_factors)
+    b, z = g.bbox, g.relpos
     blocks = (
-        [(3, pose(f.pose_index)) for f in sorted(g.prior_factors, key=lambda f: f.pose_index)]
+        [(3, pose(i)) for i in sorted(g.prior_index)]
+        + [(3, pose(i) + pose(i + 1)) for i in sorted(g.odometry_index)]
         + [
-            (3, pose(f.pose_index) + pose(f.pose_index + 1))
-            for f in sorted(g.odometry_factors, key=lambda f: f.pose_index)
+            (4, pose(b.pose_index[k]) + quad(b.landmark_id[k]))
+            for k in stacking_order(b.pose_index, b.landmark_id)
         ]
-        + [(4, pose(d.pose_index) + quad(d.landmark_id)) for d in dets]
-        + [(3, pose(z.pose_index) + quad(z.landmark_id)) for z in zs]
+        + [
+            (3, pose(z.pose_index[k]) + quad(z.landmark_id[k]))
+            for k in stacking_order(z.pose_index, z.landmark_id)
+        ]
     )
-    assert g.prior_factors and g.odometry_factors and dets and zs
+    assert len(g.prior_index) and len(g.odometry_index) and len(b) and len(z)
     row = 0
     for dim, cols in blocks:
         for k in range(row, row + dim):
@@ -392,38 +377,42 @@ def test_jacobian_sparsity_pattern(rng):
 
 
 def einsum_whitened(ev, graph, poses, quadrics):
-    """Residual and Jacobian whitened by the full sqrt-information matrices,
-    the Jacobian assembled from COO triplets: the evaluator's earlier
-    whitening and assembly, applied to its raw linearizations."""
+    """Residual and Jacobian whitened by full sqrt-information matrices, the
+    inverse Cholesky factors of the covariances diag(sigma^2), and the
+    Jacobian assembled from COO triplets: the evaluator's earlier whitening
+    and assembly, applied to its raw linearizations."""
     n = len(graph.poses)
+    b, z = graph.bbox, graph.relpos
+    prior = stacking_order(graph.prior_index)
+    odo = stacking_order(graph.odometry_index)
+    bbox = stacking_order(b.pose_index, b.landmark_id)
+    relpos = stacking_order(z.pose_index, z.landmark_id)
 
-    def by_pair(m):
-        return (m.pose_index, m.landmark_id)
+    def pose(index, order, shift=0):
+        return 3 * (index[order] + shift)
 
-    priors = sorted(graph.prior_factors, key=lambda f: f.pose_index)
-    odo = sorted(graph.odometry_factors, key=lambda f: f.pose_index)
-    bbox = sorted(graph.bbox_factors, key=lambda f: by_pair(f.detection))
-    relpos = sorted(graph.relpos_factors, key=lambda f: by_pair(f.measurement))
+    def quad(index, order):
+        return 3 * n + 9 * index[order]
 
-    def pose(ms, shift=0):
-        return 3 * (np.array([m.pose_index for m in ms], dtype=int) + shift)
-
-    def quad(ms):
-        return 3 * n + 9 * np.array([m.landmark_id for m in ms], dtype=int)
-
-    dets = [f.detection for f in bbox]
-    zs = [f.measurement for f in relpos]
     kinds = [
-        (priors, [(pose(priors), 3)]),
-        (odo, [(pose(odo), 3), (pose(odo, shift=1), 3)]),
-        (bbox, [(pose(dets), 3), (quad(dets), 9)]),
-        (relpos, [(pose(zs), 3), (quad(zs), 9)]),
+        (graph.prior_sigma[prior], [(pose(graph.prior_index, prior), 3)]),
+        (
+            graph.odometry_sigma[odo],
+            [(pose(graph.odometry_index, odo), 3), (pose(graph.odometry_index, odo, 1), 3)],
+        ),
+        (graph.bbox_sigma[bbox], [(pose(b.pose_index, bbox), 3), (quad(b.landmark_id, bbox), 9)]),
+        (
+            graph.relpos_sigma[relpos],
+            [(pose(z.pose_index, relpos), 3), (quad(z.landmark_id, relpos), 9)],
+        ),
     ]
     residuals, vals, rows, cols = [], [], [], []
     row0 = 0
-    for (fs, blocks), (r, Js) in zip(kinds, ev._linearize(poses, quadrics, True)):
+    for (sigma, blocks), (r, Js) in zip(kinds, ev._linearize(poses, quadrics, True)):
         f, d = r.shape
-        W = np.array([x.noise.sqrt_info for x in fs]).reshape(f, d, d)
+        cov = np.zeros((f, d, d))
+        cov[:, np.arange(d), np.arange(d)] = np.square(sigma)
+        W = np.linalg.inv(np.linalg.cholesky(cov))
         residuals.append(np.einsum("fab,fb->fa", W, r).ravel())
         rr = row0 + d * np.arange(f)[:, None, None] + np.arange(d)[None, :, None]
         for (col0, width), Jb in zip(blocks, Js):
@@ -456,26 +445,16 @@ def test_row_scale_whitening_matches_einsum_whitening(seed):
             assert np.array_equal(getattr(J, name), getattr(J_ref, name)), name
 
 
-def test_evaluator_rejects_non_diagonal_noise(rng):
-    g = random_graph(rng)
-    A = rng.normal(size=(3, 3))
-    f = g.odometry_factors[1]
-    g.odometry_factors[1] = OdometryFactor(
-        f.pose_index, f.measurement, NoiseModel(A @ A.T + 3 * np.eye(3))
-    )
-    with pytest.raises(ValueError, match="diagonal noise"):
-        GraphEvaluator(g)
-    # The per-factor functions whiten with the full matrix, as before.
-    xi, xn = g.poses[f.pose_index], g.poses[f.pose_index + 1]
-    r = g.odometry_factors[1].noise.whiten(odometry_residual(xi, xn, f.measurement))
-    assert r.shape == (3,) and np.all(np.isfinite(r))
-
-
 def test_pose_hessian_block_tridiagonal_without_bbox(rng):
     g = random_graph(rng, n_poses=6, n_quadrics=1)
-    g.bbox_factors = []
-    g.relpos_factors = []
-    g.quadrics = []
+    g = replace(
+        g,
+        bbox=g.bbox[:0],
+        bbox_sigma=g.bbox_sigma[:0],
+        relpos=g.relpos[:0],
+        relpos_sigma=g.relpos_sigma[:0],
+        quadrics=[],
+    )
     J = graph_jacobian(g).toarray()
     H = J.T @ J
     n = len(g.poses)
@@ -488,7 +467,7 @@ def test_pose_hessian_block_tridiagonal_without_bbox(rng):
 def test_removing_prior_leaves_gauge_nullspace(rng):
     g = random_graph(rng, n_poses=5, n_quadrics=2)
     J = graph_jacobian(g).toarray()
-    n_prior_rows = 3 * len(g.prior_factors)
+    n_prior_rows = 3 * len(g.prior_index)
     J_free = J[n_prior_rows:]
     eigs = np.linalg.eigvalsh(J_free.T @ J_free)
     near_zero = np.sum(eigs < 1e-8 * max(eigs.max(), 1.0))

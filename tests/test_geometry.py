@@ -22,6 +22,7 @@ from dqslam.geometry import (
     left_facing_mount,
     line_from_points,
     lines_through,
+    normalize_lines,
     pose_to_extrinsics,
     project_quadric,
     projection_matrix,
@@ -111,11 +112,21 @@ def test_image_line_matches_reference_normalization(rng):
         [0.0, 0.0, -3.0], [0.0, 0.0, 2.5], [0.0, 0.0, 1.0], [0.0, -0.0, -1.0],  # at infinity
         [-1.0, 0.0, 0.0], [0.0, -2.0, 0.0], [-3.0, 4.0, 0.0], [3.0, -4.0, -0.0],  # l3 == 0
         [0.6, 0.8, -7.0], [-0.6, -0.8, 7.0], [1.0, 0.0, 0.0],  # already unit
+        # A simulator line whose normal's norm np.hypot rounds one bit lower
+        # than math.hypot.
+        [-0.00044114520276218415, -0.0005079609703372195, 0.6300825914455861],
+        *(rng.normal(size=(500, 3)) * [1e-3, 1e-3, 1.0]),  # short normals
+        *rng.uniform(-2000, 2000, size=(500, 3)),  # pixel-scale lines
     ]
     for coords in lines:
         coords = np.array(coords, dtype=float)
         expected = _reference_normalize(coords.copy())
         assert ImageLine(coords).coords.tobytes() == expected.tobytes(), coords
+    # The kernel on the whole stack, and on boxes of four lines, row for row.
+    stacked = np.array(lines[:3200], dtype=float)
+    expected = np.array([_reference_normalize(l.copy()) for l in stacked])
+    assert normalize_lines(stacked).tobytes() == expected.tobytes()
+    assert normalize_lines(stacked.reshape(-1, 4, 3)).tobytes() == expected.tobytes()
     unit = ImageLine([0.6, 0.8, 7.0])
     assert ImageLine(unit.coords).coords.tobytes() == unit.coords.tobytes()
 

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from dqslam.factors import BBoxDetection, OdometryMeasurement
+from dqslam.factors import Measurements
 from dqslam.geometry import (
     CameraIntrinsics,
     DualQuadric,
@@ -34,36 +34,34 @@ from conftest import ellipsoid_tangent_planes, look_at_extrinsics, unit_sphere_d
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
 
 
-def silhouette_detection(pose_index, lm_id, quadric, extrinsics):
+def silhouette_lines(quadric, extrinsics):
     P = projection_matrix(K, extrinsics)
     box = dual_conic_bbox(project_quadric(P, quadric))
-    return BBoxDetection(pose_index, lm_id, bbox_to_lines(bbox_corners(*box)))
+    return [l.coords for l in bbox_to_lines(bbox_corners(*box))]
 
 
 def nonplanar_rig(quadric, center):
+    """Cameras around the quadric and their detections of it (landmark 0)."""
     eyes = [
         (4, 0, 1), (-4, 1, -2), (0, 4, 2), (1, -4, -1),
         (3, 3, 3), (-3, -3, 2), (0, 1, 4), (2, 0, -4),
     ]
-    cams, dets = [], []
-    for i, eye in enumerate(eyes):
-        E = look_at_extrinsics(np.asarray(eye, float) + center, center)
-        cams.append(E)
-        dets.append(silhouette_detection(i, 0, quadric, E))
-    return cams, dets
+    cams = [look_at_extrinsics(np.asarray(eye, float) + center, center) for eye in eyes]
+    lines = np.array([silhouette_lines(quadric, E) for E in cams])
+    return cams, Measurements(np.arange(len(cams)), np.zeros(len(cams), dtype=int), lines)
 
 
 # -- pose chaining ------------------------------------------------------------
 
 def test_init_poses_straight_chain():
-    poses = init_poses([OdometryMeasurement(1, 0)] * 5, RobotPose(0, 0, 0))
+    poses = init_poses([(1, 0)] * 5, RobotPose(0, 0, 0))
     assert len(poses) == 6
     assert [p.x for p in poses] == pytest.approx(list(range(6)))
     assert all(p.y == 0 and p.theta == 0 for p in poses)
 
 
 def test_init_poses_square_closure():
-    leg = [OdometryMeasurement(1, 0)] * 3 + [OdometryMeasurement(0, math.pi / 2)]
+    leg = [(1, 0)] * 3 + [(0, math.pi / 2)]
     poses = init_poses(leg * 4, RobotPose(0, 0, 0))
     last = poses[-1]
     assert abs(last.x) < 1e-12 and abs(last.y) < 1e-12

@@ -16,22 +16,31 @@ def sphere_dataset(small_world, zero_noise_sensor):
 
 
 def test_build_graph_factor_counts(sphere_dataset):
-    g = build_graph(sphere_dataset, mode="monocular")
-    assert len(g.prior_factors) == 1
-    assert len(g.odometry_factors) == len(sphere_dataset.odometry)
-    assert len(g.bbox_factors) == len(sphere_dataset.detections)
-    assert len(g.relpos_factors) == 0
-    g2 = build_graph(sphere_dataset, mode="with-relpos")
-    assert len(g2.relpos_factors) == len(sphere_dataset.relative_positions)
+    ds = sphere_dataset
+    g = build_graph(ds, mode="monocular")
+    assert g.prior_index.tolist() == [0]
+    assert g.odometry_index.tolist() == list(range(len(ds.odometry)))
+    # The dataset's measurement columns pass into the graph as they are.
+    assert g.odometry is ds.odometry
+    assert g.bbox is ds.detections
+    assert len(g.relpos) == 0 and g.relpos_sigma.shape == (0, 3)
+    g2 = build_graph(ds, mode="with-relpos")
+    assert g2.relpos is ds.relative_positions
 
 
 def test_build_graph_turn_noise_models(sphere_dataset):
-    noise = GraphNoiseConfig()
-    g = build_graph(sphere_dataset, noise=noise)
-    for f in g.odometry_factors:
-        sigma_theta = np.sqrt(f.noise.covariance[2, 2])
-        expected = noise.odo_sigma_theta_turn if f.measurement.turn else noise.odo_sigma_theta
-        assert sigma_theta == pytest.approx(expected)
+    noise = GraphNoiseConfig(
+        prior_sigma=1e-5, odo_sigma_xy=0.03, odo_sigma_theta=0.04, odo_sigma_theta_turn=0.2,
+        bbox_line_sigma=2e5, relpos_sigma=0.3,
+    )
+    g = build_graph(sphere_dataset, mode="with-relpos", noise=noise)
+    turn = sphere_dataset.turn
+    assert turn.any() and not turn.all()
+    expected_odometry = np.where(turn[:, None], [0.03, 0.03, 0.2], [0.03, 0.03, 0.04])
+    assert np.array_equal(g.odometry_sigma, expected_odometry)
+    assert np.array_equal(g.prior_sigma, [[1e-5] * 3])
+    assert np.array_equal(g.bbox_sigma, np.full((len(g.bbox), 4), 2e5))
+    assert np.array_equal(g.relpos_sigma, np.full((len(g.relpos), 3), 0.3))
 
 
 def test_build_graph_rejects_unknown_mode(sphere_dataset):

@@ -5,12 +5,7 @@ import pytest
 import scipy.sparse as sp
 
 from dqslam import solver
-from dqslam.factors import (
-    FactorGraph,
-    NoiseModel,
-    PriorFactor,
-    graph_residual,
-)
+from dqslam.factors import FactorGraph, graph_residual
 from dqslam.geometry import DualQuadric, RobotPose, CameraIntrinsics, left_facing_mount
 from dqslam.pipeline import build_graph, ground_truth_graph, run_trial
 from dqslam.simulator import WorldConfig, generate_dataset
@@ -30,22 +25,18 @@ K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
 def priors_only_graph(rng, n_poses=4, priors_per_pose=3):
     """Affine residuals only: a genuinely linear least-squares problem."""
     poses = [RobotPose(*rng.normal(0, 0.5, 3)) for _ in range(n_poses)]
-    priors = []
-    for i in range(n_poses):
-        for _ in range(priors_per_pose):
-            priors.append(
-                PriorFactor(
-                    i,
-                    RobotPose(*rng.normal(0, 0.5, 3)),
-                    NoiseModel.diagonal(rng.uniform(0.1, 1.0, 3)),
-                )
-            )
+    anchors, sigmas = [], []
+    for _ in range(n_poses * priors_per_pose):
+        anchors.append(RobotPose(*rng.normal(0, 0.5, 3)).as_array())
+        sigmas.append(rng.uniform(0.1, 1.0, 3))
     return FactorGraph(
         poses=poses,
         quadrics=[],
         intrinsics=K,
         mount=left_facing_mount(),
-        prior_factors=priors,
+        prior_index=np.repeat(np.arange(n_poses), priors_per_pose),
+        prior_anchor=np.array(anchors),
+        prior_sigma=np.array(sigmas),
     )
 
 
