@@ -20,7 +20,7 @@ from .factors import FactorGraph, Measurements
 from .initialization import InitStrategy
 from .metrics import TrialResult
 from .pipeline import GraphNoiseConfig, build_graph, run_trial
-from .simulator import CubeLandmark, Dataset, SensorConfig, WorldConfig, generate_dataset
+from .simulator import Dataset, SensorConfig, WorldConfig, generate_dataset
 from .solver import SolveReport, SolverConfig, solve
 
 __version__ = "0.1.0"

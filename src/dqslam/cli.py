@@ -162,7 +162,7 @@ def _cmd_simulate(args, argv, world, sensor) -> int:
     print(
         f"poses: {len(dataset.ground_truth_poses)}  "
         f"detections: {len(dataset.detections)}  "
-        f"landmarks: {len(dataset.landmarks)}"
+        f"landmarks: {len(dataset.landmark_sides)}"
     )
     print("detections per landmark:", " ".join(f"{j}:{n}" for j, n in enumerate(counts)))
     _write_manifest(
@@ -184,13 +184,16 @@ def _manifest_path(out_path) -> str:
 # -- solve ------------------------------------------------------------------
 
 def _solve_svg(run) -> str:
-    gt = np.array([[p.x, p.y] for p in run.dataset.ground_truth_poses])
-    init = np.array([[p.x, p.y] for p in run.initial_graph.poses])
-    slam = np.array([[p.x, p.y] for p in run.solved_graph.poses])
-    gt_lm = np.array([lm.center[:2] for lm in run.dataset.landmarks])
-    init_lm = np.array([q.centroid()[:2] for q in run.initial_graph.quadrics])
-    slam_lm = np.array([q.centroid()[:2] for q in run.solved_graph.quadrics])
-    return trial_svg(gt, init, slam, gt_lm, init_lm, slam_lm)
+    # A quadric row's centroid x, y are its parameters q4, q7.
+    init, slam = run.initial_graph, run.solved_graph
+    return trial_svg(
+        run.dataset.ground_truth_poses[:, :2],
+        init.poses[:, :2],
+        slam.poses[:, :2],
+        run.dataset.landmark_centers[:, :2],
+        init.quadrics[:, [3, 6]],
+        slam.quadrics[:, [3, 6]],
+    )
 
 
 def _results_doc(run) -> dict:
@@ -215,8 +218,8 @@ def _results_doc(run) -> dict:
             "volume_invalid_count": r.volume_invalid_count,
         },
         "estimates": {
-            "poses": [[p.x, p.y, p.theta] for p in run.solved_graph.poses],
-            "quadrics": [[float(v) for v in q.q] for q in run.solved_graph.quadrics],
+            "poses": run.solved_graph.poses.tolist(),
+            "quadrics": run.solved_graph.quadrics.tolist(),
         },
     }
 

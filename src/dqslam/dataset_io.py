@@ -14,9 +14,9 @@ from dataclasses import asdict, fields, replace
 import numpy as np
 
 from .config import ConfigError
-from .factors import Measurements
-from .geometry import DegenerateGeometryError, RobotPose, normalize_lines
-from .simulator import CubeLandmark, Dataset, SensorConfig, WorldConfig
+from .factors import Measurements, _wrap
+from .geometry import DegenerateGeometryError, normalize_lines
+from .simulator import Dataset, SensorConfig, WorldConfig
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_to_dict", "dataset_from_dict",
            "write_dataset", "read_dataset", "dumps_dataset"]
@@ -34,10 +34,6 @@ _UNITS = {
 }
 
 
-def _floats(seq) -> list:
-    return [float(v) for v in np.asarray(seq, dtype=float).ravel()]
-
-
 def _native(value):
     if isinstance(value, (bool, int, str)):
         return value
@@ -53,10 +49,12 @@ def dataset_to_dict(ds: Dataset) -> dict:
         "world_config": {k: _native(v) for k, v in asdict(ds.world_config).items()},
         "sensor_config": {k: _native(v) for k, v in asdict(ds.sensor_config).items()},
         "ground_truth": {
-            "poses": [[float(p.x), float(p.y), float(p.theta)] for p in ds.ground_truth_poses],
+            "poses": ds.ground_truth_poses.tolist(),
             "landmarks": [
-                {"id": int(lm.id), "center": _floats(lm.center), "side": float(lm.side)}
-                for lm in ds.landmarks
+                {"id": j, "center": center, "side": side}
+                for j, (center, side) in enumerate(
+                    zip(ds.landmark_centers.tolist(), ds.landmark_sides.tolist())
+                )
             ],
         },
         "odometry": [
@@ -141,9 +139,10 @@ def dataset_from_dict(doc: dict) -> Dataset:
     """Rebuild a dataset from its document; a malformed one (missing or
     unknown key, config value out of range, non-finite number, index out of
     range, odometry not one entry shorter than the poses, seed unequal to
-    world_config.seed, non-positive cube side, degenerate box line, a
-    landmark detected fewer than world_config.landmark_min_detections
-    times) raises ValueError naming the key."""
+    world_config.seed, landmark ids other than 0, 1, ... in order,
+    non-positive cube side, degenerate box line, a landmark detected fewer
+    than world_config.landmark_min_detections times) raises ValueError
+    naming the key. Pose headings are wrapped to (-pi, pi]."""
     if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
         raise ValueError(f"not a {SCHEMA} document")
     if doc.get("version") != SCHEMA_VERSION:
@@ -157,23 +156,17 @@ def dataset_from_dict(doc: dict) -> Dataset:
         raise ValueError(f"seed {seed} differs from world_config.seed {world.seed}")
 
     truth = _get(doc, "ground_truth", "dataset")
-    rows = _numbers(_get(truth, "poses", "ground_truth"), (3,), "ground_truth.poses")
-    poses = [RobotPose(*row) for row in rows.tolist()]
+    poses = _numbers(_get(truth, "poses", "ground_truth"), (3,), "ground_truth.poses")
+    poses[:, 2] = _wrap(poses[:, 2])
     lms, where = _get(truth, "landmarks", "ground_truth"), "ground_truth.landmarks"
+    # Landmark j is row j of the columns below, and has id j.
     ids = _column(lms, "id", where)
-    if sorted(_indices(ids, len(ids), f"{where}.id")) != list(range(len(ids))):
-        raise ValueError(f"{where}.id must be distinct")
+    if not all(type(j) is int for j in ids) or ids != list(range(len(ids))):
+        raise ValueError(f"{where}.id must be 0, 1, ... in order")
     sides = _numbers(_column(lms, "side", where), (), f"{where}.side")
     if (sides <= 0).any():
         raise ValueError(f"{where}.side must be positive")
-    landmarks = [
-        CubeLandmark(id=j, center=center, side=side)
-        for j, center, side in zip(
-            ids,
-            _numbers(_column(lms, "center", where), (3,), f"{where}.center"),
-            sides.tolist(),
-        )
-    ]
+    centers = _numbers(_column(lms, "center", where), (3,), f"{where}.center")
 
     odo = _get(doc, "odometry", "dataset")
     turns = _column(odo, "turn", "odometry")
@@ -195,7 +188,8 @@ def dataset_from_dict(doc: dict) -> Dataset:
         world_config=world,
         sensor_config=sensor,
         ground_truth_poses=poses,
-        landmarks=landmarks,
+        landmark_centers=centers,
+        landmark_sides=sides,
         odometry=odometry,
         turn=np.array(turns, dtype=bool),
         detections=detections,

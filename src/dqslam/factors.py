@@ -28,7 +28,7 @@ factor's raw residual and are its independent reference.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -93,6 +93,10 @@ def _no_measurements(*shape):
 class FactorGraph:
     """Variables (poses, quadrics) plus the factors constraining them.
 
+    The variables are rows: poses (n, 3) of (x, y, theta), and quadrics
+    (m, 9) of dual-quadric parameters (see DualQuadric), row j estimating
+    landmark j.
+
     Each factor kind is a set of columns of k rows:
 
     - priors anchor poses prior_index (k,) at prior_anchor (k, 3) rows
@@ -108,8 +112,8 @@ class FactorGraph:
     must contain at least one prior factor to anchor the global frame.
     """
 
-    poses: list
-    quadrics: list
+    poses: np.ndarray
+    quadrics: np.ndarray
     intrinsics: CameraIntrinsics
     mount: CameraExtrinsics
     prior_index: np.ndarray = _rows(dtype=int)
@@ -124,13 +128,19 @@ class FactorGraph:
     relpos_sigma: np.ndarray = _rows(3)
 
     def validate(self) -> None:
-        """Check every factor kind's columns: indices of existing variables,
-        finite measurements and finite positive sigmas, each of its kind's
-        shape.
+        """Check the variables' shapes, and every factor kind's columns:
+        indices of existing variables, finite measurements and finite
+        positive sigmas, each of its kind's shape.
 
         Raises:
-            ValueError: naming the first factor kind that fails.
+            ValueError: naming the variables or the first factor kind that
+                fails.
         """
+        for name, width in (("poses", 3), ("quadrics", 9)):
+            rows = getattr(self, name)
+            if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[1] != width:
+                raise ValueError(f"{name} must be an array of shape (k, {width}), "
+                                 f"got {np.shape(rows)}")
         n, m = len(self.poses), len(self.quadrics)
         if len(self.prior_index) == 0:
             raise ValueError("graph needs at least one prior factor (gauge anchor)")
@@ -158,20 +168,6 @@ class FactorGraph:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != (k, d) or not (np.isfinite(sigma) & (sigma > 0)).all():
                 raise ValueError(f"{kind} sigmas must be finite and positive, of shape {(k, d)}")
-
-    def pose_array(self) -> np.ndarray:
-        return np.array([[p.x, p.y, p.theta] for p in self.poses]).reshape(-1, 3)
-
-    def quadric_array(self) -> np.ndarray:
-        return np.array([q.q for q in self.quadrics]).reshape(-1, 9)
-
-    def with_variables(self, poses: np.ndarray, quadrics: np.ndarray) -> "FactorGraph":
-        """Copy of the graph with replaced variable values."""
-        return replace(
-            self,
-            poses=[RobotPose.from_array(row) for row in poses],
-            quadrics=[DualQuadric(row) for row in quadrics],
-        )
 
 
 def motion_model(x: RobotPose, u) -> RobotPose:
@@ -503,7 +499,7 @@ def graph_residual(graph: FactorGraph):
         (residual, cost) with cost = 0.5 * ||residual||^2.
     """
     ev = GraphEvaluator(graph)
-    r = ev.residual(graph.pose_array(), graph.quadric_array())
+    r = ev.residual(graph.poses, graph.quadrics)
     return r, 0.5 * float(r @ r)
 
 
@@ -511,4 +507,4 @@ def graph_jacobian(graph: FactorGraph) -> sp.csr_matrix:
     """Sparse Jacobian of the stacked whitened residual at the graph's
     stored variables."""
     ev = GraphEvaluator(graph)
-    return ev.jacobian(graph.pose_array(), graph.quadric_array())
+    return ev.jacobian(graph.poses, graph.quadrics)

@@ -35,7 +35,6 @@ __all__ = [
     "DualQuadric",
     "DualConic",
     "wrap_angle",
-    "rot2",
     "rotz",
     "normalize_lines",
     "lines_through",
@@ -75,12 +74,6 @@ def wrap_angle(theta: float) -> float:
     if w <= -math.pi:
         w += math.tau
     return w
-
-
-def rot2(theta: float) -> np.ndarray:
-    """2x2 planar rotation matrix."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s], [s, c]])
 
 
 def rotz(theta: float) -> np.ndarray:
@@ -138,8 +131,10 @@ def normalize_lines(lines) -> np.ndarray:
     convention.
 
     Raises:
-        DegenerateGeometryError: some line is zero, or has a vanishing
-            normal and no third component to normalize by instead.
+        DegenerateGeometryError: some line is zero, has a normal whose norm
+            is not finite (it overflows, and dividing by it would give the
+            zero line), or has a vanishing normal and no third component to
+            normalize by instead.
     """
     lines = np.array(lines, dtype=float)
     flat = lines.reshape(-1, 3)
@@ -148,6 +143,8 @@ def normalize_lines(lines) -> np.ndarray:
         raise DegenerateGeometryError("image line must be nonzero")
     # math.hypot, not np.hypot: they differ in the last bit on some lines.
     norm = np.array(list(map(math.hypot, l1.tolist(), l2.tolist())))
+    if not np.all(np.isfinite(norm)):
+        raise DegenerateGeometryError("image line normal has no finite norm")
     finite = norm > _EPS_SCALE
     if np.any(~finite & (l3 == 0.0)):
         raise DegenerateGeometryError("image line cannot be normalized")
@@ -216,11 +213,6 @@ class RobotPose:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.x, self.y, self.theta])
-
-    @classmethod
-    def from_array(cls, arr) -> "RobotPose":
-        x, y, theta = np.asarray(arr, dtype=float)
-        return cls(float(x), float(y), float(theta))
 
 
 @dataclass(frozen=True)

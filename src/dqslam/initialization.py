@@ -64,13 +64,13 @@ class InitStrategy:
         check_fields(self)
 
 
-def init_poses(odometry, x0: RobotPose) -> list:
+def init_poses(odometry, x0) -> np.ndarray:
     """Chain the motion model through raw odometry, (n, 2) rows (v, omega),
-    starting at x0."""
-    poses = [x0]
+    starting at x0, an (x, y, theta) row; returns the (n + 1, 3) pose rows."""
+    poses = [RobotPose(*x0)]
     for u in np.asarray(odometry, dtype=float).reshape(-1, 2).tolist():
         poses.append(motion_model(poses[-1], u))
-    return poses
+    return np.array([[p.x, p.y, p.theta] for p in poses])
 
 
 def fit_dual_quadric(
@@ -121,9 +121,9 @@ def init_quadric_svd(
     """SVD initialization of one landmark from its bounding-box detections
     (a Measurements column).
 
-    poses is indexed by each detection's pose_index and may contain
-    RobotPose entries (combined with the mount) or ready CameraExtrinsics
-    (used as-is, e.g. for non-planar camera rigs).
+    poses is indexed by each detection's pose_index and holds (x, y, theta)
+    pose rows (combined with the mount) or ready CameraExtrinsics (used
+    as-is, e.g. for non-planar camera rigs).
 
     Raises:
         InsufficientObservationsError: fewer than 3 detections.
@@ -136,8 +136,8 @@ def init_quadric_svd(
     planes = []
     for i, lines in zip(detections.pose_index.tolist(), detections.values):
         camera = poses[i]
-        if isinstance(camera, RobotPose):
-            camera = pose_to_extrinsics(camera, mount)
+        if not isinstance(camera, CameraExtrinsics):
+            camera = pose_to_extrinsics(RobotPose(*camera), mount)
         P = projection_matrix(intrinsics, camera).P
         planes.extend(P.T @ line for line in lines)
     return fit_dual_quadric(np.array(planes), condition_threshold)
@@ -155,14 +155,14 @@ def initialize_quadrics(
     bounding-box detections (a Measurements column).
 
     Returns:
-        (quadrics, used_fallback): one DualQuadric per landmark id, and
-        flags marking which of them came from the identity fallback.
+        (quadrics, used_fallback): (m, 9) parameter rows, one per landmark
+        id, and flags marking which of them came from the identity fallback.
     """
     strategy = strategy or InitStrategy()
     quadrics, used_fallback = [], []
     for j in landmark_ids:
         if strategy.mode == "identity":
-            quadrics.append(DualQuadric.identity())
+            quadrics.append(DualQuadric.identity().q)
             used_fallback.append(True)
             continue
         try:
@@ -173,11 +173,11 @@ def initialize_quadrics(
                 mount,
                 condition_threshold=strategy.condition_threshold,
             )
-            quadrics.append(q)
+            quadrics.append(q.q)
             used_fallback.append(False)
         except (InsufficientObservationsError, DegenerateSolutionError):
             if strategy.mode == "svd":
                 raise
-            quadrics.append(DualQuadric.identity())
+            quadrics.append(DualQuadric.identity().q)
             used_fallback.append(True)
-    return quadrics, used_fallback
+    return np.array(quadrics).reshape(-1, 9), used_fallback

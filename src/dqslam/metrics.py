@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import DualQuadric
+from .geometry import quadric_from_vector
 
 __all__ = [
     "TrialResult",
@@ -28,6 +28,9 @@ __all__ = [
 ]
 
 MODES = ("monocular", "with-relpos")
+
+# The centroid (q4, q7, q9) of a dual quadric's parameter row.
+_CENTROID = [3, 6, 8]
 
 
 @dataclass(frozen=True)
@@ -50,41 +53,38 @@ class TrialResult:
 
 
 def rmse_pos(est, gt) -> float:
-    """Mean planar distance between estimated and true robot positions."""
+    """Mean planar distance between estimated and true robot positions,
+    both (n, 3) pose rows (x, y, theta)."""
     if len(est) != len(gt):
         raise ValueError(f"trajectory length mismatch: {len(est)} vs {len(gt)}")
-    d = np.array(
-        [[e.x - g.x, e.y - g.y] for e, g in zip(est, gt)]
-    )
+    d = est[:, :2] - gt[:, :2]
     dist = np.hypot(d[:, 0], d[:, 1])
     return float(np.mean(dist))
 
 
-def rmse_lm(est, gt) -> float:
-    """Mean distance between estimated quadric centroids and true cube
-    centers, matched by landmark id."""
-    by_id = {lm.id: lm for lm in gt}
-    if sorted(by_id) != sorted(j for j in range(len(est))):
-        raise ValueError("landmark ids do not match the estimate list")
+def rmse_lm(est, centers) -> float:
+    """Mean distance between estimated quadric centroids, (m, 9) parameter
+    rows, and true cube centers (m, 3): row j of each is landmark j."""
+    if len(est) != len(centers):
+        raise ValueError(f"landmark count mismatch: {len(est)} estimates, "
+                         f"{len(centers)} landmarks")
     dist = np.array(
-        [
-            np.linalg.norm(est[j].centroid() - by_id[j].center)
-            for j in range(len(est))
-        ]
+        [np.linalg.norm(q[_CENTROID] - c) for q, c in zip(est, centers)]
     )
     return float(np.mean(dist))
 
 
-def quadric_volume_cube(q: DualQuadric):
-    """Cube volume assigned to a quadric: (smallest semi-axis)^3.
+def quadric_volume_cube(q):
+    """Cube volume assigned to a quadric, a (9,) parameter row: (smallest
+    semi-axis)^3.
 
     The quadric is translated to its centroid; the eigenvalues of the
     centered shape block (negated at the fixed (4,4)=1 scale) are the
     squared semi-axes. Returns None when they are not all positive, i.e.
     the estimate is not an ellipsoid.
     """
-    Q = q.matrix()
-    c = q.centroid()
+    Q = quadric_from_vector(q)
+    c = q[_CENTROID]
     H = np.eye(4)
     H[:3, 3] = -c
     Qc = H @ Q @ H.T
@@ -95,18 +95,22 @@ def quadric_volume_cube(q: DualQuadric):
     return float(np.min(np.sqrt(semi_sq)) ** 3)
 
 
-def rmse_volume(est, gt) -> float:
-    """Mean absolute volume error over the ellipsoidal estimates.
+def rmse_volume(est, sides) -> float:
+    """Mean absolute volume error over the ellipsoidal estimates, (m, 9)
+    parameter rows, against the true cube sides (m,): row j of each is
+    landmark j.
 
     Raises:
-        ValueError: if no estimate is ellipsoidal.
+        ValueError: if the counts differ, or no estimate is ellipsoidal.
     """
-    by_id = {lm.id: lm for lm in gt}
+    if len(est) != len(sides):
+        raise ValueError(f"landmark count mismatch: {len(est)} estimates, "
+                         f"{len(sides)} landmarks")
     errors = []
-    for j, q in enumerate(est):
+    for q, side in zip(est, sides.tolist()):
         vol = quadric_volume_cube(q)
         if vol is not None:
-            errors.append(abs(vol - by_id[j].side ** 3))
+            errors.append(abs(vol - side ** 3))
     if not errors:
         raise ValueError("no ellipsoidal estimates; volume error undefined")
     return float(np.mean(errors))

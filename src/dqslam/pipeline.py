@@ -10,7 +10,7 @@ roughly unit whitened residual at typical viewing distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -70,17 +70,14 @@ def build_graph(
     noise = noise or GraphNoiseConfig()
     init_strategy = init_strategy or InitStrategy()
 
-    x0 = dataset.ground_truth_poses[0]
-    poses = init_poses(dataset.odometry, x0)
-    landmark_ids = sorted(lm.id for lm in dataset.landmarks)
-    if landmark_ids != list(range(len(landmark_ids))):
-        raise ValueError("landmark ids must be 0..n-1")
+    anchor = dataset.ground_truth_poses[:1].copy()
+    poses = init_poses(dataset.odometry, anchor[0])
     quadrics, _ = initialize_quadrics(
         dataset.detections,
         poses,
         dataset.intrinsics(),
         dataset.mount(),
-        landmark_ids,
+        range(len(dataset.landmark_sides)),
         init_strategy,
     )
 
@@ -98,7 +95,7 @@ def build_graph(
         intrinsics=dataset.intrinsics(),
         mount=dataset.mount(),
         prior_index=np.zeros(1, dtype=int),
-        prior_anchor=np.array([[x0.x, x0.y, x0.theta]]),
+        prior_anchor=anchor,
         prior_sigma=np.full((1, 3), noise.prior_sigma),
         odometry_index=np.arange(n_odo),
         odometry=dataset.odometry,
@@ -115,13 +112,15 @@ def build_graph(
 def ground_truth_graph(graph: FactorGraph, dataset: Dataset) -> FactorGraph:
     """The same graph with variables set to the simulator's ground truth:
     true poses and the inscribed-ellipsoid quadric of every cube."""
-    gt_poses = np.array(
-        [[p.x, p.y, p.theta] for p in dataset.ground_truth_poses]
+    quadrics = [
+        inscribed_ellipsoid(center, side).q
+        for center, side in zip(dataset.landmark_centers, dataset.landmark_sides.tolist())
+    ]
+    return replace(
+        graph,
+        poses=dataset.ground_truth_poses.copy(),
+        quadrics=np.array(quadrics).reshape(-1, 9),
     )
-    gt_quadrics = np.array(
-        [inscribed_ellipsoid(lm).q for lm in sorted(dataset.landmarks, key=lambda l: l.id)]
-    )
-    return graph.with_variables(gt_poses, gt_quadrics)
 
 
 @dataclass
@@ -152,7 +151,7 @@ def run_trial(
         quadric_volume_cube(q) is not None for q in solved.quadrics
     )
     try:
-        vol_err = rmse_volume(solved.quadrics, dataset.landmarks)
+        vol_err = rmse_volume(solved.quadrics, dataset.landmark_sides)
     except ValueError:
         vol_err = float("nan")
     result = TrialResult(
@@ -160,7 +159,7 @@ def run_trial(
         mode=mode,
         rmse_pos_init=rmse_pos(graph.poses, gt_poses),
         rmse_pos_slam=rmse_pos(solved.poses, gt_poses),
-        rmse_lm=rmse_lm(solved.quadrics, dataset.landmarks),
+        rmse_lm=rmse_lm(solved.quadrics, dataset.landmark_centers),
         rmse_volume=vol_err,
         volume_valid=valid,
         iterations=report.iterations,

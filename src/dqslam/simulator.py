@@ -27,7 +27,6 @@ from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
-    RobotPose,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
     lines_through,
@@ -40,7 +39,6 @@ from .initialization import init_poses
 __all__ = [
     "WorldConfig",
     "SensorConfig",
-    "CubeLandmark",
     "Dataset",
     "ground_truth_odometry",
     "camera_frames",
@@ -114,40 +112,27 @@ class SensorConfig:
         )
 
 
-@dataclass(frozen=True)
-class CubeLandmark:
-    """Axis-aligned cube landmark."""
-
-    id: int
-    center: np.ndarray
-    side: float
-
-    def __post_init__(self):
-        center = np.array(self.center, dtype=float).reshape(3)
-        center.setflags(write=False)
-        object.__setattr__(self, "center", center)
-        if self.side <= 0:
-            raise ValueError("cube side must be positive")
-
-    def corners(self) -> np.ndarray:
-        h = self.side / 2.0
-        offs = np.array(
-            [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)],
-            dtype=float,
-        )
-        return self.center + h * offs
+# The eight corners of the cube of side 2 centered at the origin.
+_CUBE_CORNERS = np.array(
+    [[sx, sy, sz] for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)], dtype=float
+)
 
 
-def inscribed_ellipsoid(landmark: CubeLandmark) -> DualQuadric:
-    """Dual quadric of the sphere inscribed in the cube (the closest quadric
-    stand-in for a cube in tangency oracles)."""
-    h = landmark.side / 2.0
-    return ellipsoid_to_dual_quadric(landmark.center, (h, h, h))
+def inscribed_ellipsoid(center, side: float) -> DualQuadric:
+    """Dual quadric of the sphere inscribed in the axis-aligned cube of the
+    given center (3,) and side (the closest quadric stand-in for a cube in
+    tangency oracles)."""
+    h = side / 2.0
+    return ellipsoid_to_dual_quadric(center, (h, h, h))
 
 
 @dataclass
 class Dataset:
     """One simulated trial: ground truth plus noisy measurements.
+
+    The ground truth is columns: ground_truth_poses (n, 3) rows (x, y,
+    theta), and axis-aligned cube landmarks, landmark j with center
+    landmark_centers[j] (m, 3) and side landmark_sides[j] (m,).
 
     The odometry of the step from pose i to pose i + 1 is row i of
     odometry, (n - 1, 2) rows (v, omega), and turn[i] tags steps taken on a
@@ -159,8 +144,9 @@ class Dataset:
 
     world_config: WorldConfig
     sensor_config: SensorConfig
-    ground_truth_poses: list
-    landmarks: list
+    ground_truth_poses: np.ndarray
+    landmark_centers: np.ndarray
+    landmark_sides: np.ndarray
     odometry: np.ndarray
     turn: np.ndarray
     detections: Measurements
@@ -179,7 +165,7 @@ class Dataset:
 
     def detections_per_landmark(self) -> np.ndarray:
         """Detection count of each landmark, indexed by landmark id."""
-        return np.bincount(self.detections.landmark_id, minlength=len(self.landmarks))
+        return np.bincount(self.detections.landmark_id, minlength=len(self.landmark_sides))
 
 
 def ground_truth_odometry(cfg: WorldConfig):
@@ -209,28 +195,30 @@ def ground_truth_odometry(cfg: WorldConfig):
     return np.column_stack([np.full(turn.size, v), np.where(turn, omega_turn, 0.0)]), turn
 
 
-def _sample_landmark(cfg: WorldConfig, trajectory, rng, lm_id: int) -> CubeLandmark:
+def _sample_landmark(cfg: WorldConfig, trajectory, rng):
+    """A candidate landmark beside a random pose of the trajectory: its
+    (center (3,), side)."""
     k = int(rng.integers(0, len(trajectory)))
-    pose = trajectory[k]
+    x, y, theta = trajectory[k].tolist()
     offset = float(rng.uniform(cfg.offset_min, cfg.offset_max))
     z = float(rng.normal(0.0, cfg.landmark_z_sigma))
     side = max(cfg.cube_side_floor, float(rng.normal(cfg.cube_side_mean, cfg.cube_side_sigma)))
     # Left normal of the heading: the camera-facing side of the route.
-    cx = pose.x - offset * math.sin(pose.theta)
-    cy = pose.y + offset * math.cos(pose.theta)
-    return CubeLandmark(id=lm_id, center=np.array([cx, cy, z]), side=side)
+    cx = x - offset * math.sin(theta)
+    cy = y + offset * math.cos(theta)
+    return np.array([cx, cy, z]), side
 
 
 def camera_frames(trajectory, mount: CameraExtrinsics):
     """World-to-camera rotations (n, 3, 3) and translations (n, 3) of the
-    mounted camera at every pose of a trajectory.
+    mounted camera at every pose of a trajectory, (n, 3) rows (x, y, theta).
 
     Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
     pose_to_extrinsics(pose, mount) bit for bit.
     """
-    R_wr = np.stack([rotz(x.theta) for x in trajectory])  # robot-to-world
+    R_wr = np.stack([rotz(theta) for theta in trajectory[:, 2].tolist()])  # robot-to-world
     R_rw = R_wr.transpose(0, 2, 1)
-    p = np.array([[x.x, x.y, 0.0] for x in trajectory])
+    p = np.column_stack([trajectory[:, :2], np.zeros(len(trajectory))])
     t_rw = (-R_rw @ p[:, :, None])[:, :, 0]
     R = mount.rotation @ R_rw
     t = (mount.rotation @ t_rw[:, :, None])[:, :, 0] + mount.translation
@@ -248,10 +236,9 @@ def _visible_boxes(u_min, v_min, u_max, v_max, seen, K: CameraIntrinsics, min_px
     return seen, boxes.reshape(-1, 4, 2)
 
 
-def project_cube_bbox(
-    landmark: CubeLandmark, R, t, K: CameraIntrinsics, min_px: float = 100.0
-):
-    """Axis-aligned hull of the projected cube corners at every camera frame.
+def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float = 100.0):
+    """Axis-aligned hull of the projected corners of the cube of the given
+    center (3,) and side at every camera frame.
 
     R, t are the stacked world-to-camera frames from camera_frames. Returns
     (seen, boxes): seen[i] is False when any corner is behind camera i, the
@@ -259,7 +246,8 @@ def project_cube_bbox(
     min_px; boxes[i] holds the (4, 2) pixel corners in cyclic order (not
     meaningful where seen[i] is False).
     """
-    cam = landmark.corners() @ R.transpose(0, 2, 1) + t[:, None, :]
+    corners = center + side / 2.0 * _CUBE_CORNERS
+    cam = corners @ R.transpose(0, 2, 1) + t[:, None, :]
     z = cam[:, :, 2]
     with np.errstate(divide="ignore", invalid="ignore"):
         u = K.fx * cam[:, :, 0] / z + K.cx
@@ -274,9 +262,7 @@ def _projection_matrices(R, t, K: CameraIntrinsics) -> np.ndarray:
     return K.K @ np.concatenate([R, t[:, :, None]], axis=2)
 
 
-def project_sphere_bbox(
-    landmark: CubeLandmark, R, t, K: CameraIntrinsics, min_px: float = 100.0
-):
+def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float = 100.0):
     """Exact silhouette bounding box of the cube's inscribed sphere at every
     camera frame: the dual_conic_bbox formula on the image conics P Q* P^T.
 
@@ -287,7 +273,7 @@ def project_sphere_bbox(
     in front of the camera or its conic has no real axis-aligned tangents.
     """
     P = _projection_matrices(R, t, K)
-    C = P @ inscribed_ellipsoid(landmark).matrix() @ P.transpose(0, 2, 1)
+    C = P @ inscribed_ellipsoid(center, side).matrix() @ P.transpose(0, 2, 1)
     C = 0.5 * (C + C.transpose(0, 2, 1))
     c13, c23, c33 = C[:, 0, 2], C[:, 1, 2], C[:, 2, 2]
     # float_power calls C pow like the scalar ** 2 in dual_conic_bbox; array
@@ -295,7 +281,7 @@ def project_sphere_bbox(
     du = np.float_power(c13, 2) - C[:, 0, 0] * c33
     dv = np.float_power(c23, 2) - C[:, 1, 1] * c33
     seen = (
-        ((R @ landmark.center + t)[:, 2] > landmark.side / 2.0)
+        ((R @ center + t)[:, 2] > side / 2.0)
         & (np.abs(c33) >= _EPS_SCALE) & (du > 0) & (dv > 0)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -342,7 +328,7 @@ def measure_relative_position(centers, poses, sigma: float, rng) -> np.ndarray:
     return local + rng.normal(0.0, sigma, size=local.shape)
 
 
-def _landmark_condition(landmark, seen, R, t, K: CameraIntrinsics) -> float:
+def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) -> float:
     """Uniqueness margin of the landmark's plane-constraint system.
 
     Ratio of the second-smallest to largest singular value of the tangency
@@ -351,7 +337,7 @@ def _landmark_condition(landmark, seen, R, t, K: CameraIntrinsics) -> float:
     degeneracy) and the landmark would be unrecoverable without depth
     measurements.
     """
-    sphere_seen, boxes = project_sphere_bbox(landmark, R, t, K, min_px=0.0)
+    sphere_seen, boxes = project_sphere_bbox(center, side, R, t, K, min_px=0.0)
     views = seen & sphere_seen
     if 4 * np.count_nonzero(views) < 10:
         return 0.0
@@ -388,25 +374,26 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
 
     K = sensor_cfg.intrinsics()
     gt_odometry, turn = ground_truth_odometry(world_cfg)
-    trajectory = init_poses(gt_odometry, RobotPose(0.0, 0.0, 0.0))
+    trajectory = init_poses(gt_odometry, (0.0, 0.0, 0.0))
     R, t = camera_frames(trajectory, left_facing_mount())
     min_px = sensor_cfg.detection_min_px
     project = project_cube_bbox if world_cfg.landmark_shape == "cube" else project_sphere_bbox
     min_det = world_cfg.landmark_min_detections
-    landmarks, seen, boxes = [], [], []
+    centers, sides, seen, boxes = [], [], [], []
     for lm_id in range(world_cfg.n_landmarks):
         for _ in range(_PLACEMENT_RETRIES):
-            lm = _sample_landmark(world_cfg, trajectory, world_rng, lm_id)
-            lm_seen, lm_boxes = project(lm, R, t, K, min_px)
+            center, side = _sample_landmark(world_cfg, trajectory, world_rng)
+            lm_seen, lm_boxes = project(center, side, R, t, K, min_px)
             if np.count_nonzero(lm_seen) < min_det:
                 continue
             if (
                 world_cfg.landmark_min_condition > 0
-                and _landmark_condition(lm, lm_seen, R, t, K)
+                and _landmark_condition(center, side, lm_seen, R, t, K)
                 < world_cfg.landmark_min_condition
             ):
                 continue
-            landmarks.append(lm)
+            centers.append(center)
+            sides.append(side)
             seen.append(lm_seen)
             boxes.append(lm_boxes[lm_seen])
             break
@@ -417,17 +404,17 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
             )
 
     # Each landmark's boxes are in pose order; a stable sort by pose gives
-    # (pose, landmark) order, in which the noise streams are drawn. Landmark
-    # j has id j.
+    # (pose, landmark) order, in which the noise streams are drawn.
     of_lm, at_pose = np.nonzero(np.array(seen))
     order = np.argsort(at_pose, kind="stable")
     of_lm, at_pose = of_lm[order], at_pose[order]
     lines = corrupt_bbox(
         np.concatenate(boxes)[order], sensor_cfg.bbox_corner_sigma_px, bbox_rng
     )
+    centers = np.array(centers).reshape(-1, 3)
     z = measure_relative_position(
-        np.array([lm.center for lm in landmarks])[of_lm],
-        np.array([[x.x, x.y, x.theta] for x in trajectory])[at_pose],
+        centers[of_lm],
+        trajectory[at_pose],
         sensor_cfg.relpos_sigma_m,
         relpos_rng,
     )
@@ -435,7 +422,8 @@ def generate_dataset(world_cfg: WorldConfig, sensor_cfg: SensorConfig) -> Datase
         world_config=world_cfg,
         sensor_config=sensor_cfg,
         ground_truth_poses=trajectory,
-        landmarks=landmarks,
+        landmark_centers=centers,
+        landmark_sides=np.array(sides),
         odometry=corrupt_odometry(gt_odometry, turn, sensor_cfg, odo_rng),
         turn=turn,
         detections=Measurements(at_pose, of_lm, lines),

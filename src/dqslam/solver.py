@@ -7,7 +7,7 @@ steps never increase the whitened cost. Poses update on the SE(2) tangent
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -124,8 +124,8 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     """
     config = config or SolverConfig()
     ev = GraphEvaluator(graph)
-    poses = graph.pose_array()
-    quadrics = graph.quadric_array()
+    poses = np.array(graph.poses, dtype=float)
+    quadrics = np.array(graph.quadrics, dtype=float)
 
     with np.errstate(over="ignore", invalid="ignore"):
         r = ev.residual(poses, quadrics)
@@ -206,4 +206,4 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         converged=converged,
         termination_reason=reason,
     )
-    return graph.with_variables(poses, quadrics), report
+    return replace(graph, poses=poses, quadrics=quadrics), report

@@ -159,7 +159,7 @@ def test_criterion_5_jacobian_finite_differences(rng):
             n_quadrics=int(rng.integers(1, 3)),
         )
         ev = GraphEvaluator(g)
-        P, Q = g.pose_array(), g.quadric_array()
+        P, Q = g.poses, g.quadrics
         J = ev.jacobian(P, Q).toarray()
         Jfd = finite_difference_jacobian(ev, P, Q, h=h)
         err = np.abs(J - Jfd)
@@ -239,7 +239,7 @@ def test_criterion_7_svd_initialization():
         poses = init_poses(ds.odometry, ds.ground_truth_poses[0])
         _, fallback = initialize_quadrics(
             ds.detections, poses, ds.intrinsics(), ds.mount(),
-            sorted(lm.id for lm in ds.landmarks),
+            range(len(ds.landmark_sides)),
             InitStrategy(mode="svd-with-fallback"),
         )
         n_triggered += any(fallback)

@@ -161,10 +161,36 @@ def test_solve_zero_noise_and_svg(tmp_path):
     polylines = root.findall(f"{ns}polyline")
     circles = root.findall(f"{ns}circle")
     assert len(polylines) == 3
-    n_landmarks = len(read_dataset(ds_path).landmarks)
+    n_landmarks = len(read_dataset(ds_path).landmark_sides)
     assert len(circles) == 3 * n_landmarks
     fills = {c.get("fill") for c in circles}
     assert len(fills) == 3  # one marker color per estimate set
+
+
+# SHA-256 of results.json and of the SVG map of `dqslam solve --svg` on the
+# default seed-0 dataset: the estimates at full precision, which results.csv
+# rounds to 12 digits.
+SOLVE_SEED0_SHA256 = {
+    "monocular": (
+        "0cb027706fdfe0b70d1f44604987eb20822707b25967c179e0c53cdf412aaac1",
+        "72009dded27418d3efc1500bc8c70fb51b5b52318d30707907767b08a74203c8",
+    ),
+    "with-relpos": (
+        "858beded22dc877bc7e665676ea3b38c325ee28e384867686f5087907a0573c6",
+        "aed517d6caa032e932a18944f8b1df07692e632d2ca5759c8c0c775f49327e3a",
+    ),
+}
+
+
+def test_solve_results_fingerprint(tmp_path):
+    ds_path = tmp_path / "ds.json"
+    assert main(["simulate", "--seed", "0", "--out", str(ds_path)]) == 0
+    for mode, expected in SOLVE_SEED0_SHA256.items():
+        out, svg = tmp_path / f"{mode}.json", tmp_path / f"{mode}.svg"
+        assert main(["solve", "--dataset", str(ds_path), "--mode", mode,
+                     "--out", str(out), "--svg", str(svg)]) == 0
+        digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, svg))
+        assert digests == expected, mode
 
 
 def test_solve_manifest_lists_artifacts(tmp_path):

@@ -50,8 +50,9 @@ def test_values_preserved_exactly(dataset):
     assert loaded.seed == dataset.seed
     assert loaded.world_config == dataset.world_config
     assert loaded.sensor_config == dataset.sensor_config
-    for a, b in zip(loaded.ground_truth_poses, dataset.ground_truth_poses):
-        assert (a.x, a.y, a.theta) == (b.x, b.y, b.theta)
+    assert loaded.ground_truth_poses.tobytes() == dataset.ground_truth_poses.tobytes()
+    assert loaded.landmark_centers.tobytes() == dataset.landmark_centers.tobytes()
+    assert loaded.landmark_sides.tobytes() == dataset.landmark_sides.tobytes()
     for a, b in (
         (loaded.detections, dataset.detections),
         (loaded.relative_positions, dataset.relative_positions),
@@ -95,6 +96,11 @@ def _delete(key):
     return lambda doc: doc.pop(key)
 
 
+def _swap_landmark_ids(doc):
+    a, b = doc["ground_truth"]["landmarks"][:2]
+    a["id"], b["id"] = b["id"], a["id"]
+
+
 # Each corruption, and the text its error must contain.
 CORRUPTIONS = {
     "missing-odometry": (_delete("odometry"), "'odometry'"),
@@ -116,10 +122,14 @@ CORRUPTIONS = {
                          "relative_positions.landmark_id"),
     "duplicate-landmark-id": (_set(["ground_truth", "landmarks", 1, "id"], 0),
                               "ground_truth.landmarks.id"),
+    "unordered-landmark-ids": (_swap_landmark_ids, "ground_truth.landmarks.id"),
     "non-integer-seed": (_set(["seed"], 3.0), "seed"),
     "seed-mismatch": (_set(["seed"], 5), "seed"),
     "zero-box-line": (_set(["detections", 0, "lines", 2], [0.0, 0.0, 0.0]),
                       "detections.lines"),
+    # Finite, but the norm of its normal overflows to inf.
+    "overflowing-box-line": (_set(["detections", 0, "lines", 0], [1.7e308, 1.7e308, 0.0]),
+                             "detections.lines"),
     "non-positive-side": (_set(["ground_truth", "landmarks", 1, "side"], 0.0),
                           "ground_truth.landmarks.side"),
     "too-few-detections": (

@@ -35,11 +35,8 @@ MOUNT = left_facing_mount()
 
 
 def random_graph(rng, n_poses=4, n_quadrics=2, with_relpos=True):
-    poses = [RobotPose(*rng.normal(0, 1, 3)) for _ in range(n_poses)]
-    quadrics = [
-        DualQuadric(rng.normal(0, 1, 9) + np.array([2, 0, 0, 0, 2, 0, 0, 2, 0]))
-        for _ in range(n_quadrics)
-    ]
+    poses = np.array([RobotPose(*rng.normal(0, 1, 3)).as_array() for _ in range(n_poses)])
+    quadrics = rng.normal(0, 1, (n_quadrics, 9)) + np.array([2, 0, 0, 0, 2, 0, 0, 2, 0])
     det_pose, det_lm, lines = [], [], []
     for j in range(n_quadrics):
         for i in rng.choice(n_poses, size=min(2, n_poses), replace=False):
@@ -137,10 +134,10 @@ def test_relpos_residual_z_passthrough(rng):
 
 def test_bbox_residual_noise_free_silhouette(zero_noise_sensor):
     ds = generate_dataset(WorldConfig(seed=1, landmark_shape="sphere", n_landmarks=3), zero_noise_sensor)
-    quads = {lm.id: inscribed_ellipsoid(lm) for lm in ds.landmarks}
+    quads = [inscribed_ellipsoid(c, s) for c, s in zip(ds.landmark_centers, ds.landmark_sides)]
     dets = ds.detections[:40]
     for i, j, lines in zip(dets.pose_index, dets.landmark_id, dets.values):
-        pose = ds.ground_truth_poses[i]
+        pose = RobotPose(*ds.ground_truth_poses[i])
         r = bbox_factor_residual(pose, quads[j], lines, ds.intrinsics(), ds.mount())
         assert np.max(np.abs(r)) < 1e-8 * ds.intrinsics().fx**2
 
@@ -225,6 +222,8 @@ BAD_COLUMNS = {
     "relpos-pose-missing": (_corrupt_column("relpos.pose_index", 4), "relpos"),
     "relpos-z-inf": (_corrupt_column("relpos.values", -np.inf), "relpos"),
     "relpos-sigma-nan": (_corrupt_column("relpos_sigma", np.nan), "relpos"),
+    "poses-two-columns": (lambda g: setattr(g, "poses", g.poses[:, :2]), "poses"),
+    "quadrics-eight-columns": (lambda g: setattr(g, "quadrics", g.quadrics[:, :8]), "quadrics"),
 }
 
 
@@ -244,22 +243,24 @@ def test_graph_residual_matches_per_factor_functions(rng):
     g = random_graph(rng)
     r, cost = graph_residual(g)
 
+    poses = [RobotPose(*row) for row in g.poses]
+    quadrics = [DualQuadric(row) for row in g.quadrics]
     expected = []
     for k in stacking_order(g.prior_index):
         anchor = RobotPose(*g.prior_anchor[k])
-        expected.append(prior_residual(g.poses[g.prior_index[k]], anchor) / g.prior_sigma[k])
+        expected.append(prior_residual(poses[g.prior_index[k]], anchor) / g.prior_sigma[k])
     for k in stacking_order(g.odometry_index):
         i = g.odometry_index[k]
-        res = odometry_residual(g.poses[i], g.poses[i + 1], g.odometry[k])
+        res = odometry_residual(poses[i], poses[i + 1], g.odometry[k])
         expected.append(res / g.odometry_sigma[k])
     b = g.bbox
     for k in stacking_order(b.pose_index, b.landmark_id):
-        pose, quadric = g.poses[b.pose_index[k]], g.quadrics[b.landmark_id[k]]
+        pose, quadric = poses[b.pose_index[k]], quadrics[b.landmark_id[k]]
         res = bbox_factor_residual(pose, quadric, b.values[k], g.intrinsics, g.mount)
         expected.append(res / g.bbox_sigma[k])
     z = g.relpos
     for k in stacking_order(z.pose_index, z.landmark_id):
-        pose, quadric = g.poses[z.pose_index[k]], g.quadrics[z.landmark_id[k]]
+        pose, quadric = poses[z.pose_index[k]], quadrics[z.landmark_id[k]]
         expected.append(relpos_residual(pose, quadric, z.values[k]) / g.relpos_sigma[k])
     expected = np.concatenate(expected)
     assert np.allclose(r, expected, rtol=1e-12, atol=1e-12)
@@ -324,7 +325,7 @@ def test_jacobian_matches_finite_differences(rng):
     for trial in range(10):
         g = random_graph(rng, n_poses=int(rng.integers(2, 6)), n_quadrics=int(rng.integers(1, 3)))
         ev = GraphEvaluator(g)
-        P, Q = g.pose_array(), g.quadric_array()
+        P, Q = g.poses, g.quadrics
         J = ev.jacobian(P, Q).toarray()
         Jfd = finite_difference_jacobian(ev, P, Q)
         err = np.abs(J - Jfd)
@@ -338,7 +339,7 @@ def test_jacobian_sparsity_pattern(rng):
     # the same at any variable values.
     g = random_graph(rng, n_poses=5, n_quadrics=2)
     ev = GraphEvaluator(g)
-    J = ev.jacobian(g.pose_array(), g.quadric_array())
+    J = ev.jacobian(g.poses, g.quadrics)
     n = len(g.poses)
 
     def pose(i):
@@ -368,8 +369,8 @@ def test_jacobian_sparsity_pattern(rng):
         row += dim
     assert row == J.shape[0]
 
-    poses = g.pose_array() + rng.normal(0, 1, (n, 3))
-    quadrics = g.quadric_array() + rng.normal(0, 1, (len(g.quadrics), 9))
+    poses = g.poses + rng.normal(0, 1, (n, 3))
+    quadrics = g.quadrics + rng.normal(0, 1, (len(g.quadrics), 9))
     J2 = ev.jacobian(poses, quadrics)
     assert np.array_equal(J2.indices, J.indices)
     assert np.array_equal(J2.indptr, J.indptr)
@@ -435,8 +436,8 @@ def test_row_scale_whitening_matches_einsum_whitening(seed):
     g = build_graph(generate_dataset(WorldConfig(seed=seed), SensorConfig()), mode="with-relpos")
     ev = GraphEvaluator(g)
     for scale in (0.0, 0.05, 0.5):
-        poses = g.pose_array() + rng.normal(0, scale, (len(g.poses), 3))
-        quadrics = g.quadric_array() + rng.normal(0, scale, (len(g.quadrics), 9))
+        poses = g.poses + rng.normal(0, scale, (len(g.poses), 3))
+        quadrics = g.quadrics + rng.normal(0, scale, (len(g.quadrics), 9))
         r_ref, J_ref = einsum_whitened(ev, g, poses, quadrics)
         assert np.array_equal(ev.residual(poses, quadrics), r_ref)
         J = ev.jacobian(poses, quadrics)
@@ -453,7 +454,7 @@ def test_pose_hessian_block_tridiagonal_without_bbox(rng):
         bbox_sigma=g.bbox_sigma[:0],
         relpos=g.relpos[:0],
         relpos_sigma=g.relpos_sigma[:0],
-        quadrics=[],
+        quadrics=g.quadrics[:0],
     )
     J = graph_jacobian(g).toarray()
     H = J.T @ J

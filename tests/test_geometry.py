@@ -137,6 +137,16 @@ def test_image_line_tiny_normal_at_origin_rejected():
         ImageLine([1e-13, 0.0, 0.0])
 
 
+def test_image_line_overflowing_normal_rejected():
+    # A finite line whose normal's norm overflows: dividing by it would give
+    # the zero line, which is tangent to every quadric.
+    line = [1.7e308, 1.7e308, 0.0]
+    with pytest.raises(DegenerateGeometryError):
+        ImageLine(line)
+    with pytest.raises(DegenerateGeometryError):
+        normalize_lines([[0.0, 1.0, -5.0], line])
+
+
 def test_lines_through_matches_per_pair_cross_products(rng):
     corners = rng.uniform(0, 1000, size=(50, 4, 2)) + rng.normal(0, 1.0, size=(50, 4, 2))
     points = np.concatenate([corners, np.ones((50, 4, 1))], axis=-1)

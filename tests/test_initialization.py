@@ -16,7 +16,6 @@ from dqslam.geometry import (
     left_facing_mount,
     project_quadric,
     projection_matrix,
-    RobotPose,
 )
 from dqslam.initialization import (
     DegenerateSolutionError,
@@ -54,18 +53,18 @@ def nonplanar_rig(quadric, center):
 # -- pose chaining ------------------------------------------------------------
 
 def test_init_poses_straight_chain():
-    poses = init_poses([(1, 0)] * 5, RobotPose(0, 0, 0))
-    assert len(poses) == 6
-    assert [p.x for p in poses] == pytest.approx(list(range(6)))
-    assert all(p.y == 0 and p.theta == 0 for p in poses)
+    poses = init_poses([(1, 0)] * 5, (0, 0, 0))
+    assert poses.shape == (6, 3)
+    assert poses[:, 0].tolist() == pytest.approx(list(range(6)))
+    assert np.all(poses[:, 1:] == 0)
 
 
 def test_init_poses_square_closure():
     leg = [(1, 0)] * 3 + [(0, math.pi / 2)]
-    poses = init_poses(leg * 4, RobotPose(0, 0, 0))
-    last = poses[-1]
-    assert abs(last.x) < 1e-12 and abs(last.y) < 1e-12
-    assert abs(last.theta) < 1e-12
+    poses = init_poses(leg * 4, (0, 0, 0))
+    x, y, theta = poses[-1]
+    assert abs(x) < 1e-12 and abs(y) < 1e-12
+    assert abs(theta) < 1e-12
 
 
 # -- fallback -----------------------------------------------------------------
@@ -75,7 +74,8 @@ def test_fallback_is_identity_matrix():
         [], [], K, left_facing_mount(), [0, 1], InitStrategy(mode="identity")
     )
     assert used_fallback == [True, True]
-    for q in [DualQuadric.identity(), *quadrics]:
+    assert quadrics.shape == (2, 9)
+    for q in [DualQuadric.identity(), *map(DualQuadric, quadrics)]:
         assert np.array_equal(q.matrix(), np.eye(4))
         assert np.array_equal(q.q, [1, 0, 0, 0, 1, 0, 0, 1, 0])
         assert np.allclose(q.centroid(), 0)
@@ -140,7 +140,7 @@ def test_init_quadric_svd_planar_trajectory_degenerates(zero_noise_sensor):
         zero_noise_sensor,
     )
     poses = init_poses(ds.odometry, ds.ground_truth_poses[0])
-    ids = sorted(lm.id for lm in ds.landmarks)
+    ids = range(len(ds.landmark_sides))
     _, fallback = initialize_quadrics(
         ds.detections, poses, ds.intrinsics(), ds.mount(), ids,
         InitStrategy(mode="svd-with-fallback"),
@@ -150,13 +150,13 @@ def test_init_quadric_svd_planar_trajectory_degenerates(zero_noise_sensor):
 
 def test_initialize_quadrics_identity_mode(zero_noise_sensor, small_world):
     ds = generate_dataset(small_world, zero_noise_sensor)
-    ids = sorted(lm.id for lm in ds.landmarks)
+    ids = range(len(ds.landmark_sides))
     quads, fallback = initialize_quadrics(
         ds.detections, ds.ground_truth_poses, ds.intrinsics(), ds.mount(), ids,
         InitStrategy(mode="identity"),
     )
     assert all(fallback)
-    assert all(np.array_equal(q.matrix(), np.eye(4)) for q in quads)
+    assert all(np.array_equal(DualQuadric(q).matrix(), np.eye(4)) for q in quads)
 
 
 def test_initialize_quadrics_fallback_always_finite():
@@ -165,13 +165,13 @@ def test_initialize_quadrics_fallback_always_finite():
         ds = generate_dataset(WorldConfig(seed=seed, n_landmarks=4,
                                           trajectory_length=65.0, n_loops=1), sensor)
         poses = init_poses(ds.odometry, ds.ground_truth_poses[0])
-        ids = sorted(lm.id for lm in ds.landmarks)
+        ids = range(len(ds.landmark_sides))
         quads, _ = initialize_quadrics(
             ds.detections, poses, ds.intrinsics(), ds.mount(), ids,
             InitStrategy(mode="svd-with-fallback"),
         )
         for q in quads:
-            assert np.all(np.isfinite(q.matrix()))
+            assert np.all(np.isfinite(DualQuadric(q).matrix()))
 
 
 def test_init_strategy_validation():

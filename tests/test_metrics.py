@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dqslam.geometry import DualQuadric, RobotPose, ellipsoid_to_dual_quadric, vector_from_quadric
+from dqslam.geometry import DualQuadric, ellipsoid_to_dual_quadric, vector_from_quadric
 from dqslam.metrics import (
     TrialResult,
     aggregate,
@@ -13,11 +13,11 @@ from dqslam.metrics import (
     rmse_pos,
     rmse_volume,
 )
-from dqslam.simulator import CubeLandmark
 
 
-def cube(lm_id, center, side):
-    return CubeLandmark(id=lm_id, center=np.array(center, dtype=float), side=side)
+def rows(quadrics):
+    """(m, 9) parameter rows of DualQuadric estimates."""
+    return np.array([q.q for q in quadrics]).reshape(-1, 9)
 
 
 def trial(mode, seed=0, pos_init=1.0, pos=0.5, lm=0.3, vol=0.1, valid=(True,) * 10):
@@ -37,73 +37,73 @@ def trial(mode, seed=0, pos_init=1.0, pos=0.5, lm=0.3, vol=0.1, valid=(True,) * 
 # -- rmse_pos -------------------------------------------------------------------
 
 def test_rmse_pos_exact_zero():
-    poses = [RobotPose(1, 2, 0.3), RobotPose(-1, 0, 1.0)]
+    poses = np.array([[1, 2, 0.3], [-1, 0, 1.0]])
     assert rmse_pos(poses, poses) == 0.0
 
 
 def test_rmse_pos_345():
-    assert rmse_pos([RobotPose(3, 4, 0)], [RobotPose(0, 0, 0)]) == pytest.approx(5.0)
+    assert rmse_pos(np.array([[3.0, 4, 0]]), np.zeros((1, 3))) == pytest.approx(5.0)
 
 
 def test_rmse_pos_is_mean_distance():
-    est = [RobotPose(1, 0, 0), RobotPose(3, 0, 0)]
-    gt = [RobotPose(0, 0, 0), RobotPose(0, 0, 0)]
+    est = np.array([[1.0, 0, 0], [3, 0, 0]])
+    gt = np.zeros((2, 3))
     assert rmse_pos(est, gt) == pytest.approx(2.0)  # mean of {1, 3}
 
 
 def test_rmse_pos_ignores_heading():
-    est = [RobotPose(0, 0, 1.0)]
-    gt = [RobotPose(0, 0, -1.0)]
+    est = np.array([[0, 0, 1.0]])
+    gt = np.array([[0, 0, -1.0]])
     assert rmse_pos(est, gt) == 0.0
 
 
 def test_rmse_pos_length_mismatch():
     with pytest.raises(ValueError):
-        rmse_pos([RobotPose(0, 0, 0)], [])
+        rmse_pos(np.zeros((1, 3)), np.zeros((0, 3)))
 
 
 def test_rmse_pos_translation_invariant_error(rng):
-    est = [RobotPose(*rng.normal(0, 3, 3)) for _ in range(8)]
-    gt = [RobotPose(*rng.normal(0, 3, 3)) for _ in range(8)]
-    dx, dy = rng.normal(0, 10, 2)
-    est_shift = [RobotPose(p.x + dx, p.y + dy, p.theta) for p in est]
-    gt_shift = [RobotPose(p.x + dx, p.y + dy, p.theta) for p in gt]
+    est = rng.normal(0, 3, (8, 3))
+    gt = rng.normal(0, 3, (8, 3))
+    shift = np.append(rng.normal(0, 10, 2), 0.0)
+    est_shift = est + shift
+    gt_shift = gt + shift
     assert rmse_pos(est_shift, gt_shift) == pytest.approx(rmse_pos(est, gt), rel=1e-12)
 
 
 # -- rmse_lm --------------------------------------------------------------------
 
 def test_rmse_lm_exact_and_mean():
-    gt = [cube(j, [j, 0, 0], 0.5) for j in range(10)]
-    est = [ellipsoid_to_dual_quadric([j, 0, 0], [0.25] * 3) for j in range(10)]
-    assert rmse_lm(est, gt) == pytest.approx(0.0, abs=1e-12)
-    est[3] = ellipsoid_to_dual_quadric([3, 0, 1.0], [0.25] * 3)  # off by 1 m
-    assert rmse_lm(est, gt) == pytest.approx(0.1)
+    centers = np.array([[j, 0.0, 0.0] for j in range(10)])
+    est = rows(ellipsoid_to_dual_quadric([j, 0, 0], [0.25] * 3) for j in range(10))
+    assert rmse_lm(est, centers) == pytest.approx(0.0, abs=1e-12)
+    est[3] = ellipsoid_to_dual_quadric([3, 0, 1.0], [0.25] * 3).q  # off by 1 m
+    assert rmse_lm(est, centers) == pytest.approx(0.1)
 
 
 def test_rmse_lm_centroid_consistency(rng):
-    gt = [cube(0, [0.5, -1, 0.2], 0.4)]
+    centers = np.array([[0.5, -1, 0.2]])
     q = DualQuadric(rng.normal(size=9))
-    expected = np.linalg.norm(q.centroid() - gt[0].center)
-    assert rmse_lm([q], gt) == pytest.approx(expected)
+    expected = np.linalg.norm(q.centroid() - centers[0])
+    assert rmse_lm(rows([q]), centers) == pytest.approx(expected)
 
 
 def test_rmse_lm_id_mismatch():
-    gt = [cube(5, [0, 0, 0], 0.5)]
+    # Landmark 1 has no estimate.
     with pytest.raises(ValueError):
-        rmse_lm([DualQuadric.identity()], gt)
+        rmse_lm(rows([DualQuadric.identity()]), np.zeros((2, 3)))
 
 
 # -- volumes ---------------------------------------------------------------------
 
 def test_quadric_volume_unit_sphere():
     q = ellipsoid_to_dual_quadric([1, 2, 3], [1, 1, 1])
-    assert quadric_volume_cube(q) == pytest.approx(1.0)
+    assert quadric_volume_cube(q.q) == pytest.approx(1.0)
 
 
 def test_quadric_volume_smallest_axis_cubed():
     q = ellipsoid_to_dual_quadric([0, 0, 0], [0.5, 0.3, 0.9])
-    assert quadric_volume_cube(q) == pytest.approx(0.027)
+    assert quadric_volume_cube(q.q) == pytest.approx(0.027)
 
 
 def test_quadric_volume_rotation_invariant(rng):
@@ -113,35 +113,32 @@ def test_quadric_volume_rotation_invariant(rng):
         if np.linalg.det(A) < 0:
             A[:, 0] = -A[:, 0]
         q = ellipsoid_to_dual_quadric(rng.normal(size=3), axes, A)
-        assert quadric_volume_cube(q) == pytest.approx(0.4**3, rel=1e-9)
+        assert quadric_volume_cube(q.q) == pytest.approx(0.4**3, rel=1e-9)
 
 
 def test_quadric_volume_non_ellipsoid_flagged():
     # hyperboloid-like: mixed-sign shape eigenvalues
     Q = np.diag([-1.0, -1.0, 1.0, 1.0])
     q = DualQuadric(vector_from_quadric(Q))
-    assert quadric_volume_cube(q) is None
+    assert quadric_volume_cube(q.q) is None
 
 
 def test_rmse_volume_exact_inscribed_mismatch():
     sides = [0.4, 0.6, 1.0]
-    gt = [cube(j, [j, 0, 0], s) for j, s in enumerate(sides)]
-    est = [ellipsoid_to_dual_quadric([j, 0, 0], [s / 2] * 3) for j, s in enumerate(sides)]
+    est = rows(ellipsoid_to_dual_quadric([j, 0, 0], [s / 2] * 3) for j, s in enumerate(sides))
     expected = np.mean([abs(s**3 - (s / 2) ** 3) for s in sides])
-    assert rmse_volume(est, gt) == pytest.approx(expected)
+    assert rmse_volume(est, np.array(sides)) == pytest.approx(expected)
 
 
 def test_rmse_volume_zero_when_matched():
-    gt = [cube(0, [0, 0, 0], 1.0)]
-    est = [ellipsoid_to_dual_quadric([0, 0, 0], [1, 1, 1])]  # volume rule gives 1 = side^3
-    assert rmse_volume(est, gt) == pytest.approx(0.0)
+    est = rows([ellipsoid_to_dual_quadric([0, 0, 0], [1, 1, 1])])  # volume rule gives 1 = side^3
+    assert rmse_volume(est, np.array([1.0])) == pytest.approx(0.0)
 
 
 def test_rmse_volume_all_invalid_raises():
-    gt = [cube(0, [0, 0, 0], 1.0)]
     q = DualQuadric(vector_from_quadric(np.diag([-1.0, -1.0, 1.0, 1.0])))
     with pytest.raises(ValueError):
-        rmse_volume([q], gt)
+        rmse_volume(rows([q]), np.array([1.0]))
 
 
 # -- aggregation ------------------------------------------------------------------

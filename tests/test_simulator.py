@@ -21,7 +21,6 @@ from dqslam.geometry import (
 )
 from dqslam.initialization import init_poses
 from dqslam.simulator import (
-    CubeLandmark,
     SensorConfig,
     WorldConfig,
     _landmark_condition,
@@ -57,60 +56,60 @@ def test_ground_truth_odometry_length_and_closure():
     assert abs(odo[:, 0].sum() - cfg.trajectory_length) <= 0.5
     assert turn.sum() == 4 * cfg.turn_steps * cfg.n_loops
     assert np.all(odo[~turn, 1] == 0) and np.all(odo[turn, 1] > 0)
-    poses = init_poses(odo, RobotPose(0, 0, 0))
+    poses = init_poses(odo, (0, 0, 0))
     # two loops: halfway pose matches the end pose (exact closure)
     half = poses[len(odo) // 2]
     last = poses[-1]
-    assert (half.x, half.y) == pytest.approx((0, 0), abs=1e-12)
-    assert (last.x, last.y) == pytest.approx((0, 0), abs=1e-12)
+    assert tuple(half[:2]) == pytest.approx((0, 0), abs=1e-12)
+    assert tuple(last[:2]) == pytest.approx((0, 0), abs=1e-12)
 
 
 def test_sample_landmark_side_distribution(rng):
     cfg = WorldConfig()
-    trajectory = init_poses(ground_truth_odometry(cfg)[0], RobotPose(0, 0, 0))
+    trajectory = init_poses(ground_truth_odometry(cfg)[0], (0, 0, 0))
     sides = np.array(
-        [_sample_landmark(cfg, trajectory, rng, 0).side for _ in range(10000)]
+        [_sample_landmark(cfg, trajectory, rng)[1] for _ in range(10000)]
     )
     assert sides.min() == cfg.cube_side_floor  # the floor is active
     assert 0.5 <= sides.mean() <= 0.62
 
 
 def test_camera_frames_match_pose_to_extrinsics():
-    trajectory = init_poses(ground_truth_odometry(WorldConfig())[0], RobotPose(0, 0, 0))
+    trajectory = init_poses(ground_truth_odometry(WorldConfig())[0], (0, 0, 0))
     R, t = camera_frames(trajectory, MOUNT)
     assert R.shape == (len(trajectory), 3, 3) and t.shape == (len(trajectory), 3)
     for i, pose in enumerate(trajectory):
-        E = pose_to_extrinsics(pose, MOUNT)
+        E = pose_to_extrinsics(RobotPose(*pose), MOUNT)
         assert R[i].tobytes() == E.rotation.tobytes()
         assert t[i].tobytes() == E.translation.tobytes()
 
 
 def test_project_cube_bbox_detection_ranges():
     # camera looks along +y from the origin; 0.5 m cube on the optical axis
-    R, t = camera_frames([RobotPose(0, 0, 0)], MOUNT)
-    near = CubeLandmark(id=0, center=np.array([0.0, 5.0, 0.0]), side=0.5)
-    seen, boxes = project_cube_bbox(near, R, t, K, min_px=100.0)
+    R, t = camera_frames(np.zeros((1, 3)), MOUNT)
+    near = np.array([0.0, 5.0, 0.0])
+    seen, boxes = project_cube_bbox(near, 0.5, R, t, K, min_px=100.0)
     assert seen.tolist() == [True] and boxes.shape == (1, 4, 2)
     width = boxes[0, :, 0].max() - boxes[0, :, 0].min()
     assert 140 <= width <= 165  # ~ f * side / depth with corner-depth spread
 
-    far = CubeLandmark(id=0, center=np.array([0.0, 10.0, 0.0]), side=0.5)
-    assert project_cube_bbox(far, R, t, K, min_px=100.0)[0].tolist() == [False]
+    far = np.array([0.0, 10.0, 0.0])
+    assert project_cube_bbox(far, 0.5, R, t, K, min_px=100.0)[0].tolist() == [False]
 
-    behind = CubeLandmark(id=0, center=np.array([0.0, -5.0, 0.0]), side=0.5)
-    assert project_cube_bbox(behind, R, t, K, min_px=100.0)[0].tolist() == [False]
+    behind = np.array([0.0, -5.0, 0.0])
+    assert project_cube_bbox(behind, 0.5, R, t, K, min_px=100.0)[0].tolist() == [False]
 
 
 def test_project_sphere_bbox_tangency():
-    poses = [RobotPose(0, 0, 0), RobotPose(0, 0, math.pi)]  # facing it, facing away
+    poses = np.array([[0, 0, 0], [0, 0, math.pi]])  # facing it, facing away
     R, t = camera_frames(poses, MOUNT)
-    lm = CubeLandmark(id=0, center=np.array([0.2, 5.0, -0.1]), side=0.5)
-    seen, boxes = project_sphere_bbox(lm, R, t, K, min_px=0.0)
+    center, side = np.array([0.2, 5.0, -0.1]), 0.5
+    seen, boxes = project_sphere_bbox(center, side, R, t, K, min_px=0.0)
     assert seen.tolist() == [True, False]
     box = boxes[0]
     # the silhouette box lines are exactly tangent to the projected conic
-    P = projection_matrix(K, pose_to_extrinsics(poses[0], MOUNT))
-    C = project_quadric(P, inscribed_ellipsoid(lm))
+    P = projection_matrix(K, pose_to_extrinsics(RobotPose(*poses[0]), MOUNT))
+    C = project_quadric(P, inscribed_ellipsoid(center, side))
     for line in bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in box]):
         assert abs(line.coords @ C.C @ line.coords) < 1e-7 * np.abs(C.C).max()
     # and equal, bit for bit, to the scalar conic box
@@ -124,17 +123,18 @@ def test_landmark_condition_matches_back_projected_box_lines():
     ds = generate_dataset(WorldConfig(seed=0), SensorConfig())
     poses = ds.ground_truth_poses
     R, t = camera_frames(poses, MOUNT)
-    for lm in ds.landmarks[:3]:
-        seen, boxes = project_cube_bbox(lm, R, t, K, SensorConfig().detection_min_px)
+    for center, side in zip(ds.landmark_centers[:3], ds.landmark_sides[:3]):
+        seen, boxes = project_cube_bbox(center, side, R, t, K, SensorConfig().detection_min_px)
         planes = []
         for i in np.flatnonzero(seen):
-            P = projection_matrix(K, pose_to_extrinsics(poses[i], MOUNT))
-            box = dual_conic_bbox(project_quadric(P, inscribed_ellipsoid(lm)))
+            P = projection_matrix(K, pose_to_extrinsics(RobotPose(*poses[i]), MOUNT))
+            box = dual_conic_bbox(project_quadric(P, inscribed_ellipsoid(center, side)))
             planes.extend(P.P.T @ line.coords for line in bbox_to_lines(bbox_corners(*box)))
         planes = np.array(planes)
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
         S = np.linalg.svd(_plane_constraint_rows(planes), compute_uv=False)
-        assert _landmark_condition(lm, seen, R, t, K) == pytest.approx(S[-2] / S[0], rel=1e-9)
+        condition = _landmark_condition(center, side, seen, R, t, K)
+        assert condition == pytest.approx(S[-2] / S[0], rel=1e-9)
 
 
 def test_corrupt_bbox_zero_sigma_exact(rng):
@@ -192,8 +192,8 @@ def test_noisy_odometry_drift_magnitude():
     for seed in range(50):
         rng = np.random.default_rng(seed)
         noisy = corrupt_odometry(*ground_truth_odometry(cfg), sensor, rng)
-        poses = init_poses(noisy, RobotPose(0, 0, 0))
-        finals.append(math.hypot(poses[-1].x, poses[-1].y))
+        poses = init_poses(noisy, (0, 0, 0))
+        finals.append(math.hypot(*poses[-1, :2]))
     assert np.mean(finals) > 1.0
 
 
@@ -230,7 +230,7 @@ def test_measure_relative_position_matches_per_pose_formula():
 def test_generate_dataset_detection_floor(small_world, zero_noise_sensor):
     ds = generate_dataset(small_world, zero_noise_sensor)
     counts = ds.detections_per_landmark()
-    assert counts.shape == (len(ds.landmarks),) and counts.sum() == len(ds.detections)
+    assert counts.shape == (len(ds.landmark_sides),) and counts.sum() == len(ds.detections)
     assert counts.min() >= small_world.landmark_min_detections
 
 
@@ -248,14 +248,14 @@ def test_generate_dataset_emitted_boxes_satisfy_predicate(small_world):
     sensor = SensorConfig()
     ds = generate_dataset(small_world, sensor)
     R, t = camera_frames(ds.ground_truth_poses, MOUNT)
-    seen = {
-        lm.id: project_cube_bbox(lm, R, t, K, sensor.detection_min_px)[0]
-        for lm in ds.landmarks
-    }
+    seen = [
+        project_cube_bbox(center, side, R, t, K, sensor.detection_min_px)[0]
+        for center, side in zip(ds.landmark_centers, ds.landmark_sides)
+    ]
     for i, j in zip(ds.detections.pose_index, ds.detections.landmark_id):
         assert seen[j][i]
     # and every detectable (pose, landmark) pair is emitted
-    assert sum(int(s.sum()) for s in seen.values()) == len(ds.detections) > 0
+    assert sum(int(s.sum()) for s in seen) == len(ds.detections) > 0
 
 
 # dumps_dataset SHA-256 of default-config datasets, seeds 0-49 (seeds 0 and 2

@@ -6,7 +6,7 @@ import scipy.sparse as sp
 
 from dqslam import solver
 from dqslam.factors import FactorGraph, graph_residual
-from dqslam.geometry import DualQuadric, RobotPose, CameraIntrinsics, left_facing_mount
+from dqslam.geometry import RobotPose, CameraIntrinsics, left_facing_mount
 from dqslam.pipeline import build_graph, ground_truth_graph, run_trial
 from dqslam.simulator import WorldConfig, generate_dataset
 from dqslam.solver import (
@@ -24,14 +24,14 @@ K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
 
 def priors_only_graph(rng, n_poses=4, priors_per_pose=3):
     """Affine residuals only: a genuinely linear least-squares problem."""
-    poses = [RobotPose(*rng.normal(0, 0.5, 3)) for _ in range(n_poses)]
+    poses = np.array([RobotPose(*rng.normal(0, 0.5, 3)).as_array() for _ in range(n_poses)])
     anchors, sigmas = [], []
     for _ in range(n_poses * priors_per_pose):
         anchors.append(RobotPose(*rng.normal(0, 0.5, 3)).as_array())
         sigmas.append(rng.uniform(0.1, 1.0, 3))
     return FactorGraph(
         poses=poses,
-        quadrics=[],
+        quadrics=np.zeros((0, 9)),
         intrinsics=K,
         mount=left_facing_mount(),
         prior_index=np.repeat(np.arange(n_poses), priors_per_pose),
@@ -176,11 +176,11 @@ def test_solve_linear_problem_one_iteration(rng):
     from dqslam.factors import GraphEvaluator
 
     ev = GraphEvaluator(g)
-    J = ev.jacobian(g.pose_array(), g.quadric_array()).toarray()
-    r = ev.residual(g.pose_array(), g.quadric_array())
-    x0 = np.concatenate([g.pose_array().ravel(), g.quadric_array().ravel()])
+    J = ev.jacobian(g.poses, g.quadrics).toarray()
+    r = ev.residual(g.poses, g.quadrics)
+    x0 = np.concatenate([g.poses.ravel(), g.quadrics.ravel()])
     x_opt = x0 - np.linalg.pinv(J) @ r
-    x_solved = np.concatenate([solved.pose_array().ravel(), solved.quadric_array().ravel()])
+    x_solved = np.concatenate([solved.poses.ravel(), solved.quadrics.ravel()])
     assert np.allclose(x_solved, x_opt, atol=1e-10)
 
 
@@ -223,8 +223,8 @@ def test_solve_deterministic(zero_noise_sensor):
     s1, r1 = solve(g)
     s2, r2 = solve(g)
     assert r1 == r2
-    assert np.array_equal(s1.pose_array(), s2.pose_array())
-    assert np.array_equal(s1.quadric_array(), s2.quadric_array())
+    assert np.array_equal(s1.poses, s2.poses)
+    assert np.array_equal(s1.quadrics, s2.quadrics)
 
 
 def test_solve_gradient_at_grad_tol_termination(rng):
@@ -235,14 +235,14 @@ def test_solve_gradient_at_grad_tol_termination(rng):
         from dqslam.factors import GraphEvaluator
 
         ev = GraphEvaluator(solved)
-        J = ev.jacobian(solved.pose_array(), solved.quadric_array())
-        r = ev.residual(solved.pose_array(), solved.quadric_array())
+        J = ev.jacobian(solved.poses, solved.quadrics)
+        r = ev.residual(solved.poses, solved.quadrics)
         assert np.abs(J.T @ r).max() < cfg.grad_tol
 
 
 def test_solve_stalls_on_unconstrained_variable(rng):
     g = priors_only_graph(rng, n_poses=2)
-    g.quadrics = [DualQuadric(np.zeros(9))]  # no factor touches it
+    g.quadrics = np.zeros((1, 9))  # no factor touches it
     solved, report = solve(g)
     assert report.termination_reason == "stalled"
     assert not report.converged
