@@ -4,12 +4,22 @@ One self-describing JSON document per trial, with a versioned schema and
 explicit units. Floats are written in Python's shortest round-trip
 representation, so write -> read -> write reproduces the file byte for
 byte.
+
+The writer emits the fixed layout of json.dumps(indent=1), one member per
+line, straight from the Dataset columns: each bulky column is one
+%-format call over a row template built once from its shape ("%r" of a
+float is float.__repr__, the text json writes). json.dumps of the same
+document built as Python objects is the tests' oracle for these bytes.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, fields, replace
+from itertools import chain
+from operator import itemgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -40,39 +50,93 @@ def _native(value):
     return float(value)
 
 
-def dataset_to_dict(ds: Dataset) -> dict:
-    return {
-        "schema": SCHEMA,
-        "version": SCHEMA_VERSION,
-        "units": _UNITS,
-        "seed": int(ds.seed),
-        "world_config": {k: _native(v) for k, v in asdict(ds.world_config).items()},
-        "sensor_config": {k: _native(v) for k, v in asdict(ds.sensor_config).items()},
+def _finite_fields(column: np.ndarray, where: str) -> list:
+    """The float column, (n, ...) rows, as one list of Python floats per
+    scalar field of a row. A non-finite value, which JSON cannot hold,
+    raises ValueError naming the column."""
+    if not np.isfinite(column).all():
+        raise ValueError(f"{where} must be finite numbers to be written")
+    return column.reshape(len(column), math.prod(column.shape[1:])).T.tolist()
+
+
+class _Rows(NamedTuple):
+    """A JSON list of one member per row of columns, each laid out as row:
+    a dict or list whose leaves are %-format fields, which take one value
+    from each of columns in turn."""
+
+    row: object
+    columns: list
+
+
+def _bracket(brackets: str, members: list, depth: int) -> str:
+    """members, laid out at depth + 1, in an object or list opened at depth."""
+    if not members:
+        return brackets
+    pad = "\n" + " " * (depth + 1)
+    return brackets[0] + pad + ("," + pad).join(members) + "\n" + " " * depth + brackets[1]
+
+
+def _layout(node, depth: int) -> str:
+    """The JSON text of node at depth, one member per line with one space
+    of indent per level: the layout of json.dumps(indent=1). A str node is
+    already text."""
+    if isinstance(node, str):
+        return node
+    if isinstance(node, _Rows):
+        # One row template, repeated and filled by a single format call.
+        template = _bracket("[]", [_layout(node.row, depth + 1)] * len(node.columns[0]), depth)
+        return template % tuple(chain.from_iterable(zip(*node.columns)))
+    if isinstance(node, dict):
+        return _bracket("{}", [f"{json.dumps(key)}: {_layout(value, depth + 1)}"
+                               for key, value in node.items()], depth)
+    return _bracket("[]", [_layout(value, depth + 1) for value in node], depth)
+
+
+def _scalars(values: dict) -> dict:
+    return {key: json.dumps(_native(value)) for key, value in values.items()}
+
+
+def _measurement_rows(column: Measurements, key: str, where: str) -> _Rows:
+    row = np.full(column.values.shape[1:], "%r").tolist()
+    return _Rows({"pose_index": "%r", "landmark_id": "%r", key: row},
+                 [column.pose_index.tolist(), column.landmark_id.tolist(),
+                  *_finite_fields(column.values, f"{where}.{key}")])
+
+
+def dumps_dataset(ds: Dataset) -> str:
+    """The dataset's document as JSON text: a versioned schema with explicit
+    units, one member per line, floats in shortest round-trip form. A
+    non-finite number raises ValueError naming its column."""
+    doc = {
+        "schema": json.dumps(SCHEMA),
+        "version": json.dumps(SCHEMA_VERSION),
+        "units": _scalars(_UNITS),
+        "seed": json.dumps(int(ds.seed)),
+        "world_config": _scalars(asdict(ds.world_config)),
+        "sensor_config": _scalars(asdict(ds.sensor_config)),
         "ground_truth": {
-            "poses": ds.ground_truth_poses.tolist(),
-            "landmarks": [
-                {"id": j, "center": center, "side": side}
-                for j, (center, side) in enumerate(
-                    zip(ds.landmark_centers.tolist(), ds.landmark_sides.tolist())
-                )
-            ],
+            "poses": _Rows(["%r"] * 3,
+                           _finite_fields(ds.ground_truth_poses, "ground_truth.poses")),
+            "landmarks": _Rows(
+                {"id": "%r", "center": ["%r"] * 3, "side": "%r"},
+                [list(range(len(ds.landmark_sides))),
+                 *_finite_fields(ds.landmark_centers, "ground_truth.landmarks.center"),
+                 *_finite_fields(ds.landmark_sides, "ground_truth.landmarks.side")],
+            ),
         },
-        "odometry": [
-            {"v": v, "omega": omega, "turn": turn}
-            for (v, omega), turn in zip(ds.odometry.tolist(), ds.turn.tolist())
-        ],
-        "detections": _measurement_records(ds.detections, "lines"),
-        "relative_positions": _measurement_records(ds.relative_positions, "z"),
+        "odometry": _Rows({"v": "%r", "omega": "%r", "turn": "%s"},
+                          [*_finite_fields(ds.odometry, "odometry"),
+                           np.where(ds.turn, "true", "false").tolist()]),
+        "detections": _measurement_rows(ds.detections, "lines", "detections"),
+        "relative_positions": _measurement_rows(ds.relative_positions, "z",
+                                                "relative_positions"),
     }
+    return _layout(doc, 0) + "\n"
 
 
-def _measurement_records(column: Measurements, key: str) -> list:
-    return [
-        {"pose_index": i, "landmark_id": j, key: value}
-        for i, j, value in zip(
-            column.pose_index.tolist(), column.landmark_id.tolist(), column.values.tolist()
-        )
-    ]
+def dataset_to_dict(ds: Dataset) -> dict:
+    """The dataset's document, as json.load reads it back."""
+    return json.loads(dumps_dataset(ds))
 
 
 def _get(obj, key: str, where: str):
@@ -82,27 +146,44 @@ def _get(obj, key: str, where: str):
 
 
 def _column(records, key: str, where: str) -> list:
-    if not (isinstance(records, list) and all(isinstance(r, dict) and key in r for r in records)):
-        raise ValueError(f"{where} must be a list of objects with key {key!r}")
-    return [r[key] for r in records]
+    if isinstance(records, list):
+        try:
+            return list(map(itemgetter(key), records))
+        except (TypeError, KeyError):  # a record that is no object, or lacks key
+            pass
+    raise ValueError(f"{where} must be a list of objects with key {key!r}")
+
+
+def _types(values) -> set:
+    return set(map(type, values))
 
 
 def _numbers(values, shape: tuple, where: str) -> np.ndarray:
     """values, a list of entries of the given shape, as an (n, *shape)
-    array of finite floats."""
+    array of finite floats. The nesting and the leaf types are checked a
+    level at a time: JSON booleans are no numbers here, although numpy
+    would read them as 0 and 1."""
+    malformed = ValueError(f"{where} must be a list of finite numbers of shape {shape}")
+    if not isinstance(values, list):
+        raise malformed
+    leaves = values
+    for dim in shape:
+        if not (_types(leaves) <= {list} and set(map(len, leaves)) <= {dim}):
+            raise malformed
+        leaves = list(chain.from_iterable(leaves))
+    if not _types(leaves) <= {int, float}:
+        raise malformed
     try:
-        a = np.asarray(values)
-    except ValueError:  # ragged nesting
-        a = None
-    if a is None or a.dtype.kind not in "fi" or not np.isfinite(a).all() or (
-        a.shape[1:] != shape and a.shape != (0,)
-    ):
-        raise ValueError(f"{where} must be a list of finite numbers of shape {shape}")
-    return a.astype(float).reshape((-1,) + shape)
+        a = np.array(leaves, dtype=float)
+    except OverflowError:  # an integer beyond the float range
+        raise malformed from None
+    if not np.isfinite(a).all():
+        raise malformed
+    return a.reshape((-1,) + shape)
 
 
 def _indices(values: list, n: int, where: str) -> list:
-    if not all(type(v) is int and 0 <= v < n for v in values):
+    if not (_types(values) <= {int} and (not values or 0 <= min(values) <= max(values) < n)):
         raise ValueError(f"{where} must be integers in [0, {n})")
     return values
 
@@ -137,9 +218,10 @@ def _config(cls, doc: dict, key: str):
 
 def dataset_from_dict(doc: dict) -> Dataset:
     """Rebuild a dataset from its document; a malformed one (missing or
-    unknown key, config value out of range, non-finite number, index out of
-    range, odometry not one entry shorter than the poses, seed unequal to
-    world_config.seed, landmark ids other than 0, 1, ... in order,
+    unknown key, config value out of range, a non-finite number or a
+    boolean where a number belongs, index out of range, odometry not one
+    entry shorter than the poses, seed unequal to world_config.seed,
+    landmark ids other than 0, 1, ... in order,
     non-positive cube side, degenerate box line, a landmark detected fewer
     than world_config.landmark_min_detections times) raises ValueError
     naming the key. Pose headings are wrapped to (-pi, pi]."""
@@ -172,7 +254,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
     turns = _column(odo, "turn", "odometry")
     if len(turns) != len(poses) - 1:
         raise ValueError(f"odometry has {len(turns)} entries for {len(poses)} poses")
-    if not all(type(t) is bool for t in turns):
+    if not _types(turns) <= {bool}:
         raise ValueError("odometry.turn must be booleans")
     odometry = np.column_stack([
         _numbers(_column(odo, "v", "odometry"), (), "odometry.v"),
@@ -206,13 +288,10 @@ def dataset_from_dict(doc: dict) -> Dataset:
     return dataset
 
 
-def dumps_dataset(ds: Dataset) -> str:
-    return json.dumps(dataset_to_dict(ds), indent=1) + "\n"
-
-
 def write_dataset(ds: Dataset, path) -> None:
+    text = dumps_dataset(ds)  # before opening, so a refused dataset leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(dumps_dataset(ds))
+        fh.write(text)
 
 
 def read_dataset(path) -> Dataset:

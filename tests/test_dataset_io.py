@@ -3,23 +3,29 @@ from __future__ import annotations
 import copy
 import functools
 import json
+import math
 import re
 import warnings
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dqslam.cli import main
 from dqslam.dataset_io import (
+    SCHEMA,
+    SCHEMA_VERSION,
+    _UNITS,
     dataset_from_dict,
     dataset_to_dict,
     dumps_dataset,
     read_dataset,
     write_dataset,
 )
+from dqslam.factors import Measurements
 from dqslam.pipeline import run_trial
-from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
+from dqslam.simulator import Dataset, SensorConfig, WorldConfig, generate_dataset
 
 
 @pytest.fixture
@@ -37,8 +43,6 @@ def test_round_trip_bytes_identical(tmp_path, dataset):
 
 
 def test_round_trip_zero_noise_sphere(tmp_path, small_world, zero_noise_sensor):
-    from dataclasses import replace
-
     ds = generate_dataset(replace(small_world, landmark_shape="sphere"), zero_noise_sensor)
     p = tmp_path / "ds.json"
     write_dataset(ds, p)
@@ -132,6 +136,13 @@ CORRUPTIONS = {
                              "detections.lines"),
     "non-positive-side": (_set(["ground_truth", "landmarks", 1, "side"], 0.0),
                           "ground_truth.landmarks.side"),
+    # JSON booleans are no numbers, although numpy reads them as 0 and 1.
+    "boolean-odometry": (_set(["odometry", 3, "v"], True), "odometry.v"),
+    "boolean-side": (_set(["ground_truth", "landmarks", 2, "side"], True),
+                     "ground_truth.landmarks.side"),
+    "boolean-pose": (_set(["ground_truth", "poses", 5, 0], True), "ground_truth.poses"),
+    "boolean-box-line": (_set(["detections", 0, "lines", 0, 2], False), "detections.lines"),
+    "huge-integer-pose": (_set(["ground_truth", "poses", 1, 1], 10**400), "ground_truth.poses"),
     "too-few-detections": (
         lambda doc: doc.update(
             detections=[d for d in doc["detections"] if d["landmark_id"] != 0]),
@@ -160,6 +171,132 @@ def test_corrupted_document_rejected_at_read(name, dataset, tmp_path, capsys):
     with pytest.raises(ValueError, match=re.escape(expected)):
         dataset_from_dict(doc)
     assert_solve_rejects(doc, tmp_path, capsys)
+
+
+# -- the writer -----------------------------------------------------------------
+
+def _native(value):
+    if isinstance(value, (bool, int, str)):
+        return value
+    return float(value)
+
+
+def _records(column: Measurements, key: str) -> list:
+    return [
+        {"pose_index": i, "landmark_id": j, key: value}
+        for i, j, value in zip(
+            column.pose_index.tolist(), column.landmark_id.tolist(), column.values.tolist()
+        )
+    ]
+
+
+def _oracle_text(ds: Dataset) -> str:
+    """The dataset's document built as Python objects, and written by
+    json.dumps: the layout the writer must reproduce byte for byte."""
+    doc = {
+        "schema": SCHEMA,
+        "version": SCHEMA_VERSION,
+        "units": _UNITS,
+        "seed": int(ds.seed),
+        "world_config": {k: _native(v) for k, v in asdict(ds.world_config).items()},
+        "sensor_config": {k: _native(v) for k, v in asdict(ds.sensor_config).items()},
+        "ground_truth": {
+            "poses": ds.ground_truth_poses.tolist(),
+            "landmarks": [
+                {"id": j, "center": center, "side": side}
+                for j, (center, side) in enumerate(
+                    zip(ds.landmark_centers.tolist(), ds.landmark_sides.tolist())
+                )
+            ],
+        },
+        "odometry": [
+            {"v": v, "omega": omega, "turn": turn}
+            for (v, omega), turn in zip(ds.odometry.tolist(), ds.turn.tolist())
+        ],
+        "detections": _records(ds.detections, "lines"),
+        "relative_positions": _records(ds.relative_positions, "z"),
+    }
+    return json.dumps(doc, indent=1) + "\n"
+
+
+EDGE_FLOATS = [-0.0, 5e-324, 1e-05, 1e+16, 1.7e308, 2.0, -1.5, 0.1, -1e-07, 123456789.0]
+
+
+def _dataset(floats, n_poses, n_landmarks, n_detections, n_relpos, shape="cube",
+             seed=0) -> Dataset:
+    """A dataset of the given sizes, its float columns filled from floats in
+    turn (cycled), its indices from 0, 1, ..."""
+    def column(*dims):
+        size = math.prod(dims)
+        return np.resize(np.array(floats, dtype=float), size).reshape(dims)
+
+    return Dataset(
+        world_config=WorldConfig(landmark_shape=shape, seed=seed),
+        sensor_config=SensorConfig(),
+        ground_truth_poses=column(n_poses, 3),
+        landmark_centers=column(n_landmarks, 3),
+        landmark_sides=column(n_landmarks),
+        odometry=column(n_poses - 1, 2),
+        turn=np.arange(n_poses - 1) % 3 == 0,
+        detections=Measurements(np.arange(n_detections), np.arange(n_detections)[::-1].copy(),
+                                column(n_detections, 4, 3)),
+        relative_positions=Measurements(np.arange(n_relpos), np.arange(n_relpos),
+                                        column(n_relpos, 3)),
+    )
+
+
+_FINITE = st.sampled_from(EDGE_FLOATS) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(floats=st.lists(_FINITE, min_size=1, max_size=40),
+       sizes=st.tuples(st.integers(1, 5), st.integers(0, 3), st.integers(0, 3),
+                       st.integers(0, 3)),
+       shape=st.sampled_from(["cube", "sphere"]), seed=st.integers(0, 2**31))
+@example(floats=EDGE_FLOATS, sizes=(4, 3, 2, 0), shape="sphere", seed=7)
+def test_writer_matches_json_dumps(floats, sizes, shape, seed):
+    ds = _dataset(floats, *sizes, shape=shape, seed=seed)
+    assert dumps_dataset(ds) == _oracle_text(ds)
+
+
+def test_writer_matches_json_dumps_on_simulated_sphere_world(small_world):
+    ds = generate_dataset(replace(small_world, landmark_shape="sphere"), SensorConfig())
+    assert dumps_dataset(ds) == _oracle_text(ds)
+    no_relpos = replace(ds, relative_positions=ds.relative_positions[:0])
+    assert dumps_dataset(no_relpos) == _oracle_text(no_relpos)
+    assert '"relative_positions": []' in dumps_dataset(no_relpos)
+
+
+# Each non-finite value, where it is put, and the column its error names.
+NON_FINITE = {
+    "pose": ("ground_truth_poses", (2, 1), "ground_truth.poses"),
+    "center": ("landmark_centers", (0, 2), "ground_truth.landmarks.center"),
+    "side": ("landmark_sides", (1,), "ground_truth.landmarks.side"),
+    "odometry": ("odometry", (3, 0), "odometry"),
+    "box-line": ("detections", (0, 1, 2), "detections.lines"),
+    "relpos": ("relative_positions", (4, 0), "relative_positions.z"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE))
+@pytest.mark.parametrize("bad", [float("nan"), float("-inf")])
+def test_writer_refuses_non_finite_values(name, bad, dataset, tmp_path):
+    field, index, expected = NON_FINITE[name]
+    column = getattr(dataset, field)
+    if isinstance(column, Measurements):
+        values = column.values.copy()
+        values[index] = bad
+        corrupted = replace(dataset, **{field: replace(column, values=values)})
+    else:
+        values = column.copy()
+        values[index] = bad
+        corrupted = replace(dataset, **{field: values})
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        dumps_dataset(corrupted)
+    path = tmp_path / "ds.json"
+    with pytest.raises(ValueError, match=re.escape(expected)):
+        write_dataset(corrupted, path)
+    assert not path.exists()
 
 
 # Documents the reader accepts, whose finite extremes overflow the residual
