@@ -32,6 +32,7 @@ import numpy as np
 from . import __version__
 from .config import ConfigError
 from .dataset_io import read_dataset, write_dataset
+from .geometry import QUADRIC_CENTROID
 from .initialization import InitStrategy
 from .metrics import MODES, aggregate, format_table
 from .pipeline import GraphNoiseConfig, run_trial
@@ -132,6 +133,12 @@ def _configs(parser, args, classes) -> list:
 
 # -- manifest ---------------------------------------------------------------
 
+def _write_json(path, doc) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(doc, fh, indent=1)
+        fh.write("\n")
+
+
 def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings):
     doc = {
         "schema": MANIFEST_SCHEMA,
@@ -144,9 +151,7 @@ def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings
         "artifacts": [str(a) for a in artifacts],
         "timings_s": {k: float(v) for k, v in timings.items()},
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(path, doc)
 
 
 # -- simulate ---------------------------------------------------------------
@@ -184,15 +189,15 @@ def _manifest_path(out_path) -> str:
 # -- solve ------------------------------------------------------------------
 
 def _solve_svg(run) -> str:
-    # A quadric row's centroid x, y are its parameters q4, q7.
     init, slam = run.initial_graph, run.solved_graph
+    centroid_xy = QUADRIC_CENTROID[:2]
     return trial_svg(
         run.dataset.ground_truth_poses[:, :2],
         init.poses[:, :2],
         slam.poses[:, :2],
         run.dataset.landmark_centers[:, :2],
-        init.quadrics[:, [3, 6]],
-        slam.quadrics[:, [3, 6]],
+        init.quadrics[:, centroid_xy],
+        slam.quadrics[:, centroid_xy],
     )
 
 
@@ -237,10 +242,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
     )
     elapsed = time.perf_counter() - t0
 
-    doc = _results_doc(run)
-    with open(args.out, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(args.out, _results_doc(run))
     artifacts = [args.out]
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
@@ -372,9 +374,7 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
         "aggregate": summary,
     }
     summary_path = os.path.join(args.out_dir, "summary.json")
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        json.dump(summary_doc, fh, indent=1)
-        fh.write("\n")
+    _write_json(summary_path, summary_doc)
 
     if summary:
         print(format_table(summary))
@@ -514,7 +514,7 @@ def main(argv=None) -> int:
     configs = _configs(commands[args.command], args, _CONFIGS[args.command])
     try:
         return _COMMANDS[args.command](args, argv, *configs)
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

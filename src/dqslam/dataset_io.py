@@ -24,8 +24,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .config import ConfigError
-from .factors import Measurements, _wrap
-from .geometry import DegenerateGeometryError, normalize_lines
+from .factors import Measurements
+from .geometry import DegenerateGeometryError, normalize_lines, wrap_angles
 from .simulator import Dataset, SensorConfig, WorldConfig
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_to_dict", "dataset_from_dict",
@@ -239,7 +239,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
 
     truth = _get(doc, "ground_truth", "dataset")
     poses = _numbers(_get(truth, "poses", "ground_truth"), (3,), "ground_truth.poses")
-    poses[:, 2] = _wrap(poses[:, 2])
+    poses[:, 2] = wrap_angles(poses[:, 2])
     lms, where = _get(truth, "landmarks", "ground_truth"), "ground_truth.landmarks"
     # Landmark j is row j of the columns below, and has id j.
     ids = _column(lms, "id", where)

@@ -22,7 +22,8 @@ residual and its Jacobian blocks from the same intermediate values, and
 whitens all kinds in one place, as a scale per residual row. The scalar
 per-factor functions below (`motion_model`, `odometry_residual`,
 `prior_residual`, `bbox_factor_residual`, `relpos_residual`) compute one
-factor's raw residual and are its independent reference.
+factor's raw residual and are its independent reference. The array kernels
+and the quadric parameter layout come from `geometry`.
 """
 
 from __future__ import annotations
@@ -34,11 +35,18 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import (
+    QUADRIC_CENTROID,
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
     RobotPose,
+    in_frame,
+    pose_to_extrinsics,
+    projection_matrix,
+    quadric_matrices,
+    tangency_rows,
     wrap_angle,
+    wrap_angles,
 )
 
 __all__ = [
@@ -209,8 +217,6 @@ def bbox_factor_residual(
 ) -> np.ndarray:
     """Tangency defect of each of the four box lines (4, 3) against the
     projected quadric, under the camera at pose x_i."""
-    from .geometry import pose_to_extrinsics, projection_matrix
-
     P = projection_matrix(K, pose_to_extrinsics(x_i, mount)).P
     Q = q_j.matrix()
     r = np.empty(4)
@@ -353,7 +359,7 @@ class GraphEvaluator:
         c, s = np.cos(anchor[:, 2]), np.sin(anchor[:, 2])
         dx = x[:, 0] - anchor[:, 0]
         dy = x[:, 1] - anchor[:, 1]
-        r = np.stack([*_in_frame(c, s, dx, dy), _wrap(x[:, 2] - anchor[:, 2])], axis=1)
+        r = np.stack([*in_frame(c, s, dx, dy), wrap_angles(x[:, 2] - anchor[:, 2])], axis=1)
         if not jac:
             return r, ()
         return r, (_planar_block(c, s, (0.0, 0.0, 1.0)),)
@@ -366,11 +372,11 @@ class GraphEvaluator:
         c, s = np.cos(xn[:, 2]), np.sin(xn[:, 2])
         dx = xi[:, 0] + v * ci - xn[:, 0]
         dy = xi[:, 1] + v * si - xn[:, 1]
-        r1, r2 = _in_frame(c, s, dx, dy)
-        r = np.stack([r1, r2, _wrap(xi[:, 2] + om - xn[:, 2])], axis=1)
+        r1, r2 = in_frame(c, s, dx, dy)
+        r = np.stack([r1, r2, wrap_angles(xi[:, 2] + om - xn[:, 2])], axis=1)
         if not jac:
             return r, ()
-        Ji = _planar_block(c, s, (*_in_frame(c, s, -v * si, v * ci), 1.0))
+        Ji = _planar_block(c, s, (*in_frame(c, s, -v * si, v * ci), 1.0))
         Jn = _planar_block(-c, -s, (r2, -r1, -1.0))
         return r, (Ji, Jn)
 
@@ -385,7 +391,7 @@ class GraphEvaluator:
         w2 = s * g1 + c * g2
         a4 = -(px * w1 + py * w2) + self._bb_tm
         a = np.stack([w1, w2, g3, a4], axis=-1)
-        Q = _quadric_matrices(quadrics)[self._bb_quad]
+        Q = quadric_matrices(quadrics)[self._bb_quad]
         h = np.einsum("dab,dkb->dka", Q, a)
         r = np.einsum("dka,dka->dk", a, h)
         if not jac:
@@ -402,26 +408,21 @@ class GraphEvaluator:
             ],
             axis=-1,
         )
-        return r, (Jp, _plane_constraint_rows(a)[..., :9])
+        return r, (Jp, tangency_rows(a)[..., :9])
 
     def _relpos(self, poses, quadrics, jac):
         x = poses[self._rp_pose]
-        cen = quadrics[self._rp_quad][:, [3, 6, 8]]
+        cen = quadrics[self._rp_quad][:, QUADRIC_CENTROID]
         c, s = np.cos(x[:, 2]), np.sin(x[:, 2])
-        t1, t2 = _in_frame(c, s, cen[:, 0] - x[:, 0], cen[:, 1] - x[:, 1])
+        t1, t2 = in_frame(c, s, cen[:, 0] - x[:, 0], cen[:, 1] - x[:, 1])
         r = self._rp_z - np.stack([t1, t2, cen[:, 2]], axis=1)
         if not jac:
             return r, ()
         Jp = _planar_block(c, s, (-t2, t1, 0.0))
-        # The centroid enters through q4, q7, q9 (columns 3, 6, 8 of the block).
+        # The centroid enters through its parameters alone.
         Jq = np.zeros((len(c), 3, 9))
-        Jq[:, :, [3, 6, 8]] = _planar_block(-c, -s, (0.0, 0.0, -1.0))
+        Jq[:, :, QUADRIC_CENTROID] = _planar_block(-c, -s, (0.0, 0.0, -1.0))
         return r, (Jp, Jq)
-
-
-def _in_frame(c, s, dx, dy):
-    """Planar offset (dx, dy) expressed in a frame with heading cos c, sin s."""
-    return c * dx + s * dy, -s * dx + c * dy
 
 
 def _planar_block(c, s, heading_col):
@@ -434,62 +435,6 @@ def _planar_block(c, s, heading_col):
     J[:, 1, 1] = c
     J[:, 0, 2], J[:, 1, 2], J[:, 2, 2] = heading_col
     return J
-
-
-def _plane_constraint_rows(planes: np.ndarray) -> np.ndarray:
-    """Tangency constraints as linear rows against (q1..q9, q10).
-
-    Each plane pi (last axis, length 4) contributes the exact symmetric
-    expansion of pi^T Q* pi = 0, with cross terms carrying their factor of 2
-    and the trailing coefficient multiplying the fixed-scale entry. The
-    first nine coefficients are the derivative of the tangency residual
-    with respect to the quadric parameters.
-    """
-    p1, p2, p3, p4 = planes[..., 0], planes[..., 1], planes[..., 2], planes[..., 3]
-    return np.stack(
-        [
-            p1 * p1,
-            2 * p1 * p2,
-            2 * p1 * p3,
-            2 * p1 * p4,
-            p2 * p2,
-            2 * p2 * p3,
-            2 * p2 * p4,
-            p3 * p3,
-            2 * p3 * p4,
-            p4 * p4,
-        ],
-        axis=-1,
-    )
-
-
-def _wrap(angles: np.ndarray) -> np.ndarray:
-    """Vectorized wrap to (-pi, pi]; bit-identical to geometry.wrap_angle."""
-    out = np.array(angles, dtype=float, copy=True)
-    mask = (out <= -math.pi) | (out > math.pi)
-    if np.any(mask):
-        v = out[mask]
-        w = v - math.tau * np.floor((v + math.pi) / math.tau)
-        out[mask] = np.where(w <= -math.pi, w + math.tau, w)
-    return out
-
-
-def _quadric_matrices(quadrics: np.ndarray) -> np.ndarray:
-    """(m, 9) parameter rows -> (m, 4, 4) symmetric matrices."""
-    m = quadrics.shape[0]
-    Q = np.empty((m, 4, 4))
-    q = quadrics
-    Q[:, 0, 0] = q[:, 0]
-    Q[:, 0, 1] = Q[:, 1, 0] = q[:, 1]
-    Q[:, 0, 2] = Q[:, 2, 0] = q[:, 2]
-    Q[:, 0, 3] = Q[:, 3, 0] = q[:, 3]
-    Q[:, 1, 1] = q[:, 4]
-    Q[:, 1, 2] = Q[:, 2, 1] = q[:, 5]
-    Q[:, 1, 3] = Q[:, 3, 1] = q[:, 6]
-    Q[:, 2, 2] = q[:, 7]
-    Q[:, 2, 3] = Q[:, 3, 2] = q[:, 8]
-    Q[:, 3, 3] = 1.0
-    return Q
 
 
 def graph_residual(graph: FactorGraph):

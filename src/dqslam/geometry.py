@@ -14,6 +14,12 @@ Conventions used throughout the package:
 * A dual quadric is kept at the fixed scale where its 4x4 matrix has entry
   (4,4) = 1; after any congruence transform the matrix is renormalized by
   that entry.
+* A dual quadric's parameters q1..q9 fill the upper triangle of that
+  matrix row by row (`np.triu_indices(4)` order, whose tenth entry is the
+  pinned (4,4)); the last column holds the centroid (q4, q7, q9), at the
+  indices QUADRIC_CENTROID. This module alone spells out that layout. Its
+  array kernels, shared by the other modules (`quadric_matrices`,
+  `tangency_rows`, `wrap_angles`, `in_frame`), take stacked rows.
 """
 
 from __future__ import annotations
@@ -43,7 +49,8 @@ __all__ = [
     "bbox_corners",
     "projection_matrix",
     "backproject_line",
-    "quadric_from_vector",
+    "QUADRIC_CENTROID",
+    "quadric_matrices",
     "vector_from_quadric",
     "ellipsoid_to_dual_quadric",
     "project_quadric",
@@ -51,9 +58,19 @@ __all__ = [
     "pose_to_extrinsics",
     "left_facing_mount",
     "dual_conic_bbox",
+    "tangency_rows",
+    "wrap_angles",
+    "in_frame",
+    "EPS_SCALE",
 ]
 
-_EPS_SCALE = 1e-12
+EPS_SCALE = 1e-12  # below this, a scale or a normal counts as zero
+
+# Matrix entries (_ROWS[k], _COLS[k]) of the quadric parameters q1..q9 and,
+# at k = 9, of the pinned (4,4) entry.
+_ROWS, _COLS = np.triu_indices(4)
+QUADRIC_CENTROID = np.flatnonzero(_COLS[:9] == 3)
+QUADRIC_CENTROID.setflags(write=False)
 
 
 class DegenerateGeometryError(ValueError):
@@ -104,10 +121,6 @@ class HomPoint2:
     def from_xy(cls, x: float, y: float) -> "HomPoint2":
         return cls(np.array([x, y, 1.0]))
 
-    def xy(self) -> np.ndarray:
-        """Dehomogenized (x, y)."""
-        return self.coords[:2] / self.coords[2]
-
 
 @dataclass(frozen=True)
 class ImageLine:
@@ -145,7 +158,7 @@ def normalize_lines(lines) -> np.ndarray:
     norm = np.array(list(map(math.hypot, l1.tolist(), l2.tolist())))
     if not np.all(np.isfinite(norm)):
         raise DegenerateGeometryError("image line normal has no finite norm")
-    finite = norm > _EPS_SCALE
+    finite = norm > EPS_SCALE
     if np.any(~finite & (l3 == 0.0)):
         raise DegenerateGeometryError("image line cannot be normalized")
     # A line at infinity is scaled by its third component, the only one
@@ -263,11 +276,6 @@ class ProjectionMatrix:
         object.__setattr__(self, "P", P)
 
 
-# Index pairs of the upper triangle of the 4x4 dual quadric matrix covered by
-# the 9-vector q = (q1..q9); the remaining (3,3) entry is fixed to 1.
-_Q_UPPER = [(0, 0), (0, 1), (0, 2), (0, 3), (1, 1), (1, 2), (1, 3), (2, 2), (2, 3)]
-
-
 @dataclass(frozen=True)
 class DualQuadric:
     """Dual quadric with 9 free parameters.
@@ -285,10 +293,10 @@ class DualQuadric:
         object.__setattr__(self, "q", q)
 
     def matrix(self) -> np.ndarray:
-        return quadric_from_vector(self.q)
+        return quadric_matrices(self.q)
 
     def centroid(self) -> np.ndarray:
-        return np.array([self.q[3], self.q[6], self.q[8]])
+        return self.q[QUADRIC_CENTROID]
 
     @classmethod
     def identity(cls) -> "DualQuadric":
@@ -326,8 +334,8 @@ def lines_through(a, b) -> np.ndarray:
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     cross = np.cross(a, b)
-    scale = np.maximum(np.abs(a).max(-1) * np.abs(b).max(-1), _EPS_SCALE)
-    if np.any(np.abs(cross).max(-1) <= _EPS_SCALE * scale):
+    scale = np.maximum(np.abs(a).max(-1) * np.abs(b).max(-1), EPS_SCALE)
+    if np.any(np.abs(cross).max(-1) <= EPS_SCALE * scale):
         raise DegenerateGeometryError("points are coincident; line is undefined")
     return cross
 
@@ -378,21 +386,26 @@ def backproject_line(P: ProjectionMatrix, l: ImageLine) -> Plane:
     return Plane(P.P.T @ l.coords)
 
 
-def quadric_from_vector(q) -> np.ndarray:
-    """Expand the 9-vector parametrization into the symmetric 4x4 matrix.
+def quadric_matrices(q) -> np.ndarray:
+    """Expand dual-quadric parameter rows (..., 9) into their symmetric
+    matrices (..., 4, 4), in the layout of the module docstring.
 
-    Layout: q fills the upper triangle row by row; the (4,4) entry is 1.
+    Raises:
+        ValueError: if the last axis does not hold 9 parameters.
     """
-    q = np.asarray(q, dtype=float).reshape(9)
-    Q = np.empty((4, 4))
-    for value, (i, j) in zip(q, _Q_UPPER):
-        Q[i, j] = value
-        Q[j, i] = value
-    Q[3, 3] = 1.0
+    q = np.asarray(q, dtype=float)
+    if q.shape[-1:] != (9,):
+        raise ValueError(f"quadric parameter rows must have 9 entries, got shape {q.shape}")
+    Q = np.empty(q.shape[:-1] + (4, 4))
+    Q[..., _ROWS[:9], _COLS[:9]] = q
+    Q[..., _COLS[:9], _ROWS[:9]] = q
+    Q[..., 3, 3] = 1.0
     return Q
 
+
 def vector_from_quadric(Q) -> np.ndarray:
-    """Inverse of quadric_from_vector: renormalize so (4,4) = 1 and read off q.
+    """Inverse of quadric_matrices on one matrix: renormalize so (4,4) = 1
+    and read off q.
 
     Raises:
         DegenerateGeometryError: if the (4,4) entry is (near) zero, i.e. the
@@ -400,10 +413,9 @@ def vector_from_quadric(Q) -> np.ndarray:
     """
     Q = np.asarray(Q, dtype=float).reshape(4, 4)
     scale = Q[3, 3]
-    if abs(scale) < _EPS_SCALE:
+    if abs(scale) < EPS_SCALE:
         raise DegenerateGeometryError("quadric has (4,4) entry ~ 0; cannot fix scale")
-    Qn = Q / scale
-    return np.array([Qn[i, j] for (i, j) in _Q_UPPER])
+    return (Q / scale)[_ROWS[:9], _COLS[:9]]
 
 
 def ellipsoid_to_dual_quadric(center, semi_axes, rotation=None) -> DualQuadric:
@@ -483,7 +495,7 @@ def dual_conic_bbox(C: DualConic) -> tuple:
             tangents (not an ellipse-like outline).
     """
     M = C.C
-    if abs(M[2, 2]) < _EPS_SCALE:
+    if abs(M[2, 2]) < EPS_SCALE:
         raise DegenerateGeometryError("conic tangent box undefined ((3,3) entry ~ 0)")
     # Vertical tangents l = (1, 0, -u): C11 - 2 u C13 + u^2 C33 = 0.
     du = M[0, 2] ** 2 - M[0, 0] * M[2, 2]
@@ -493,3 +505,42 @@ def dual_conic_bbox(C: DualConic) -> tuple:
     hu, hv = math.sqrt(du) / abs(M[2, 2]), math.sqrt(dv) / abs(M[2, 2])
     u0, v0 = M[0, 2] / M[2, 2], M[1, 2] / M[2, 2]
     return (u0 - hu, v0 - hv, u0 + hu, v0 + hv)
+
+
+def tangency_rows(planes) -> np.ndarray:
+    """Tangency constraints as linear rows against (q1..q9, 1).
+
+    Each plane pi (last axis, length 4) gives the 10 coefficients of
+    pi^T Q* pi = 0 expanded over the parameters: pi_i pi_j for the entry
+    (i, j) of each parameter, doubled off the diagonal where the symmetric
+    matrix holds it twice, and pi_4^2 for the pinned (4,4) entry. The first
+    nine coefficients are the derivative of the tangency residual with
+    respect to the quadric parameters.
+    """
+    planes = np.asarray(planes, dtype=float)
+    p = [planes[..., i] for i in range(4)]
+    return np.stack(
+        [(p[i] if i == j else 2.0 * p[i]) * p[j] for i, j in zip(_ROWS.tolist(), _COLS.tolist())],
+        axis=-1,
+    )
+
+
+def wrap_angles(angles) -> np.ndarray:
+    """A copy of angles wrapped to (-pi, pi], element by element.
+
+    Bit-identical to wrap_angle on every finite angle. Where wrap_angle
+    raises on an infinite or NaN angle, this returns NaN.
+    """
+    out = np.array(angles, dtype=float, copy=True)
+    mask = (out <= -math.pi) | (out > math.pi)
+    if np.any(mask):
+        v = out[mask]
+        w = v - math.tau * np.floor((v + math.pi) / math.tau)
+        out[mask] = np.where(w <= -math.pi, w + math.tau, w)
+    return out
+
+
+def in_frame(c, s, dx, dy):
+    """Planar offsets (dx, dy) expressed in frames with heading cosine c and
+    sine s, as the pair of arrays (x, y)."""
+    return c * dx + s * dy, -s * dx + c * dy

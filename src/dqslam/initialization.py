@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import check_fields, setting
-from .factors import _plane_constraint_rows, motion_model
+from .factors import motion_model
 from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
@@ -23,6 +23,7 @@ from .geometry import (
     RobotPose,
     pose_to_extrinsics,
     projection_matrix,
+    tangency_rows,
 )
 
 __all__ = [
@@ -92,7 +93,7 @@ def fit_dual_quadric(
             f"{planes.shape[0]} planes constrain at most {planes.shape[0]} of 9 DOF"
         )
     planes = planes / np.linalg.norm(planes, axis=1, keepdims=True)
-    A = _plane_constraint_rows(planes)
+    A = tangency_rows(planes)
     _, S, Vt = np.linalg.svd(A)
     v = Vt[-1]
     if len(S) < 10:  # fewer rows than unknowns: exact nullspace

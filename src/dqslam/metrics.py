@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import quadric_from_vector
+from .geometry import QUADRIC_CENTROID, quadric_matrices
 
 __all__ = [
     "TrialResult",
@@ -28,10 +28,6 @@ __all__ = [
 ]
 
 MODES = ("monocular", "with-relpos")
-
-# The centroid (q4, q7, q9) of a dual quadric's parameter row.
-_CENTROID = [3, 6, 8]
-
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -68,8 +64,9 @@ def rmse_lm(est, centers) -> float:
     if len(est) != len(centers):
         raise ValueError(f"landmark count mismatch: {len(est)} estimates, "
                          f"{len(centers)} landmarks")
+    # Per row: norm(axis=1) differs from the 1-D norm in the last bit.
     dist = np.array(
-        [np.linalg.norm(q[_CENTROID] - c) for q, c in zip(est, centers)]
+        [np.linalg.norm(q[QUADRIC_CENTROID] - c) for q, c in zip(est, centers)]
     )
     return float(np.mean(dist))
 
@@ -83,8 +80,8 @@ def quadric_volume_cube(q):
     squared semi-axes. Returns None when they are not all positive, i.e.
     the estimate is not an ellipsoid.
     """
-    Q = quadric_from_vector(q)
-    c = q[_CENTROID]
+    Q = quadric_matrices(q)
+    c = q[QUADRIC_CENTROID]
     H = np.eye(4)
     H[:3, 3] = -c
     Qc = H @ Q @ H.T

@@ -21,18 +21,20 @@ from dataclasses import dataclass
 import numpy as np
 
 from .config import ConfigError, check_fields, setting
-from .factors import Measurements, _in_frame, _plane_constraint_rows
+from .factors import Measurements
 from .geometry import (
-    _EPS_SCALE,
+    EPS_SCALE,
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
     ellipsoid_to_dual_quadric,
+    in_frame,
     left_facing_mount,
     lines_through,
     normalize_lines,
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
     rotz,
+    tangency_rows,
 )
 from .initialization import init_poses
 
@@ -282,7 +284,7 @@ def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: 
     dv = np.float_power(c23, 2) - C[:, 1, 1] * c33
     seen = (
         ((R @ center + t)[:, 2] > side / 2.0)
-        & (np.abs(c33) >= _EPS_SCALE) & (du > 0) & (dv > 0)
+        & (np.abs(c33) >= EPS_SCALE) & (du > 0) & (dv > 0)
     )
     with np.errstate(divide="ignore", invalid="ignore"):
         hu, hv = np.sqrt(du) / np.abs(c33), np.sqrt(dv) / np.abs(c33)
@@ -324,7 +326,7 @@ def measure_relative_position(centers, poses, sigma: float, rng) -> np.ndarray:
     c = np.array([math.cos(th) for th in theta])
     s = np.array([math.sin(th) for th in theta])
     dx, dy = centers[:, 0] - poses[:, 0], centers[:, 1] - poses[:, 1]
-    local = np.stack([*_in_frame(c, s, dx, dy), centers[:, 2]], axis=1)
+    local = np.stack([*in_frame(c, s, dx, dy), centers[:, 2]], axis=1)
     return local + rng.normal(0.0, sigma, size=local.shape)
 
 
@@ -350,7 +352,7 @@ def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) ->
     coords = np.stack([boxes[:, 0, 1], boxes[:, 1, 0], boxes[:, 2, 1], boxes[:, 3, 0]], 1)
     planes = (P[:, rows] - coords[:, :, None] * P[:, 2:3]).reshape(-1, 4)
     planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-    S = np.linalg.svd(_plane_constraint_rows(planes), compute_uv=False)
+    S = np.linalg.svd(tangency_rows(planes), compute_uv=False)
     return float(S[-2] / S[0])
 
 

@@ -14,7 +14,8 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from .config import check_fields, setting
-from .factors import FactorGraph, GraphEvaluator, _wrap
+from .factors import FactorGraph, GraphEvaluator
+from .geometry import wrap_angles
 
 __all__ = [
     "SolverConfig",
@@ -105,7 +106,7 @@ def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
 def _retract(poses: np.ndarray, quadrics: np.ndarray, delta: np.ndarray):
     n = poses.shape[0]
     new_poses = poses + delta[: 3 * n].reshape(n, 3)
-    new_poses[:, 2] = _wrap(new_poses[:, 2])
+    new_poses[:, 2] = wrap_angles(new_poses[:, 2])
     new_quadrics = quadrics + delta[3 * n :].reshape(-1, 9)
     return new_poses, new_quadrics
 

@@ -31,6 +31,11 @@ def test_trace_hooks_record_spans(small_world):
         "simulator.generate_dataset",
         "simulator.project_cube_bbox",
         "pipeline.run_trial",
+        "pipeline.build_graph",
+        "initialization.initialize_quadrics",
+        "solver.solve",
+        "factors.GraphEvaluator.init",
+        "factors.GraphEvaluator.residual",
         "factors.GraphEvaluator.jacobian",
         "solver.linear_step",
     ):

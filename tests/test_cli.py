@@ -367,8 +367,21 @@ def test_rerun_rejects_malformed_manifest(manifest, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
-def test_missing_dataset_reports_error(tmp_path, capsys):
-    code = main(["solve", "--dataset", str(tmp_path / "nope.json"),
-                 "--out", str(tmp_path / "o.json")])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--dataset", "{dir}/nope.json", "--out", "{dir}/o.json"],
+        ["solve", "--dataset", "{dir}", "--out", "{dir}/o.json"],
+        ["simulate", "--out", "{dir}"] + SMALL,
+        ["rerun", "{dir}"],
+        ["evaluate", "--trials", "1", "--out-dir", "{dir}/file", "--workers", "1"] + SMALL,
+    ],
+    ids=["solve-missing-dataset", "solve-dataset-dir", "simulate-out-dir", "rerun-dir",
+         "evaluate-out-dir-file"],
+)
+def test_missing_dataset_reports_error(argv, tmp_path, capsys):
+    (tmp_path / "file").write_text("")
+    code = main([a.format(dir=tmp_path) for a in argv])
     assert code == 2
-    assert "error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err

@@ -26,10 +26,12 @@ from dqslam.geometry import (
     pose_to_extrinsics,
     project_quadric,
     projection_matrix,
-    quadric_from_vector,
+    QUADRIC_CENTROID,
+    quadric_matrices,
     tangency_residual,
     vector_from_quadric,
     wrap_angle,
+    wrap_angles,
 )
 from conftest import ellipsoid_tangent_planes, unit_sphere_directions
 
@@ -60,6 +62,25 @@ def test_wrap_angle_always_in_interval(rng):
         w = wrap_angle(theta)
         assert -math.pi < w <= math.pi
         assert abs(math.remainder(w - theta, math.tau)) < 1e-9
+
+
+def test_wrap_angles_matches_wrap_angle_bytes(rng):
+    edges = [math.pi, -math.pi, 1e300, -1e300, 1.7e308, -1.7e308]
+    edges += [np.nextafter(a, to) for a in (math.pi, -math.pi) for to in (-np.inf, np.inf)]
+    angles = np.concatenate([
+        edges,
+        math.tau * np.arange(-50, 51),
+        rng.uniform(-50, 50, size=2000),
+        rng.normal(size=2000) * 10.0 ** rng.integers(-20, 300, size=2000),
+    ])
+    expected = np.array([wrap_angle(a) for a in angles.tolist()])
+    assert wrap_angles(angles).tobytes() == expected.tobytes()
+    # The scalar wrap raises on these; the array kernel returns NaN.
+    for bad in (math.inf, -math.inf, math.nan):
+        with pytest.raises((OverflowError, ValueError)):
+            wrap_angle(bad)
+    with np.errstate(invalid="ignore"):
+        assert np.isnan(wrap_angles([math.inf, -math.inf, math.nan])).all()
 
 
 # -- points and lines ---------------------------------------------------------
@@ -288,25 +309,39 @@ def test_backproject_line_ray_sampling(rng, default_intrinsics):
 # -- dual quadrics ---------------------------------------------------------------
 
 def test_quadric_from_vector_identity():
-    Q = quadric_from_vector([1, 0, 0, 0, 1, 0, 0, 1, 0])
+    Q = quadric_matrices([1, 0, 0, 0, 1, 0, 0, 1, 0])
     assert np.array_equal(Q, np.eye(4))
 
 
 def test_quadric_from_vector_layout():
-    Q = quadric_from_vector([-1, 0, 0, 0, -1, 0, 0, 24, 5])
-    assert np.allclose(np.diag(Q), [-1, -1, 24, 1])
-    assert Q[2, 3] == 5 and Q[3, 2] == 5
-    assert np.array_equal(Q, Q.T)
+    q = np.arange(1.0, 10.0)
+    expected = np.array([
+        [1, 2, 3, 4],
+        [2, 5, 6, 7],
+        [3, 6, 8, 9],
+        [4, 7, 9, 1],
+    ], dtype=float)
+    assert np.array_equal(quadric_matrices(q), expected)
+    assert np.array_equal(q[QUADRIC_CENTROID], [4, 7, 9])
+    stacked = quadric_matrices(np.stack([q, 10 * q, -q]))
+    assert stacked.shape == (3, 4, 4)
+    assert np.array_equal(stacked, np.array([
+        expected,
+        [[10, 20, 30, 40], [20, 50, 60, 70], [30, 60, 80, 90], [40, 70, 90, 1]],
+        [[-1, -2, -3, -4], [-2, -5, -6, -7], [-3, -6, -8, -9], [-4, -7, -9, 1]],
+    ]))
+    with pytest.raises(ValueError):
+        quadric_matrices(np.zeros(8))
 
 
 def test_quadric_vector_round_trip(rng):
     for _ in range(20):
         q = rng.normal(size=9)
-        assert np.array_equal(vector_from_quadric(quadric_from_vector(q)), q)
+        assert np.array_equal(vector_from_quadric(quadric_matrices(q)), q)
 
 
 def test_vector_from_quadric_rescales():
-    Q = 3.0 * quadric_from_vector([1, 0, 0, 0, 1, 0, 0, 1, 0])
+    Q = 3.0 * quadric_matrices([1, 0, 0, 0, 1, 0, 0, 1, 0])
     assert np.allclose(vector_from_quadric(Q), [1, 0, 0, 0, 1, 0, 0, 1, 0])
 
 

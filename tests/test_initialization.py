@@ -93,10 +93,10 @@ def test_fit_dual_quadric_recovers_ellipsoid(rng):
     assert est.matrix()[3, 3] == 1.0  # exact fixed scale
 
     # residual invariant: the fit annihilates its own constraint system
-    from dqslam.factors import _plane_constraint_rows
+    from dqslam.geometry import tangency_rows
 
     planes_n = planes / np.linalg.norm(planes, axis=1, keepdims=True)
-    A = _plane_constraint_rows(planes_n)
+    A = tangency_rows(planes_n)
     qhat = np.append(est.q, 1.0)
     assert np.linalg.norm(A @ qhat) / np.linalg.norm(qhat) < 1e-10
 

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from dqslam.dataset_io import dumps_dataset
-from dqslam.factors import _plane_constraint_rows
 from dqslam.geometry import (
     HomPoint2,
     RobotPose,
@@ -18,6 +17,7 @@ from dqslam.geometry import (
     pose_to_extrinsics,
     project_quadric,
     projection_matrix,
+    tangency_rows,
 )
 from dqslam.initialization import init_poses
 from dqslam.simulator import (
@@ -132,7 +132,7 @@ def test_landmark_condition_matches_back_projected_box_lines():
             planes.extend(P.P.T @ line.coords for line in bbox_to_lines(bbox_corners(*box)))
         planes = np.array(planes)
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-        S = np.linalg.svd(_plane_constraint_rows(planes), compute_uv=False)
+        S = np.linalg.svd(tangency_rows(planes), compute_uv=False)
         condition = _landmark_condition(center, side, seen, R, t, K)
         assert condition == pytest.approx(S[-2] / S[0], rel=1e-9)
 
