@@ -139,7 +139,8 @@ def _write_json(path, doc) -> None:
         fh.write("\n")
 
 
-def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings):
+def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings, **extra):
+    """Write a run manifest; `extra` adds command-specific entries."""
     doc = {
         "schema": MANIFEST_SCHEMA,
         "version": 1,
@@ -150,6 +151,7 @@ def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings
         "seeds": list(seeds),
         "artifacts": [str(a) for a in artifacts],
         "timings_s": {k: float(v) for k, v in timings.items()},
+        **extra,
     }
     _write_json(path, doc)
 
@@ -253,7 +255,8 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
     r = run.result
     print(
         f"{args.mode}: {rep.termination_reason} after {rep.iterations} iterations, "
-        f"cost {rep.initial_cost:.6g} -> {rep.final_cost:.6g}"
+        f"cost {rep.initial_cost:.6g} -> {rep.final_cost:.6g}, "
+        f"{rep.linear_solves} linear solves, {rep.orderings} orderings"
     )
     print(
         f"rmse_pos init {r.rmse_pos_init:.4f} m -> slam {r.rmse_pos_slam:.4f} m; "
@@ -273,6 +276,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
         [dataset.seed],
         artifacts,
         {"solve": elapsed},
+        solver_work={"linear_solves": rep.linear_solves, "orderings": rep.orderings},
     )
     failed = rep.termination_reason == "stalled" or not np.isfinite(rep.final_cost)
     return 1 if failed else 0
@@ -284,9 +288,10 @@ def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
     """Worker: one seed in one mode. The dataset is regenerated from the
     seed, which is deterministic and cheap next to a solve.
 
-    Returns (result, error message, wall seconds); exactly one of result
-    and error is None.
+    Returns (result, error message, wall seconds, start time.time(), pid);
+    exactly one of result and error is None.
     """
+    started = time.time()
     t0 = time.perf_counter()
     try:
         dataset = generate_dataset(world, sensor)
@@ -300,7 +305,7 @@ def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
         result, error = run.result, None
     except Exception as exc:  # trial failure: recorded, run continues
         result, error = None, f"{type(exc).__name__}: {exc}"
-    return result, error, time.perf_counter() - t0
+    return result, error, time.perf_counter() - t0, started, os.getpid()
 
 
 def _csv_row(result) -> str:
@@ -332,6 +337,7 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     job_modes = [mode for _, mode in jobs]
 
     os.makedirs(args.out_dir, exist_ok=True)
+    started = time.time()
     t0 = time.perf_counter()
     # A pool forks all its workers at the first submit; more than one per
     # job would only sit idle.
@@ -346,16 +352,17 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     # Back into seed order, then MODES order. A seed with a failed mode
     # contributes no rows and one failure: its first failing mode's message.
     by_job = dict(zip(jobs, outcomes))
-    all_results, failures, timings = [], {}, {"evaluate": elapsed}
+    all_results, failures, timings, job_log = [], {}, {"evaluate": elapsed}, {}
     for seed in seeds:
         runs = [by_job[seed, mode] for mode in MODES]
-        errors = [error for _, error, _ in runs if error is not None]
+        errors = [error for _, error, *_ in runs if error is not None]
         if errors:
             failures[seed] = errors[0]
         else:
-            all_results.extend(result for result, _, _ in runs)
-        for mode, (_, _, seconds) in zip(MODES, runs):
+            all_results.extend(result for result, *_ in runs)
+        for mode, (_, _, seconds, job_start, pid) in zip(MODES, runs):
             timings[f"trial/{seed}/{mode}"] = seconds
+            job_log[f"{seed}/{mode}"] = {"start_s": job_start - started, "pid": pid}
 
     csv_path = os.path.join(args.out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
@@ -399,6 +406,7 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
         seeds,
         [csv_path, summary_path],
         timings,
+        jobs=job_log,
     )
     return 1 if failures else 0
 

@@ -3,6 +3,22 @@
 Damped normal equations with diagonal scaling, solved sparsely; accepted
 steps never increase the whitened cost. Poses update on the SE(2) tangent
 (additive with angle wrap), quadrics additively in their 9-vector.
+
+Each lambda trial factors the damped system with SuperLU. Its
+fill-reducing column order depends only on the sparsity pattern of J^T J,
+which changes a few times per solve, so `solve` passes `linear_step` a
+`ColumnOrder`. The first trial on a pattern factors as `splu` does by
+default (COLAMD order) and records the order; later trials on it lay the
+damped values out in that order and factor them with SuperLU's NATURAL
+order, which skips the ordering (the symbolic/numeric split of sparse
+bundle adjustment, Triggs et al. 1999, section 6). SuperLU then eliminates
+the same columns in the same order and gives the same step bit for bit,
+with one known exception: it breaks an exact tie between candidate pivots
+towards the entry it takes for the diagonal, and the permuted layout moves
+that entry. On this program's systems such ties appear only where damping
+leaves a diagonal entry unchanged (lambda = 0, or too small to change it),
+so those trials take the default path. The tests compare every trial of
+real solves with the default path bit for bit.
 """
 
 from __future__ import annotations
@@ -21,6 +37,7 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "LinearSolveError",
+    "ColumnOrder",
     "normal_equations",
     "linear_step",
     "solve",
@@ -56,6 +73,8 @@ class SolveReport:
     final_cost: float
     converged: bool
     termination_reason: str  # cost-tol | grad-tol | max-iters | stalled
+    linear_solves: int = 0  # lambda trials: linear_step calls
+    orderings: int = 0  # COLAMD orders computed: one per new J^T J pattern
 
 
 def normal_equations(J, r: np.ndarray):
@@ -72,7 +91,70 @@ def normal_equations(J, r: np.ndarray):
     return JtJ, J.T @ r
 
 
-def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
+class ColumnOrder:
+    """The column order SuperLU chose for one sparsity pattern of J^T J,
+    kept across the lambda trials of a solve.
+
+    It holds the pattern it was made for, the order (`perm_c` of the first
+    factorization), the gather that lays J^T J's stored values out column
+    by column in that order, and the diagonal slots of that layout. It
+    holds no factorization. `linear_step` fills it on a new pattern and
+    uses it on the next trials; `orderings` counts the patterns seen.
+    """
+
+    def __init__(self):
+        self.orderings = 0
+        self._pattern = None  # (indptr, indices) the layout was made for
+        self._layout = None  # (perm_c, gather, indices, indptr, diagonal slots)
+
+    def fits(self, JtJ) -> bool:
+        """Whether JtJ has the pattern of the recorded order."""
+        if self._pattern is None:
+            return False
+        indptr, indices = self._pattern
+        return np.array_equal(JtJ.indptr, indptr) and np.array_equal(JtJ.indices, indices)
+
+    def record(self, M, perm_c: np.ndarray) -> None:
+        """Record the order perm_c that SuperLU chose for the canonical
+        damped matrix M."""
+        indptr, indices = M.indptr, M.indices
+        inv = np.empty_like(perm_c)
+        inv[perm_c] = np.arange(perm_c.size, dtype=perm_c.dtype)
+        # Column k of the layout is column inv[k] of M, rows still sorted.
+        counts = np.diff(indptr)[inv]
+        p_indptr = np.zeros_like(indptr)
+        np.cumsum(counts, out=p_indptr[1:])
+        gather = np.arange(M.nnz, dtype=indices.dtype)
+        gather += np.repeat(indptr[inv] - p_indptr[:-1], counts)
+        p_indices = indices[gather]
+        diag = np.flatnonzero(p_indices == np.repeat(inv, counts))
+        self._pattern = (indptr, indices)
+        self._layout = (perm_c, gather, p_indices, p_indptr, diag)
+        self.orderings += 1
+
+    def step(self, JtJ, g: np.ndarray, lam: float):
+        """The damped step in the recorded order, or None where the default
+        path must decide: damping leaves a diagonal entry unchanged (so a
+        pivot tie may break differently), J^T J stores an explicit zero
+        (the default path drops it), or the system is singular or gives a
+        non-finite solution. JtJ must fit the order."""
+        perm_c, gather, indices, indptr, diag = self._layout
+        data = JtJ.data[gather]
+        d = data[diag]
+        damped = d + lam * d
+        if not data.all() or np.any(damped == d):
+            return None
+        data[diag] = damped
+        M = sp.csc_matrix((data, indices, indptr), shape=JtJ.shape)
+        try:
+            y = spla.splu(M, permc_spec="NATURAL").solve(-g)
+        except RuntimeError:
+            return None
+        delta = y[perm_c]
+        return delta if np.all(np.isfinite(delta)) else None
+
+
+def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None) -> np.ndarray:
     """One damped Gauss-Newton step: solve (JtJ + lam diag(JtJ)) d = -g.
 
     JtJ, g are the normal equations from normal_equations, formed once per
@@ -83,11 +165,21 @@ def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
     stored diagonal entry d: entry for entry, what `splu` factors when
     given `JtJ + sp.diags(lam * d)`, without building and sorting that sum.
 
+    With an `order` that fits JtJ's pattern, the step is taken in that
+    column order (see the module docstring), with the same result as
+    without it; otherwise the step is taken as without it and its column
+    order is recorded in `order`.
+
     Raises:
         LinearSolveError: singular system or non-finite solution.
     """
     if lam < 0:
         raise ValueError("damping must be nonnegative")
+    fits = order is not None and order.fits(JtJ)
+    if fits:
+        delta = order.step(JtJ, g, lam)
+        if delta is not None:
+            return delta
     M = sp.csc_matrix(JtJ, copy=True)
     M.sum_duplicates()
     M.eliminate_zeros()
@@ -95,11 +187,14 @@ def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
     diag = M.indices == col
     M.data[diag] += lam * M.data[diag]
     try:
-        delta = spla.splu(M).solve(-g)
+        lu = spla.splu(M)
+        delta = lu.solve(-g)
     except RuntimeError as exc:
         raise LinearSolveError(f"damped normal equations not solvable: {exc}") from exc
     if not np.all(np.isfinite(delta)):
         raise LinearSolveError("linear solve produced non-finite update")
+    if order is not None and not fits:
+        order.record(M, lu.perm_c)
     return delta
 
 
@@ -138,6 +233,8 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         )
     initial_cost = cost
     lam = config.initial_lambda
+    order = ColumnOrder()
+    linear_solves = 0
     iterations = 0
     converged = False
     reason = "max-iters"
@@ -159,8 +256,9 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         stagnated = False
         escalated = False
         while True:
+            linear_solves += 1
             try:
-                delta = linear_step(JtJ, g, lam)
+                delta = linear_step(JtJ, g, lam, order)
             except LinearSolveError:
                 stalled = True
                 break
@@ -175,7 +273,9 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
                 break
             escalated = True
             lam *= config.lambda_up
-            if lam > _LAMBDA_MAX:
+            # At lam = 0 escalation cannot change the step, which would be
+            # retried forever.
+            if lam == 0 or lam > _LAMBDA_MAX:
                 stalled = True
                 break
 
@@ -206,5 +306,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         final_cost=cost,
         converged=converged,
         termination_reason=reason,
+        linear_solves=linear_solves,
+        orderings=order.orderings,
     )
     return replace(graph, poses=poses, quadrics=quadrics), report

@@ -193,15 +193,25 @@ def test_solve_results_fingerprint(tmp_path):
         assert digests == expected, mode
 
 
-def test_solve_manifest_lists_artifacts(tmp_path):
+def test_solve_manifest_lists_artifacts(tmp_path, capsys):
     ds_path = tmp_path / "ds.json"
     main(["simulate", "--seed", "1", "--out", str(ds_path)] + SMALL)
     out = tmp_path / "res.json"
+    capsys.readouterr()
     main(["solve", "--dataset", str(ds_path), "--out", str(out)])
     manifest = json.loads((tmp_path / "res.json.manifest.json").read_text())
     assert str(out) in manifest["artifacts"]
     assert manifest["command"] == "solve"
     assert manifest["seeds"] == [1]
+    # The solver's work is in the manifest and on the summary line, not in
+    # the results document.
+    work = manifest["solver_work"]
+    assert work["linear_solves"] >= work["orderings"] >= 1
+    summary = capsys.readouterr().out.splitlines()[0]
+    assert summary.endswith(
+        f"{work['linear_solves']} linear solves, {work['orderings']} orderings"
+    )
+    assert "linear_solves" not in out.read_text()
 
 
 def test_evaluate_csv_format_and_determinism(tmp_path):
@@ -326,6 +336,14 @@ def test_evaluate_job_failure_fails_its_seed_only(tmp_path, monkeypatch):
         f"trial/{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES
     ]
     assert all(t > 0 for t in timings.values())
+    # Each job's start offset from the batch start and the process that ran
+    # it: this serial batch ran every job here, one after another.
+    jobs = json.loads((out / "run_manifest.json").read_text())["jobs"]
+    assert list(jobs) == [f"{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES]
+    assert {job["pid"] for job in jobs.values()} == {os.getpid()}
+    starts = [jobs[f"{seed}/{mode}"]["start_s"] for mode in MODES for seed in (4, 5, 6)]
+    assert 0 <= starts[0] and starts == sorted(starts)
+    assert starts[-1] < timings["evaluate"]
 
 
 def test_python_m_dqslam_runs_the_cli():

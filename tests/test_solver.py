@@ -8,8 +8,9 @@ from dqslam import solver
 from dqslam.factors import FactorGraph, graph_residual
 from dqslam.geometry import RobotPose, CameraIntrinsics, left_facing_mount
 from dqslam.pipeline import build_graph, ground_truth_graph, run_trial
-from dqslam.simulator import WorldConfig, generate_dataset
+from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
 from dqslam.solver import (
+    ColumnOrder,
     LinearSolveError,
     SolveReport,
     SolverConfig,
@@ -165,6 +166,116 @@ def test_linear_step_rejects_negative_damping(rng):
         linear_step(*normal_equations(rng.normal(size=(5, 2)), rng.normal(size=5)), lam=-1.0)
 
 
+# -- linear_step in a recorded column order ------------------------------------
+
+def pattern(JtJ):
+    return JtJ.indptr.tobytes(), JtJ.indices.tobytes()
+
+
+@pytest.fixture
+def in_order_steps(monkeypatch):
+    """Whether each attempt at a step in the recorded order produced it."""
+    taken = []
+    real = ColumnOrder.step
+
+    def step(self, JtJ, g, lam):
+        delta = real(self, JtJ, g, lam)
+        taken.append(delta is not None)
+        return delta
+
+    monkeypatch.setattr(ColumnOrder, "step", step)
+    return taken
+
+
+@pytest.mark.parametrize("seed, world, mode", [
+    (0, {}, "monocular"),  # the pattern changes four times
+    (3, {"n_landmarks": 40}, "monocular"),
+])
+def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, monkeypatch,
+                                                             in_order_steps):
+    ds = generate_dataset(WorldConfig(seed=seed, **world), SensorConfig())
+    real = solver.linear_step
+    trials, changes, in_order, last = [], [], [], [None]
+
+    def checked(JtJ, g, lam, order):
+        in_order.append(order.fits(JtJ))
+        delta = real(JtJ, g, lam, order)
+        assert np.array_equal(delta, real(JtJ, g, lam)), len(trials)
+        trials.append(lam)
+        changes.append(pattern(JtJ) != last[0])
+        last[0] = pattern(JtJ)
+        return delta
+
+    monkeypatch.setattr(solver, "linear_step", checked)
+    _, report = solve(build_graph(ds, mode=mode))
+    assert report.linear_solves == len(trials)
+    assert report.orderings == sum(changes) >= 2
+    # Every trial after a pattern's first ran in the recorded order.
+    assert in_order == [not c for c in changes]
+    assert in_order_steps == [True] * (len(trials) - report.orderings)
+    if seed == 0:
+        assert report.orderings == 4
+
+
+def sparse_spd(rng, n, density):
+    J = rng.normal(size=(3 * n, n)) * (rng.uniform(size=(3 * n, n)) < density)
+    J[np.arange(n), np.arange(n)] = 1.0  # every column constrained
+    return normal_equations(J, rng.normal(size=3 * n))
+
+
+def test_column_order_records_one_order_per_pattern(rng, in_order_steps):
+    JtJ1, g = sparse_spd(rng, 40, 0.1)
+    JtJ2, _ = sparse_spd(rng, 40, 0.1)
+    assert pattern(JtJ1) != pattern(JtJ2)
+    same_pattern = JtJ1.copy()
+    same_pattern.data = same_pattern.data * rng.uniform(0.5, 2.0, size=JtJ1.nnz)
+    same_pattern.data[same_pattern.indices == 3] *= 4.0
+
+    order = ColumnOrder()
+    steps = [(JtJ1, 1), (same_pattern, 1), (JtJ2, 2), (JtJ2, 2), (JtJ1, 3)]
+    for JtJ, orderings in steps:
+        for lam in (1e-4, 1.0):
+            assert np.array_equal(linear_step(JtJ, g, lam, order), linear_step(JtJ, g, lam))
+            assert order.orderings == orderings
+            assert order.fits(JtJ)
+    assert in_order_steps == [True] * 7
+
+
+def test_column_order_defers_to_the_default_path(rng, in_order_steps):
+    JtJ, g = sparse_spd(rng, 30, 0.15)
+    order = ColumnOrder()
+    linear_step(JtJ, g, 1e-2, order)
+    # Damping that changes no diagonal entry, and an explicit zero that the
+    # default path drops: the step is still the default one, bit for bit.
+    zero = JtJ.copy()
+    zero.data[np.flatnonzero(zero.indices != np.repeat(np.arange(30), np.diff(zero.indptr)))[0]] = 0.0
+    for M, lam in ((JtJ, 0.0), (JtJ, 1e-300), (zero, 1e-2)):
+        assert order.fits(M)
+        assert np.array_equal(linear_step(M, g, lam, order), linear_step(M, g, lam))
+    assert order.orderings == 1
+    assert in_order_steps == [False] * 3
+
+
+def test_column_order_singular_and_non_finite_raise(in_order_steps):
+    def dense(a, b, c):
+        return sp.csc_matrix(np.array([[a, b], [b, c]]))
+
+    order = ColumnOrder()
+    linear_step(dense(4.0, 1.0, 3.0), np.ones(2), 0.5, order)
+    # Damped by lam = 0.5 this is [[1.5, 1.5], [1.5, 1.5]]: exactly singular.
+    singular = dense(1.0, 1.5, 1.0)
+    # Tiny but normal values against a huge gradient: the step overflows.
+    overflowing = dense(2e-300, 1e-300, 2e-300)
+    for JtJ, g in ((singular, np.ones(2)), (overflowing, np.full(2, 1e300))):
+        assert order.fits(JtJ)
+        with pytest.raises(LinearSolveError):
+            linear_step(JtJ, g, 0.5, order)
+        with pytest.raises(LinearSolveError):
+            linear_step(JtJ, g, 0.5)
+    assert order.orderings == 1
+    assert in_order_steps == [False] * 2
+
+
 # -- solve ---------------------------------------------------------------------
 
 def test_solve_linear_problem_one_iteration(rng):
@@ -240,6 +351,25 @@ def test_solve_gradient_at_grad_tol_termination(rng):
         assert np.abs(J.T @ r).max() < cfg.grad_tol
 
 
+def test_solve_zero_initial_lambda_stalls_on_a_rejected_step(monkeypatch):
+    # A rejected step at lam = 0 cannot be damped by escalating lam: the
+    # solve used to retry the same step forever.
+    ds = generate_dataset(WorldConfig(seed=2), SensorConfig())
+    real = solver.linear_step
+    lams = []
+
+    def counted(JtJ, g, lam, order=None):
+        lams.append(lam)
+        return real(JtJ, g, lam, order)
+
+    monkeypatch.setattr(solver, "linear_step", counted)
+    _, report = solve(build_graph(ds, mode="monocular"), SolverConfig(initial_lambda=0.0))
+    assert report.termination_reason == "stalled"
+    assert not report.converged
+    assert report.linear_solves == len(lams) <= 5
+    assert set(lams) == {0.0}
+
+
 def test_solve_stalls_on_unconstrained_variable(rng):
     g = priors_only_graph(rng, n_poses=2)
     g.quadrics = np.zeros((1, 9))  # no factor touches it
@@ -263,3 +393,4 @@ def test_solver_config_validation():
 def test_solve_report_fields():
     r = SolveReport(3, 10.0, 1.0, True, "cost-tol")
     assert r.final_cost <= r.initial_cost
+    assert (r.linear_solves, r.orderings) == (0, 0)
