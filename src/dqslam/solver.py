@@ -117,6 +117,7 @@ class ColumnOrder:
     def record(self, M, perm_c: np.ndarray) -> None:
         """Record the order perm_c that SuperLU chose for the canonical
         damped matrix M."""
+        perm_c = np.array(perm_c)  # SuperLU's array keeps the factorization alive
         indptr, indices = M.indptr, M.indices
         inv = np.empty_like(perm_c)
         inv[perm_c] = np.arange(perm_c.size, dtype=perm_c.dtype)

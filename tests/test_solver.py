@@ -195,9 +195,10 @@ def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, 
                                                              in_order_steps):
     ds = generate_dataset(WorldConfig(seed=seed, **world), SensorConfig())
     real = solver.linear_step
-    trials, changes, in_order, last = [], [], [], [None]
+    trials, changes, in_order, last, systems = [], [], [], [None], {}
 
     def checked(JtJ, g, lam, order):
+        systems[id(JtJ)] = JtJ, g
         in_order.append(order.fits(JtJ))
         delta = real(JtJ, g, lam, order)
         assert np.array_equal(delta, real(JtJ, g, lam)), len(trials)
@@ -215,6 +216,13 @@ def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, 
     assert in_order_steps == [True] * (len(trials) - report.orderings)
     if seed == 0:
         assert report.orderings == 4
+
+    # Undamped, these systems meet exact pivot ties that SuperLU would break
+    # differently in the recorded layout: such steps take the default path.
+    for JtJ, g in systems.values():
+        order = ColumnOrder()
+        linear_step(JtJ, g, 1.0, order)
+        assert np.array_equal(linear_step(JtJ, g, 0.0, order), linear_step(JtJ, g, 0.0))
 
 
 def sparse_spd(rng, n, density):
@@ -254,6 +262,24 @@ def test_column_order_defers_to_the_default_path(rng, in_order_steps):
         assert np.array_equal(linear_step(M, g, lam, order), linear_step(M, g, lam))
     assert order.orderings == 1
     assert in_order_steps == [False] * 3
+
+
+def test_column_order_holds_no_factorization(rng):
+    # Arrays read off a SuperLU object are views that keep its factors alive.
+    order = ColumnOrder()
+    linear_step(*sparse_spd(rng, 30, 0.15), 1e-2, order)
+
+    def owners(value):
+        if isinstance(value, np.ndarray):
+            while value.base is not None:
+                value = value.base
+            yield value
+        elif isinstance(value, tuple):
+            for item in value:
+                yield from owners(item)
+
+    held = list(owners(tuple(vars(order).values())))
+    assert held and all(isinstance(owner, np.ndarray) for owner in held)
 
 
 def test_column_order_singular_and_non_finite_raise(in_order_steps):
