@@ -12,13 +12,14 @@ default (COLAMD order) and records the order; later trials on it lay the
 damped values out in that order and factor them with SuperLU's NATURAL
 order, which skips the ordering (the symbolic/numeric split of sparse
 bundle adjustment, Triggs et al. 1999, section 6). SuperLU then eliminates
-the same columns in the same order and gives the same step bit for bit,
-with one known exception: it breaks an exact tie between candidate pivots
-towards the entry it takes for the diagonal, and the permuted layout moves
-that entry. On this program's systems such ties appear only where damping
-leaves a diagonal entry unchanged (lambda = 0, or too small to change it),
-so those trials take the default path. The tests compare every trial of
-real solves with the default path bit for bit.
+the same columns in the same order, and on every system checked gives the
+same step bit for bit, with one known exception: it breaks an exact tie
+between candidate pivots towards the entry it takes for the diagonal, and
+the permuted layout moves that entry. On this program's systems such ties
+appear only where damping leaves a diagonal entry unchanged (lambda = 0,
+or too small to change it), so those trials take the default path. The
+tests compare every trial of real solves with the default path bit for
+bit.
 """
 
 from __future__ import annotations

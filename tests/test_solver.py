@@ -271,7 +271,7 @@ def test_column_order_holds_no_factorization(rng):
 
     def owners(value):
         if isinstance(value, np.ndarray):
-            while value.base is not None:
+            while isinstance(value, np.ndarray) and value.base is not None:
                 value = value.base
             yield value
         elif isinstance(value, tuple):
