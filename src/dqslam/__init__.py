@@ -10,9 +10,6 @@ from .geometry import (
     CameraIntrinsics,
     DualConic,
     DualQuadric,
-    HomPoint2,
-    ImageLine,
-    Plane,
     ProjectionMatrix,
     RobotPose,
 )

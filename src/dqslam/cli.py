@@ -309,19 +309,8 @@ def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
 
 
 def _csv_row(result) -> str:
-    return ",".join(
-        [
-            str(result.seed),
-            result.mode,
-            _fmt_float(result.rmse_pos_init),
-            _fmt_float(result.rmse_pos_slam),
-            _fmt_float(result.rmse_lm),
-            _fmt_float(result.rmse_volume),
-            str(result.volume_invalid_count),
-            str(result.iterations),
-            _fmt_float(result.final_cost),
-        ]
-    )
+    values = (getattr(result, name) for name in CSV_COLUMNS)
+    return ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in values)
 
 
 def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int:

@@ -28,7 +28,7 @@ from .factors import Measurements
 from .geometry import DegenerateGeometryError, normalize_lines, wrap_angles
 from .simulator import Dataset, SensorConfig, WorldConfig
 
-__all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_to_dict", "dataset_from_dict",
+__all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_from_dict",
            "write_dataset", "read_dataset", "dumps_dataset"]
 
 SCHEMA = "dqslam.dataset"
@@ -132,11 +132,6 @@ def dumps_dataset(ds: Dataset) -> str:
                                                 "relative_positions"),
     }
     return _layout(doc, 0) + "\n"
-
-
-def dataset_to_dict(ds: Dataset) -> dict:
-    """The dataset's document, as json.load reads it back."""
-    return json.loads(dumps_dataset(ds))
 
 
 def _get(obj, key: str, where: str):

@@ -1,14 +1,18 @@
 """Projective-geometry primitives for quadric-landmark SLAM.
 
-Homogeneous points, image lines, 3D planes, pinhole cameras, dual quadrics
-(surfaces defined by their tangent planes) and dual conics (their perspective
-images, defined by tangent lines), plus the conversions among them.
+Pinhole cameras, dual quadrics (surfaces defined by their tangent planes)
+and dual conics (their perspective images, defined by tangent lines), plus
+the conversions among them. Image points, image lines and 3D planes are
+plain homogeneous arrays, (..., 3) and (..., 4); an image line l
+back-projects to the plane P^T l.
 
 Conventions used throughout the package:
 
 * Image lines are stored normalized so that sqrt(l1^2 + l2^2) = 1, with the
   sign fixed by l3 >= 0 (ties broken by l1 > 0, then l2 > 0). The line at
   infinity is normalized to (0, 0, 1).
+* A bounding box is its four pixel corners in cyclic order (box_corners),
+  and its lines join corner k to corner k+1 (box_lines).
 * Camera extrinsics are world-to-camera: X_cam = R @ X_world + t, so the
   projection matrix is literally P = K [R | t].
 * A dual quadric is kept at the fixed scale where its 4x4 matrix has entry
@@ -31,9 +35,6 @@ import numpy as np
 
 __all__ = [
     "DegenerateGeometryError",
-    "HomPoint2",
-    "ImageLine",
-    "Plane",
     "CameraIntrinsics",
     "RobotPose",
     "CameraExtrinsics",
@@ -44,11 +45,9 @@ __all__ = [
     "rotz",
     "normalize_lines",
     "lines_through",
-    "line_from_points",
-    "bbox_to_lines",
-    "bbox_corners",
+    "box_corners",
+    "box_lines",
     "projection_matrix",
-    "backproject_line",
     "QUADRIC_CENTROID",
     "quadric_matrices",
     "vector_from_quadric",
@@ -105,43 +104,13 @@ def _frozen_array(values, shape) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class HomPoint2:
-    """Homogeneous 2D point (image points are in pixels)."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = _frozen_array(self.coords, (3,))
-        if not np.any(coords):
-            raise DegenerateGeometryError("homogeneous point must be nonzero")
-        object.__setattr__(self, "coords", coords)
-
-    @classmethod
-    def from_xy(cls, x: float, y: float) -> "HomPoint2":
-        return cls(np.array([x, y, 1.0]))
-
-
-@dataclass(frozen=True)
-class ImageLine:
-    """Homogeneous image line (l1, l2, l3), stored normalized.
-
-    Normalization: sqrt(l1^2 + l2^2) = 1 (unit normal) with the sign fixed
-    so l3 >= 0, breaking ties by l1 > 0 then l2 > 0. The tangency residual
-    of a quadric is gauge-dependent in the line scale; this fixes the gauge.
-    """
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = normalize_lines(np.asarray(self.coords, dtype=float).reshape(3))
-        coords.setflags(write=False)
-        object.__setattr__(self, "coords", coords)
-
-
 def normalize_lines(lines) -> np.ndarray:
-    """A normalized copy of homogeneous image lines (..., 3), in ImageLine's
-    convention.
+    """A normalized copy of homogeneous image lines (..., 3).
+
+    Each line is scaled to a unit normal, sqrt(l1^2 + l2^2) = 1, with the
+    sign fixed so l3 >= 0, breaking ties by l1 > 0 then l2 > 0; a line at
+    infinity becomes (0, 0, 1). The tangency residual of a quadric is
+    gauge-dependent in the line scale; this fixes the gauge.
 
     Raises:
         DegenerateGeometryError: some line is zero, has a normal whose norm
@@ -171,19 +140,6 @@ def normalize_lines(lines) -> np.ndarray:
     flip = (l3 < 0) | ((l3 == 0) & ((l1 < 0) | ((l1 == 0) & (l2 < 0))))
     flat[flip] = -flat[flip]
     return lines
-
-
-@dataclass(frozen=True)
-class Plane:
-    """Homogeneous 3D plane (pi1, pi2, pi3, pi4); points satisfy pi . X = 0."""
-
-    coords: np.ndarray
-
-    def __post_init__(self):
-        coords = _frozen_array(self.coords, (4,))
-        if not np.any(coords):
-            raise DegenerateGeometryError("plane must be nonzero")
-        object.__setattr__(self, "coords", coords)
 
 
 @dataclass(frozen=True)
@@ -326,7 +282,7 @@ def lines_through(a, b) -> np.ndarray:
     """Lines joining pairs of homogeneous 2D points, unnormalized.
 
     a, b are (..., 3) arrays of points; the result holds their cross
-    products, (..., 3), which ImageLine normalizes.
+    products, (..., 3), for normalize_lines to normalize.
 
     Raises:
         DegenerateGeometryError: if some pair is proportional (coincident).
@@ -340,50 +296,33 @@ def lines_through(a, b) -> np.ndarray:
     return cross
 
 
-def line_from_points(a: HomPoint2, b: HomPoint2) -> ImageLine:
-    """Line through two homogeneous points, via their cross product.
+def box_corners(u_min, v_min, u_max, v_max) -> np.ndarray:
+    """Corners (..., 4, 2) of axis-aligned pixel boxes in cyclic order:
+    (u_min, v_min), (u_max, v_min), (u_max, v_max), (u_min, v_max)."""
+    corners = np.stack([u_min, v_min, u_max, v_min, u_max, v_max, u_min, v_max], -1)
+    return corners.reshape(corners.shape[:-1] + (4, 2))
+
+
+def box_lines(corners) -> np.ndarray:
+    """Normalized lines (..., 4, 3) of boxes given by their (..., 4, 2)
+    pixel corners in cyclic order; line k joins corner k to corner k+1
+    (wrapping).
 
     Raises:
-        DegenerateGeometryError: if the points are proportional (coincident).
+        ValueError: if the last two axes are not (4, 2).
+        DegenerateGeometryError: if two consecutive corners coincide.
     """
-    return ImageLine(lines_through(a.coords, b.coords))
-
-
-def bbox_corners(u_min: float, v_min: float, u_max: float, v_max: float) -> tuple:
-    """Corners of an axis-aligned box in cyclic order."""
-    return (
-        HomPoint2.from_xy(u_min, v_min),
-        HomPoint2.from_xy(u_max, v_min),
-        HomPoint2.from_xy(u_max, v_max),
-        HomPoint2.from_xy(u_min, v_max),
-    )
-
-
-def bbox_to_lines(corners) -> tuple:
-    """The four bounding-box lines joining consecutive corner pairs.
-
-    corners must be four homogeneous points in cyclic order; line k joins
-    corner k to corner k+1 (wrapping).
-    """
-    if len(corners) != 4:
-        raise ValueError("a bounding box has exactly four corners")
-    points = np.array([p.coords for p in corners])
-    return tuple(map(ImageLine, lines_through(points, np.roll(points, -1, axis=0))))
+    corners = np.asarray(corners, dtype=float)
+    if corners.shape[-2:] != (4, 2):
+        raise ValueError(f"boxes must be (..., 4, 2) corners, got shape {corners.shape}")
+    points = np.concatenate([corners, np.ones(corners.shape[:-1] + (1,))], axis=-1)
+    return normalize_lines(lines_through(points, np.roll(points, -1, axis=-2)))
 
 
 def projection_matrix(K: CameraIntrinsics, E: CameraExtrinsics) -> ProjectionMatrix:
     """P = K [R | t]."""
     Rt = np.hstack([E.rotation, E.translation.reshape(3, 1)])
     return ProjectionMatrix(K.K @ Rt)
-
-
-def backproject_line(P: ProjectionMatrix, l: ImageLine) -> Plane:
-    """Back-project an image line to the 3D plane pi = P^T l.
-
-    Every world point projecting onto the line lies on the plane, which
-    passes through the camera center.
-    """
-    return Plane(P.P.T @ l.coords)
 
 
 def quadric_matrices(q) -> np.ndarray:
@@ -443,13 +382,13 @@ def project_quadric(P: ProjectionMatrix, q: DualQuadric) -> DualConic:
     return DualConic(0.5 * (C + C.T))
 
 
-def tangency_residual(l: ImageLine, P: ProjectionMatrix, q: DualQuadric) -> float:
-    """Tangency defect l^T P Q* P^T l.
+def tangency_residual(l, P: ProjectionMatrix, q: DualQuadric) -> float:
+    """Tangency defect l^T P Q* P^T l of an image line l, (3,).
 
-    Zero iff the plane back-projected from the line is tangent to the
-    quadric; the magnitude is gauge-fixed by the stored line normalization.
+    Zero iff the plane P^T l back-projected from the line is tangent to the
+    quadric; normalize_lines fixes the magnitude's gauge.
     """
-    a = P.P.T @ l.coords
+    a = P.P.T @ np.asarray(l, dtype=float)
     return float(a @ q.matrix() @ a)
 
 

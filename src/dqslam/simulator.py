@@ -27,11 +27,11 @@ from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
+    box_corners,
+    box_lines,
     ellipsoid_to_dual_quadric,
     in_frame,
     left_facing_mount,
-    lines_through,
-    normalize_lines,
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
     rotz,
     tangency_rows,
@@ -234,8 +234,7 @@ def _visible_boxes(u_min, v_min, u_max, v_max, seen, K: CameraIntrinsics, min_px
         & (u_min >= 0) & (v_min >= 0) & (u_max <= K.width) & (v_max <= K.height)
         & (np.maximum(u_max - u_min, v_max - v_min) >= min_px)
     )
-    boxes = np.stack([u_min, v_min, u_max, v_min, u_max, v_max, u_min, v_max], -1)
-    return seen, boxes.reshape(-1, 4, 2)
+    return seen, box_corners(u_min, v_min, u_max, v_max)
 
 
 def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float = 100.0):
@@ -297,13 +296,11 @@ def corrupt_bbox(corners: np.ndarray, sigma_px: float, rng) -> np.ndarray:
 
     corners is (n, 4, 2), each box's pixel corners in cyclic order. Noise is
     applied in pixel space, drawn in one call (the same values as n draws in
-    order), before the lines are built and normalized. Returns the (n, 4, 3)
-    normalized lines; line k joins corner k to corner k+1.
+    order), before the lines are built. Returns box_lines of the noisy
+    corners, (n, 4, 3).
     """
     corners = np.asarray(corners, dtype=float)
-    noisy = corners + rng.normal(0.0, sigma_px, size=corners.shape)
-    points = np.concatenate([noisy, np.ones(noisy.shape[:-1] + (1,))], axis=-1)
-    return normalize_lines(lines_through(points, np.roll(points, -1, axis=-2)))
+    return box_lines(corners + rng.normal(0.0, sigma_px, size=corners.shape))
 
 
 def corrupt_odometry(odometry, turn, cfg: SensorConfig, rng) -> np.ndarray:
@@ -345,7 +342,7 @@ def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) ->
         return 0.0
     P, boxes = _projection_matrices(R[views], t[views], K), boxes[views]
     # The box line v = v0 back-projects to the plane P[1] - v0 P[2], and
-    # u = u0 to P[0] - u0 P[2]: the planes of bbox_to_lines' lines (top,
+    # u = u0 to P[0] - u0 P[2]: the planes of box_lines' lines (top,
     # right, bottom, left) up to sign and scale, which the normalized
     # constraint rows do not see.
     rows = [1, 0, 1, 0]

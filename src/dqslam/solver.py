@@ -45,6 +45,9 @@ __all__ = [
 ]
 
 _LAMBDA_MAX = 1e12
+# Damping after a step rejected at lambda = 0 (also after lambda underflows
+# to 0). Marquardt damping is relative to diag(J^T J), so it needs no scale.
+_LAMBDA_RESTART = 1e-4
 # Step-stagnation scale: steps this small relative to the variables cannot
 # change the cost; treated as cost convergence.
 _STEP_TOL = 1e-14
@@ -258,7 +261,6 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
             np.abs(poses).max() if poses.size else 0.0,
             np.abs(quadrics).max() if quadrics.size else 0.0,
         )
-        accepted = False
         stalled = False
         stagnated = False
         escalated = False
@@ -276,13 +278,10 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
             cand_r = ev.residual(cand_poses, cand_quadrics)
             cand_cost = 0.5 * float(cand_r @ cand_r)
             if np.isfinite(cand_cost) and cand_cost < cost:
-                accepted = True
                 break
             escalated = True
-            lam *= config.lambda_up
-            # At lam = 0 escalation cannot change the step, which would be
-            # retried forever.
-            if lam == 0 or lam > _LAMBDA_MAX:
+            lam = lam * config.lambda_up if lam > 0 else _LAMBDA_RESTART
+            if lam > _LAMBDA_MAX:
                 stalled = True
                 break
 
@@ -294,18 +293,17 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
             reason = "stalled"
             break
 
-        if accepted:
-            drop = cost - cand_cost
-            poses, quadrics, r, cost = cand_poses, cand_quadrics, cand_r, cand_cost
-            lam *= config.lambda_down
-            iterations += 1
-            # A tiny drop only signals convergence when the step was taken
-            # at the current damping; steps crippled by in-iteration lambda
-            # escalation are adaptation, not convergence.
-            if not escalated and drop <= config.rel_cost_tol * max(cost, 1e-300):
-                converged = True
-                reason = "cost-tol"
-                break
+        drop = cost - cand_cost
+        poses, quadrics, r, cost = cand_poses, cand_quadrics, cand_r, cand_cost
+        lam *= config.lambda_down
+        iterations += 1
+        # A tiny drop only signals convergence when the step was taken
+        # at the current damping; steps crippled by in-iteration lambda
+        # escalation are adaptation, not convergence.
+        if not escalated and drop <= config.rel_cost_tol * max(cost, 1e-300):
+            converged = True
+            reason = "cost-tol"
+            break
 
     report = SolveReport(
         iterations=iterations,

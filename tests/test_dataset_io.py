@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import copy
 import functools
 import json
 import math
@@ -18,7 +17,6 @@ from dqslam.dataset_io import (
     SCHEMA_VERSION,
     _UNITS,
     dataset_from_dict,
-    dataset_to_dict,
     dumps_dataset,
     read_dataset,
     write_dataset,
@@ -50,7 +48,7 @@ def test_round_trip_zero_noise_sphere(tmp_path, small_world, zero_noise_sensor):
 
 
 def test_values_preserved_exactly(dataset):
-    loaded = dataset_from_dict(dataset_to_dict(dataset))
+    loaded = dataset_from_dict(json.loads(dumps_dataset(dataset)))
     assert loaded.seed == dataset.seed
     assert loaded.world_config == dataset.world_config
     assert loaded.sensor_config == dataset.sensor_config
@@ -69,7 +67,7 @@ def test_values_preserved_exactly(dataset):
 
 
 def test_schema_validation(dataset):
-    doc = dataset_to_dict(dataset)
+    doc = json.loads(dumps_dataset(dataset))
     bad = dict(doc, schema="something-else")
     with pytest.raises(ValueError):
         dataset_from_dict(bad)
@@ -79,7 +77,7 @@ def test_schema_validation(dataset):
 
 
 def test_document_is_self_describing(dataset):
-    doc = dataset_to_dict(dataset)
+    doc = json.loads(dumps_dataset(dataset))
     assert doc["schema"] == "dqslam.dataset"
     assert doc["version"] == 1
     assert "units" in doc
@@ -166,7 +164,7 @@ def assert_solve_rejects(doc, tmp_path, capsys, *flags):
 @pytest.mark.parametrize("name", sorted(CORRUPTIONS))
 def test_corrupted_document_rejected_at_read(name, dataset, tmp_path, capsys):
     corrupt, expected = CORRUPTIONS[name]
-    doc = copy.deepcopy(dataset_to_dict(dataset))
+    doc = json.loads(dumps_dataset(dataset))
     corrupt(doc)
     with pytest.raises(ValueError, match=re.escape(expected)):
         dataset_from_dict(doc)
@@ -310,7 +308,7 @@ OVERFLOWS = {
 @pytest.mark.parametrize("name", sorted(OVERFLOWS))
 def test_overflowing_document_rejected_at_solve(name, dataset, tmp_path, capsys):
     corrupt, mode = OVERFLOWS[name]
-    doc = copy.deepcopy(dataset_to_dict(dataset))
+    doc = json.loads(dumps_dataset(dataset))
     corrupt(doc)
     loaded = dataset_from_dict(doc)
     with warnings.catch_warnings():

@@ -10,17 +10,13 @@ from dqslam.geometry import (
     CameraIntrinsics,
     DegenerateGeometryError,
     DualQuadric,
-    HomPoint2,
-    ImageLine,
     ProjectionMatrix,
     RobotPose,
-    backproject_line,
-    bbox_corners,
-    bbox_to_lines,
+    box_corners,
+    box_lines,
     dual_conic_bbox,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
-    line_from_points,
     lines_through,
     normalize_lines,
     pose_to_extrinsics,
@@ -85,34 +81,28 @@ def test_wrap_angles_matches_wrap_angle_bytes(rng):
 
 # -- points and lines ---------------------------------------------------------
 
-def test_hom_point_zero_rejected():
-    with pytest.raises(DegenerateGeometryError):
-        HomPoint2(np.zeros(3))
-
-
 def test_image_line_normalization_and_sign():
-    l = ImageLine(np.array([3.0, 4.0, -10.0]))
-    assert math.hypot(l.coords[0], l.coords[1]) == pytest.approx(1.0, abs=1e-15)
-    assert l.coords[2] >= 0  # sign fixed by l3 >= 0
+    l = normalize_lines(np.array([3.0, 4.0, -10.0]))
+    assert math.hypot(l[0], l[1]) == pytest.approx(1.0, abs=1e-15)
+    assert l[2] >= 0  # sign fixed by l3 >= 0
     # ties: l3 == 0 resolves by l1 > 0, then l2 > 0
-    assert ImageLine([-1.0, 0.0, 0.0]).coords[0] > 0
-    assert ImageLine([0.0, -2.0, 0.0]).coords[1] > 0
+    assert normalize_lines([-1.0, 0.0, 0.0])[0] > 0
+    assert normalize_lines([0.0, -2.0, 0.0])[1] > 0
 
 
 def test_image_line_at_infinity():
-    l = ImageLine([0.0, 0.0, -3.0])
-    assert np.allclose(l.coords, [0, 0, 1])
+    l = normalize_lines([0.0, 0.0, -3.0])
+    assert np.allclose(l, [0, 0, 1])
 
 
 def test_image_line_normalization_idempotent_bitwise(rng):
     for _ in range(50):
-        l = ImageLine(rng.normal(size=3))
-        again = ImageLine(l.coords.copy())
-        assert again.coords.tobytes() == l.coords.tobytes()
+        l = normalize_lines(rng.normal(size=3))
+        assert normalize_lines(l).tobytes() == l.tobytes()
 
 
 def _reference_normalize(coords: np.ndarray) -> np.ndarray:
-    """The numpy line normalization ImageLine used before it worked on
+    """The numpy line normalization used before normalize_lines worked on
     Python floats: the oracle for bit-identical normalization."""
     norm = math.hypot(coords[0], coords[1])
     if norm > 1e-12:
@@ -142,20 +132,20 @@ def test_image_line_matches_reference_normalization(rng):
     for coords in lines:
         coords = np.array(coords, dtype=float)
         expected = _reference_normalize(coords.copy())
-        assert ImageLine(coords).coords.tobytes() == expected.tobytes(), coords
+        assert normalize_lines(coords).tobytes() == expected.tobytes(), coords
     # The kernel on the whole stack, and on boxes of four lines, row for row.
     stacked = np.array(lines[:3200], dtype=float)
     expected = np.array([_reference_normalize(l.copy()) for l in stacked])
     assert normalize_lines(stacked).tobytes() == expected.tobytes()
     assert normalize_lines(stacked.reshape(-1, 4, 3)).tobytes() == expected.tobytes()
-    unit = ImageLine([0.6, 0.8, 7.0])
-    assert ImageLine(unit.coords).coords.tobytes() == unit.coords.tobytes()
+    unit = normalize_lines([0.6, 0.8, 7.0])
+    assert normalize_lines(unit).tobytes() == unit.tobytes()
 
 
 def test_image_line_tiny_normal_at_origin_rejected():
     # Neither a finite line nor the line at infinity: no normalization exists.
     with pytest.raises(DegenerateGeometryError):
-        ImageLine([1e-13, 0.0, 0.0])
+        normalize_lines([1e-13, 0.0, 0.0])
 
 
 def test_image_line_overflowing_normal_rejected():
@@ -163,7 +153,7 @@ def test_image_line_overflowing_normal_rejected():
     # the zero line, which is tangent to every quadric.
     line = [1.7e308, 1.7e308, 0.0]
     with pytest.raises(DegenerateGeometryError):
-        ImageLine(line)
+        normalize_lines(line)
     with pytest.raises(DegenerateGeometryError):
         normalize_lines([[0.0, 1.0, -5.0], line])
 
@@ -173,14 +163,13 @@ def test_lines_through_matches_per_pair_cross_products(rng):
     points = np.concatenate([corners, np.ones((50, 4, 1))], axis=-1)
     lines = lines_through(points, np.roll(points, -1, axis=1))
     assert lines.shape == (50, 4, 3)
-    for box, box_lines in zip(points, lines):
+    normalized = box_lines(corners)
+    assert normalized.tobytes() == normalize_lines(lines).tobytes()
+    for box, crosses, box_normalized in zip(points, lines, normalized):
         for k in range(4):
             cross = np.cross(box[k], box[(k + 1) % 4])
-            assert box_lines[k].tobytes() == cross.tobytes()
-        per_box = bbox_to_lines([HomPoint2(p) for p in box])
-        assert [ImageLine(l).coords.tobytes() for l in box_lines] == [
-            l.coords.tobytes() for l in per_box
-        ]
+            assert crosses[k].tobytes() == cross.tobytes()
+            assert box_normalized[k].tobytes() == _reference_normalize(cross).tobytes()
 
 
 def test_lines_through_coincident_corners_raise():
@@ -192,65 +181,68 @@ def test_lines_through_coincident_corners_raise():
         lines_through(points, np.roll(points, -1, axis=1))
 
 
+def _line(a, b):
+    """The normalized line through two pixel points."""
+    return normalize_lines(lines_through([*a, 1.0], [*b, 1.0]))
+
+
 def test_line_from_points_axis_lines():
-    l = line_from_points(HomPoint2.from_xy(0, 0), HomPoint2.from_xy(1, 0))
-    assert np.allclose(l.coords, [0, 1, 0])  # y = 0
-    l = line_from_points(HomPoint2.from_xy(0, 0), HomPoint2.from_xy(0, 1))
-    assert np.allclose(np.abs(l.coords), [1, 0, 0])  # x = 0 up to sign
+    assert np.allclose(_line((0, 0), (1, 0)), [0, 1, 0])  # y = 0
+    assert np.allclose(np.abs(_line((0, 0), (0, 1))), [1, 0, 0])  # x = 0 up to sign
 
 
 def test_line_from_points_annihilates_both_points():
-    a = HomPoint2.from_xy(100, 200)
-    b = HomPoint2.from_xy(300, 200)
-    l = line_from_points(a, b)
-    assert np.allclose(np.abs(l.coords), [0, 1, 200])
-    assert abs(l.coords @ a.coords) < 1e-9
-    assert abs(l.coords @ b.coords) < 1e-9
+    a, b = np.array([100.0, 200.0, 1.0]), np.array([300.0, 200.0, 1.0])
+    l = _line(a[:2], b[:2])
+    assert np.allclose(np.abs(l), [0, 1, 200])
+    assert abs(l @ a) < 1e-9
+    assert abs(l @ b) < 1e-9
 
 
 def test_line_from_points_degenerate():
-    a = HomPoint2.from_xy(1, 2)
+    a = np.array([1.0, 2.0, 1.0])
     with pytest.raises(DegenerateGeometryError):
-        line_from_points(a, HomPoint2(2.0 * a.coords))
+        lines_through(a, 2.0 * a)
 
 
 def test_bbox_to_lines_unit_square():
-    lines = bbox_to_lines(bbox_corners(0, 0, 1, 1))
+    lines = box_lines(box_corners(0, 0, 1, 1))
     expected = [(0, 1, 0), (-1, 0, 1), (0, -1, 1), (1, 0, 0)]
     for l, e in zip(lines, expected):
-        assert np.allclose(l.coords, e) or np.allclose(l.coords, -np.array(e))
+        assert np.allclose(l, e) or np.allclose(l, -np.array(e))
 
 
 def test_bbox_to_lines_annihilates_corners(rng):
     for _ in range(20):
         u0, v0 = rng.uniform(0, 500, 2)
         du, dv = rng.uniform(1, 400, 2)
-        corners = bbox_corners(u0, v0, u0 + du, v0 + dv)
-        lines = bbox_to_lines(corners)
-        for k, l in enumerate(lines):
-            assert abs(l.coords @ corners[k].coords) < 1e-12
-            assert abs(l.coords @ corners[(k + 1) % 4].coords) < 1e-12
+        corners = box_corners(u0, v0, u0 + du, v0 + dv)
+        points = np.column_stack([corners, np.ones(4)])
+        for k, l in enumerate(box_lines(corners)):
+            assert abs(l @ points[k]) < 1e-12
+            assert abs(l @ points[(k + 1) % 4]) < 1e-12
 
 
 def test_bbox_to_lines_translation_covariance():
-    base = bbox_to_lines(bbox_corners(0, 0, 1, 1))
-    shifted = bbox_to_lines(bbox_corners(10, 10, 11, 11))
+    base = box_lines(box_corners(0, 0, 1, 1))
+    shifted = box_lines(box_corners(10, 10, 11, 11))
     for lb, ls in zip(base, shifted):
         # same directions up to the stored sign convention
-        same = np.allclose(lb.coords[:2], ls.coords[:2])
-        flipped = np.allclose(lb.coords[:2], -ls.coords[:2])
+        same = np.allclose(lb[:2], ls[:2])
+        flipped = np.allclose(lb[:2], -ls[:2])
         assert same or flipped
 
 
 def test_bbox_to_lines_degenerate_pair():
-    corners = (
-        HomPoint2.from_xy(0, 0),
-        HomPoint2.from_xy(0, 0),
-        HomPoint2.from_xy(1, 1),
-        HomPoint2.from_xy(0, 1),
-    )
     with pytest.raises(DegenerateGeometryError):
-        bbox_to_lines(corners)
+        box_lines([[0, 0], [0, 0], [1, 1], [0, 1]])
+
+
+def test_box_lines_rejects_other_than_four_corners():
+    with pytest.raises(ValueError, match="corners"):
+        box_lines([[0, 0], [1, 0], [1, 1]])
+    with pytest.raises(ValueError, match="corners"):
+        box_lines(np.zeros((2, 4, 3)))
 
 
 # -- cameras -------------------------------------------------------------------
@@ -275,10 +267,9 @@ def test_projection_matrix_rank_validated():
 
 
 def test_backproject_line_canonical(canonical_projection):
-    pi = backproject_line(canonical_projection, ImageLine([1, 0, 0]))
-    assert np.allclose(pi.coords, [1, 0, 0, 0])
-    pi = backproject_line(canonical_projection, ImageLine([0, 1, 0]))
-    assert np.allclose(pi.coords, [0, 1, 0, 0])
+    # An image line l back-projects to the plane P^T l.
+    assert np.allclose(canonical_projection.P.T @ [1.0, 0, 0], [1, 0, 0, 0])
+    assert np.allclose(canonical_projection.P.T @ [0, 1.0, 0], [0, 1, 0, 0])
 
 
 def test_backproject_line_ray_sampling(rng, default_intrinsics):
@@ -287,9 +278,9 @@ def test_backproject_line_ray_sampling(rng, default_intrinsics):
 
     E = look_at_extrinsics([3.0, -2.0, 1.5], [0.0, 0.0, 0.0])
     P = projection_matrix(default_intrinsics, E)
-    l = ImageLine(rng.normal(size=3))
-    pi = backproject_line(P, l)
-    a, b, c = l.coords
+    l = normalize_lines(rng.normal(size=3))
+    pi = P.P.T @ l
+    a, b, c = l
     for u in (-50.0, 40.0, 700.0):
         # a point (u, v) on the line, if the line is not vertical there
         if abs(b) > 1e-6:
@@ -303,7 +294,7 @@ def test_backproject_line_ray_sampling(rng, default_intrinsics):
         for depth in (0.5, 7.0):
             Xc = ray * depth
             Xw = E.inverse_transform(Xc)
-            assert abs(pi.coords @ np.append(Xw, 1.0)) < 1e-9 * np.linalg.norm(pi.coords)
+            assert abs(pi @ np.append(Xw, 1.0)) < 1e-9 * np.linalg.norm(pi)
 
 
 # -- dual quadrics ---------------------------------------------------------------
@@ -472,12 +463,12 @@ def test_tangency_residual_silhouette_circle(default_intrinsics):
     cx, cy = default_intrinsics.cx, default_intrinsics.cy
     for phi in np.linspace(0, 2 * math.pi, 16, endpoint=False):
         c, s = math.cos(phi), math.sin(phi)
-        l = ImageLine([c, s, -(cx * c + cy * s + rho_px)])
+        l = normalize_lines([c, s, -(cx * c + cy * s + rho_px)])
         assert abs(tangency_residual(l, P, q)) < 1e-9 * default_intrinsics.fx**2
 
 
 def test_tangency_residual_line_at_infinity(canonical_projection):
-    r = tangency_residual(ImageLine([0, 0, 1]), canonical_projection, DualQuadric.identity())
+    r = tangency_residual([0.0, 0, 1], canonical_projection, DualQuadric.identity())
     assert r == pytest.approx(1.0)
 
 

@@ -9,8 +9,8 @@ from dqslam.factors import Measurements
 from dqslam.geometry import (
     CameraIntrinsics,
     DualQuadric,
-    bbox_corners,
-    bbox_to_lines,
+    box_corners,
+    box_lines,
     dual_conic_bbox,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
@@ -36,7 +36,7 @@ K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
 def silhouette_lines(quadric, extrinsics):
     P = projection_matrix(K, extrinsics)
     box = dual_conic_bbox(project_quadric(P, quadric))
-    return [l.coords for l in bbox_to_lines(bbox_corners(*box))]
+    return box_lines(box_corners(*box))
 
 
 def nonplanar_rig(quadric, center):

@@ -8,10 +8,9 @@ import pytest
 
 from dqslam.dataset_io import dumps_dataset
 from dqslam.geometry import (
-    HomPoint2,
     RobotPose,
-    bbox_corners,
-    bbox_to_lines,
+    box_corners,
+    box_lines,
     dual_conic_bbox,
     left_facing_mount,
     pose_to_extrinsics,
@@ -35,6 +34,7 @@ from dqslam.simulator import (
     project_cube_bbox,
     project_sphere_bbox,
 )
+from test_geometry import _reference_normalize
 
 
 K = SensorConfig().intrinsics()
@@ -110,8 +110,8 @@ def test_project_sphere_bbox_tangency():
     # the silhouette box lines are exactly tangent to the projected conic
     P = projection_matrix(K, pose_to_extrinsics(RobotPose(*poses[0]), MOUNT))
     C = project_quadric(P, inscribed_ellipsoid(center, side))
-    for line in bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in box]):
-        assert abs(line.coords @ C.C @ line.coords) < 1e-7 * np.abs(C.C).max()
+    for line in box_lines(box):
+        assert abs(line @ C.C @ line) < 1e-7 * np.abs(C.C).max()
     # and equal, bit for bit, to the scalar conic box
     u_min, v_min, u_max, v_max = dual_conic_bbox(C)
     assert box.tolist() == [[u_min, v_min], [u_max, v_min], [u_max, v_max], [u_min, v_max]]
@@ -129,7 +129,7 @@ def test_landmark_condition_matches_back_projected_box_lines():
         for i in np.flatnonzero(seen):
             P = projection_matrix(K, pose_to_extrinsics(RobotPose(*poses[i]), MOUNT))
             box = dual_conic_bbox(project_quadric(P, inscribed_ellipsoid(center, side)))
-            planes.extend(P.P.T @ line.coords for line in bbox_to_lines(bbox_corners(*box)))
+            planes.extend(P.P.T @ line for line in box_lines(box_corners(*box)))
         planes = np.array(planes)
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
         S = np.linalg.svd(tangency_rows(planes), compute_uv=False)
@@ -139,10 +139,8 @@ def test_landmark_condition_matches_back_projected_box_lines():
 
 def test_corrupt_bbox_zero_sigma_exact(rng):
     corners = np.array([[100.0, 100.0], [300.0, 100.0], [300.0, 250.0], [100.0, 250.0]])
-    exact = bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in corners])
     (noisy,) = corrupt_bbox(corners[None], 0.0, rng)
-    for a, b in zip(exact, noisy):
-        assert np.array_equal(a.coords, b)
+    assert np.array_equal(box_lines(corners), noisy)
 
 
 def test_corrupt_bbox_noise_statistics(rng):
@@ -159,14 +157,18 @@ def test_corrupt_bbox_noise_statistics(rng):
 
 def test_corrupt_bbox_one_draw_equals_per_box_draws():
     # One (n, 4, 2) draw yields the values of n (4, 2) draws in order, and
-    # each box's lines equal bbox_to_lines of its noisy corners bit for bit.
+    # each box's lines equal the normalized cross products of its noisy
+    # corners bit for bit.
     boxes = np.random.default_rng(7).uniform(0, 1000, size=(30, 4, 2))
     batch = corrupt_bbox(boxes, 1.5, np.random.default_rng(8))
     rng = np.random.default_rng(8)
     for box, lines in zip(boxes, batch):
         noisy = box + rng.normal(0.0, 1.5, size=(4, 2))
-        expected = bbox_to_lines([HomPoint2.from_xy(u, v) for u, v in noisy])
-        assert [l.tobytes() for l in lines] == [l.coords.tobytes() for l in expected]
+        points = np.column_stack([noisy, np.ones(4)])
+        expected = [
+            _reference_normalize(np.cross(points[k], points[(k + 1) % 4])) for k in range(4)
+        ]
+        assert [l.tobytes() for l in lines] == [l.tobytes() for l in expected]
 
 
 def test_corrupt_odometry_zero_sigma(rng):

@@ -377,9 +377,9 @@ def test_solve_gradient_at_grad_tol_termination(rng):
         assert np.abs(J.T @ r).max() < cfg.grad_tol
 
 
-def test_solve_zero_initial_lambda_stalls_on_a_rejected_step(monkeypatch):
-    # A rejected step at lam = 0 cannot be damped by escalating lam: the
-    # solve used to retry the same step forever.
+def test_solve_zero_initial_lambda_recovers_from_a_rejected_step(monkeypatch):
+    # A rejected step at lam = 0 cannot be damped by escalating lam; the
+    # solve restarts the damping at a fixed value instead of stalling.
     ds = generate_dataset(WorldConfig(seed=2), SensorConfig())
     real = solver.linear_step
     lams = []
@@ -389,11 +389,13 @@ def test_solve_zero_initial_lambda_stalls_on_a_rejected_step(monkeypatch):
         return real(JtJ, g, lam, order)
 
     monkeypatch.setattr(solver, "linear_step", counted)
-    _, report = solve(build_graph(ds, mode="monocular"), SolverConfig(initial_lambda=0.0))
-    assert report.termination_reason == "stalled"
-    assert not report.converged
-    assert report.linear_solves == len(lams) <= 5
-    assert set(lams) == {0.0}
+    cfg = SolverConfig(initial_lambda=0.0, max_iterations=5)
+    _, report = solve(build_graph(ds, mode="monocular"), cfg)
+    assert report.termination_reason != "stalled"
+    assert report.iterations > 1
+    assert report.final_cost < report.initial_cost
+    assert report.linear_solves == len(lams)
+    assert lams[0] == 0.0 and max(lams) > 0.0
 
 
 def test_solve_stalls_on_unconstrained_variable(rng):
