@@ -47,6 +47,7 @@ __all__ = [
     "lines_through",
     "box_corners",
     "box_lines",
+    "projection_matrices",
     "projection_matrix",
     "QUADRIC_CENTROID",
     "quadric_matrices",
@@ -55,6 +56,7 @@ __all__ = [
     "project_quadric",
     "tangency_residual",
     "pose_to_extrinsics",
+    "camera_frames",
     "left_facing_mount",
     "dual_conic_bbox",
     "tangency_rows",
@@ -205,19 +207,6 @@ class CameraExtrinsics:
     def identity(cls) -> "CameraExtrinsics":
         return cls(np.eye(3), np.zeros(3))
 
-    def transform(self, point_world) -> np.ndarray:
-        return self.rotation @ np.asarray(point_world, dtype=float) + self.translation
-
-    def inverse_transform(self, point_cam) -> np.ndarray:
-        return self.rotation.T @ (np.asarray(point_cam, dtype=float) - self.translation)
-
-    def compose(self, other: "CameraExtrinsics") -> "CameraExtrinsics":
-        """self after other: X -> self(other(X))."""
-        return CameraExtrinsics(
-            self.rotation @ other.rotation,
-            self.rotation @ other.translation + self.translation,
-        )
-
 
 @dataclass(frozen=True)
 class ProjectionMatrix:
@@ -319,10 +308,15 @@ def box_lines(corners) -> np.ndarray:
     return normalize_lines(lines_through(points, np.roll(points, -1, axis=-2)))
 
 
+def projection_matrices(K: CameraIntrinsics, R, t) -> np.ndarray:
+    """Stacked P = K [R | t], (..., 3, 4), of world-to-camera rotation
+    arrays R (..., 3, 3) and translations t (..., 3)."""
+    return K.K @ np.concatenate([R, t[..., None]], axis=-1)
+
+
 def projection_matrix(K: CameraIntrinsics, E: CameraExtrinsics) -> ProjectionMatrix:
-    """P = K [R | t]."""
-    Rt = np.hstack([E.rotation, E.translation.reshape(3, 1)])
-    return ProjectionMatrix(K.K @ Rt)
+    """P = K [R | t] of one camera."""
+    return ProjectionMatrix(projection_matrices(K, E.rotation, E.translation))
 
 
 def quadric_matrices(q) -> np.ndarray:
@@ -416,10 +410,25 @@ def pose_to_extrinsics(x: RobotPose, mount: CameraExtrinsics) -> CameraExtrinsic
     The SE(2) pose is lifted to SE(3) on the z = 0 plane and composed with
     the fixed robot-to-camera mount.
     """
-    R_wr = rotz(x.theta)  # robot-to-world
-    p = np.array([x.x, x.y, 0.0])
-    world_to_robot = CameraExtrinsics(R_wr.T, -R_wr.T @ p)
-    return mount.compose(world_to_robot)
+    R_rw = rotz(x.theta).T  # world-to-robot
+    t_rw = -R_rw @ np.array([x.x, x.y, 0.0])
+    return CameraExtrinsics(mount.rotation @ R_rw, mount.rotation @ t_rw + mount.translation)
+
+
+def camera_frames(poses, mount: CameraExtrinsics):
+    """World-to-camera rotations (n, 3, 3) and translations (n, 3) of the
+    mounted camera at every pose of (n, 3) pose rows (x, y, theta).
+
+    Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
+    pose_to_extrinsics(RobotPose(*pose), mount) bit for bit.
+    """
+    R_wr = np.stack([rotz(theta) for theta in wrap_angles(poses[:, 2]).tolist()])
+    R_rw = R_wr.transpose(0, 2, 1)  # world-to-robot
+    p = np.column_stack([poses[:, :2], np.zeros(len(poses))])
+    t_rw = (-R_rw @ p[:, :, None])[:, :, 0]
+    R = mount.rotation @ R_rw
+    t = (mount.rotation @ t_rw[:, :, None])[:, :, 0] + mount.translation
+    return R, t
 
 
 def dual_conic_bbox(C: DualConic) -> tuple:

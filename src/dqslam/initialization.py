@@ -1,10 +1,11 @@
 """Variable initialization: odometry chaining for poses, plane-constraint
 SVD fit (with identity fallback) for quadrics.
 
-The SVD fit stacks one linear constraint per observed box line, obtained by
-expanding the tangency equation of the back-projected plane against the
-symmetric quadric matrix. Close-to-planar camera trajectories make that
-system rank-deficient; a condition test on the two smallest singular values
+The SVD fit stacks one linear constraint per observed box line l, obtained
+by expanding the tangency equation of its back-projected plane P^T l (one
+stacked product over a landmark's cameras) against the symmetric quadric
+matrix. Close-to-planar camera trajectories make that system
+rank-deficient; a condition test on the two smallest singular values
 detects this and triggers the identity fallback.
 """
 
@@ -21,8 +22,8 @@ from .geometry import (
     CameraIntrinsics,
     DualQuadric,
     RobotPose,
-    pose_to_extrinsics,
-    projection_matrix,
+    camera_frames,
+    projection_matrices,
     tangency_rows,
 )
 
@@ -134,14 +135,16 @@ def init_quadric_svd(
         raise InsufficientObservationsError(
             f"need at least 3 detections, got {len(detections)}"
         )
-    planes = []
-    for i, lines in zip(detections.pose_index.tolist(), detections.values):
-        camera = poses[i]
-        if not isinstance(camera, CameraExtrinsics):
-            camera = pose_to_extrinsics(RobotPose(*camera), mount)
-        P = projection_matrix(intrinsics, camera).P
-        planes.extend(P.T @ line for line in lines)
-    return fit_dual_quadric(np.array(planes), condition_threshold)
+    index = detections.pose_index.tolist()
+    if isinstance(poses[index[0]], CameraExtrinsics):
+        R = np.stack([poses[i].rotation for i in index])
+        t = np.stack([poses[i].translation for i in index])
+    else:
+        R, t = camera_frames(np.asarray(poses, dtype=float)[index], mount)
+    P = projection_matrices(intrinsics, R, t)
+    # P^T l per line, in the bits of P.T @ l (einsum and lines @ P differ).
+    planes = np.matmul(P.transpose(0, 2, 1)[:, None], detections.values[..., None])
+    return fit_dual_quadric(planes, condition_threshold)
 
 
 def initialize_quadrics(
@@ -160,25 +163,19 @@ def initialize_quadrics(
         id, and flags marking which of them came from the identity fallback.
     """
     strategy = strategy or InitStrategy()
-    quadrics, used_fallback = [], []
-    for j in landmark_ids:
-        if strategy.mode == "identity":
-            quadrics.append(DualQuadric.identity().q)
-            used_fallback.append(True)
-            continue
+    landmark_ids = list(landmark_ids)
+    quadrics = np.tile(DualQuadric.identity().q, (len(landmark_ids), 1))
+    used_fallback = [True] * len(landmark_ids)
+    if strategy.mode == "identity":
+        return quadrics, used_fallback
+    for k, j in enumerate(landmark_ids):
         try:
-            q = init_quadric_svd(
-                detections[detections.landmark_id == j],
-                poses,
-                intrinsics,
-                mount,
+            quadrics[k] = init_quadric_svd(
+                detections[detections.landmark_id == j], poses, intrinsics, mount,
                 condition_threshold=strategy.condition_threshold,
-            )
-            quadrics.append(q.q)
-            used_fallback.append(False)
+            ).q
+            used_fallback[k] = False
         except (InsufficientObservationsError, DegenerateSolutionError):
             if strategy.mode == "svd":
                 raise
-            quadrics.append(DualQuadric.identity().q)
-            used_fallback.append(True)
-    return np.array(quadrics).reshape(-1, 9), used_fallback
+    return quadrics, used_fallback

@@ -5,7 +5,8 @@ looking 90 degrees to its left. Cube landmarks are scattered inside the
 loop; whenever a cube projects large enough and fully inside the image, a
 bounding-box detection is generated, together with a relative-position
 measurement of the cube center. Odometry, box corners and relative
-positions are corrupted by Gaussian noise.
+positions are corrupted by Gaussian noise. Cameras are geometry's stacked
+frames and projections, computed once per trajectory.
 
 Randomness is split into one child stream per noise source (world layout,
 odometry, box corners, relative positions), so toggling one noise source
@@ -29,11 +30,12 @@ from .geometry import (
     DualQuadric,
     box_corners,
     box_lines,
+    camera_frames,
     ellipsoid_to_dual_quadric,
     in_frame,
     left_facing_mount,
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
-    rotz,
+    projection_matrices,
     tangency_rows,
 )
 from .initialization import init_poses
@@ -43,7 +45,6 @@ __all__ = [
     "SensorConfig",
     "Dataset",
     "ground_truth_odometry",
-    "camera_frames",
     "project_cube_bbox",
     "project_sphere_bbox",
     "corrupt_bbox",
@@ -211,22 +212,6 @@ def _sample_landmark(cfg: WorldConfig, trajectory, rng):
     return np.array([cx, cy, z]), side
 
 
-def camera_frames(trajectory, mount: CameraExtrinsics):
-    """World-to-camera rotations (n, 3, 3) and translations (n, 3) of the
-    mounted camera at every pose of a trajectory, (n, 3) rows (x, y, theta).
-
-    Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
-    pose_to_extrinsics(pose, mount) bit for bit.
-    """
-    R_wr = np.stack([rotz(theta) for theta in trajectory[:, 2].tolist()])  # robot-to-world
-    R_rw = R_wr.transpose(0, 2, 1)
-    p = np.column_stack([trajectory[:, :2], np.zeros(len(trajectory))])
-    t_rw = (-R_rw @ p[:, :, None])[:, :, 0]
-    R = mount.rotation @ R_rw
-    t = (mount.rotation @ t_rw[:, :, None])[:, :, 0] + mount.translation
-    return R, t
-
-
 def _visible_boxes(u_min, v_min, u_max, v_max, seen, K: CameraIntrinsics, min_px):
     """Detectability mask and (n, 4, 2) cyclic box corners per pose."""
     seen = (
@@ -258,11 +243,6 @@ def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: fl
     )
 
 
-def _projection_matrices(R, t, K: CameraIntrinsics) -> np.ndarray:
-    """Stacked P = K [R | t], (n, 3, 4)."""
-    return K.K @ np.concatenate([R, t[:, :, None]], axis=2)
-
-
 def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float = 100.0):
     """Exact silhouette bounding box of the cube's inscribed sphere at every
     camera frame: the dual_conic_bbox formula on the image conics P Q* P^T.
@@ -273,7 +253,7 @@ def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: 
     project_cube_bbox; a view is also unseen when the sphere is not entirely
     in front of the camera or its conic has no real axis-aligned tangents.
     """
-    P = _projection_matrices(R, t, K)
+    P = projection_matrices(K, R, t)
     C = P @ inscribed_ellipsoid(center, side).matrix() @ P.transpose(0, 2, 1)
     C = 0.5 * (C + C.transpose(0, 2, 1))
     c13, c23, c33 = C[:, 0, 2], C[:, 1, 2], C[:, 2, 2]
@@ -340,7 +320,7 @@ def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) ->
     views = seen & sphere_seen
     if 4 * np.count_nonzero(views) < 10:
         return 0.0
-    P, boxes = _projection_matrices(R[views], t[views], K), boxes[views]
+    P, boxes = projection_matrices(K, R[views], t[views]), boxes[views]
     # The box line v = v0 back-projects to the plane P[1] - v0 P[2], and
     # u = u0 to P[0] - u0 P[2]: the planes of box_lines' lines (top,
     # right, bottom, left) up to sign and scale, which the normalized

@@ -19,7 +19,8 @@ the permuted layout moves that entry. On this program's systems such ties
 appear only where damping leaves a diagonal entry unchanged (lambda = 0,
 or too small to change it), so those trials take the default path. The
 tests compare every trial of real solves with the default path bit for
-bit.
+bit. After a rejected step, lambda climbs past _LAMBDA_NOOP without a
+solve: damping that small leaves the rejected system as it was.
 """
 
 from __future__ import annotations
@@ -48,6 +49,9 @@ _LAMBDA_MAX = 1e12
 # Damping after a step rejected at lambda = 0 (also after lambda underflows
 # to 0). Marquardt damping is relative to diag(J^T J), so it needs no scale.
 _LAMBDA_RESTART = 1e-4
+# Below 2**-55, lam * d is at most a quarter ulp of every diagonal entry d,
+# so d + lam * d == d: the damped system is the undamped one.
+_LAMBDA_NOOP = 2.0**-55
 # Step-stagnation scale: steps this small relative to the variables cannot
 # change the cost; treated as cost convergence.
 _STEP_TOL = 1e-14
@@ -121,19 +125,14 @@ class ColumnOrder:
     def record(self, M, perm_c: np.ndarray) -> None:
         """Record the order perm_c that SuperLU chose for the canonical
         damped matrix M."""
-        indptr, indices = M.indptr, M.indices
-        inv = np.empty_like(perm_c)
-        inv[perm_c] = np.arange(perm_c.size, dtype=perm_c.dtype)
-        # Column k of the layout is column inv[k] of M, rows still sorted.
-        counts = np.diff(indptr)[inv]
-        p_indptr = np.zeros_like(indptr)
-        np.cumsum(counts, out=p_indptr[1:])
-        gather = np.arange(M.nnz, dtype=indices.dtype)
-        gather += np.repeat(indptr[inv] - p_indptr[:-1], counts)
-        p_indices = indices[gather]
-        diag = np.flatnonzero(p_indices == np.repeat(inv, counts))
-        self._pattern = (indptr, indices)
-        self._layout = (perm_c, gather, p_indices, p_indptr, diag)
+        inv = np.argsort(perm_c)
+        # Column k of the layout is column inv[k] of M, rows still sorted;
+        # its values are the positions of M's values, 1-based so none is 0.
+        positions = np.arange(1, M.nnz + 1, dtype=M.indices.dtype)
+        slots = sp.csc_matrix((positions, M.indices, M.indptr), shape=M.shape)[:, inv]
+        diag = np.flatnonzero(slots.indices == np.repeat(inv, np.diff(slots.indptr)))
+        self._pattern = (M.indptr, M.indices)
+        self._layout = (perm_c, slots.data - 1, slots.indices, slots.indptr, diag)
         self.orderings += 1
 
     def step(self, JtJ, g: np.ndarray, lam: float):
@@ -246,14 +245,12 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
     order = ColumnOrder()
     linear_solves = 0
     iterations = 0
-    converged = False
-    reason = "max-iters"
+    reason = None
 
     for _ in range(config.max_iterations):
         JtJ, g = normal_equations(ev.jacobian(poses, quadrics), r)
         grad = np.abs(g).max() if g.size else 0.0
         if grad < config.grad_tol:
-            converged = True
             reason = "grad-tol"
             break
 
@@ -261,18 +258,16 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
             np.abs(poses).max() if poses.size else 0.0,
             np.abs(quadrics).max() if quadrics.size else 0.0,
         )
-        stalled = False
-        stagnated = False
         escalated = False
         while True:
             linear_solves += 1
             try:
                 delta = linear_step(JtJ, g, lam, order)
             except LinearSolveError:
-                stalled = True
+                reason = "stalled"
                 break
             if np.abs(delta).max() <= _STEP_TOL * scale:
-                stagnated = True
+                reason = "cost-tol"
                 break
             cand_poses, cand_quadrics = _retract(poses, quadrics, delta)
             cand_r = ev.residual(cand_poses, cand_quadrics)
@@ -281,16 +276,12 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
                 break
             escalated = True
             lam = lam * config.lambda_up if lam > 0 else _LAMBDA_RESTART
+            while lam < _LAMBDA_NOOP:
+                lam *= config.lambda_up
             if lam > _LAMBDA_MAX:
-                stalled = True
+                reason = "stalled"
                 break
-
-        if stagnated:
-            converged = True
-            reason = "cost-tol"
-            break
-        if stalled:
-            reason = "stalled"
+        if reason:
             break
 
         drop = cost - cand_cost
@@ -301,15 +292,16 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         # at the current damping; steps crippled by in-iteration lambda
         # escalation are adaptation, not convergence.
         if not escalated and drop <= config.rel_cost_tol * max(cost, 1e-300):
-            converged = True
             reason = "cost-tol"
             break
+    else:
+        reason = "max-iters"
 
     report = SolveReport(
         iterations=iterations,
         initial_cost=initial_cost,
         final_cost=cost,
-        converged=converged,
+        converged=reason in ("cost-tol", "grad-tol"),
         termination_reason=reason,
         linear_solves=linear_solves,
         orderings=order.orderings,

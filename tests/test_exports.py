@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import importlib
+import inspect
 import pkgutil
 
 import pytest
@@ -21,3 +22,18 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"{name}.__all__ lists a name twice"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"{name}.__all__ names undefined {missing}"
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_definition_lives_in_its_module(name):
+    # Each exported function or class has one home: a module re-exporting
+    # another module's definition (a kernel left behind after a move) lists
+    # a second name for it.
+    module = importlib.import_module(name)
+    exported = [getattr(module, attr) for attr in getattr(module, "__all__", ())]
+    foreign = [
+        obj.__name__
+        for obj in exported
+        if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name
+    ]
+    assert not foreign, f"{name}.__all__ re-exports {foreign}"

@@ -293,7 +293,7 @@ def test_backproject_line_ray_sampling(rng, default_intrinsics):
         )
         for depth in (0.5, 7.0):
             Xc = ray * depth
-            Xw = E.inverse_transform(Xc)
+            Xw = E.rotation.T @ (Xc - E.translation)
             assert abs(pi @ np.append(Xw, 1.0)) < 1e-9 * np.linalg.norm(pi)
 
 
@@ -515,7 +515,7 @@ def test_pose_to_extrinsics_left_mount_axis():
     # optical axis (camera z) in world coordinates
     assert np.allclose(E.rotation.T @ np.array([0, 0, 1.0]), [0, 1, 0])
     # the camera center sits at the robot origin
-    assert np.allclose(E.inverse_transform(np.zeros(3)), [1, 0, 0])
+    assert np.allclose(E.rotation.T @ (np.zeros(3) - E.translation), [1, 0, 0])
 
 
 def test_pose_to_extrinsics_round_trip(rng):
@@ -524,7 +524,8 @@ def test_pose_to_extrinsics_round_trip(rng):
         pose = RobotPose(*rng.normal(0, 2, 3))
         E = pose_to_extrinsics(pose, mount)
         X = rng.normal(0, 5, 3)
-        assert np.allclose(E.inverse_transform(E.transform(X)), X, atol=1e-12)
+        Xc = E.rotation @ X + E.translation
+        assert np.allclose(E.rotation.T @ (Xc - E.translation), X, atol=1e-12)
 
 
 def test_dual_conic_bbox_circle(canonical_projection):

@@ -9,11 +9,13 @@ from dqslam.factors import Measurements
 from dqslam.geometry import (
     CameraIntrinsics,
     DualQuadric,
+    RobotPose,
     box_corners,
     box_lines,
     dual_conic_bbox,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
+    pose_to_extrinsics,
     project_quadric,
     projection_matrix,
 )
@@ -157,6 +159,34 @@ def test_initialize_quadrics_identity_mode(zero_noise_sensor, small_world):
     )
     assert all(fallback)
     assert all(np.array_equal(DualQuadric(q).matrix(), np.eye(4)) for q in quads)
+
+
+def test_initialize_quadrics_matches_per_detection_reference():
+    # Reference: a scalar camera per detection and a back-projected plane
+    # P^T l per box line.
+    ds = generate_dataset(WorldConfig(seed=0), SensorConfig())
+    poses = init_poses(ds.odometry, ds.ground_truth_poses[0])
+    K_ds, mount = ds.intrinsics(), ds.mount()
+    ref_quadrics, ref_fallback = [], []
+    for j in range(len(ds.landmark_sides)):
+        dets = ds.detections[ds.detections.landmark_id == j]
+        planes = []
+        for i, lines in zip(dets.pose_index.tolist(), dets.values):
+            P = projection_matrix(K_ds, pose_to_extrinsics(RobotPose(*poses[i]), mount)).P
+            planes.extend(P.T @ line for line in lines)
+        try:
+            ref_quadrics.append(fit_dual_quadric(np.array(planes)).q)
+            ref_fallback.append(False)
+        except (InsufficientObservationsError, DegenerateSolutionError):
+            ref_quadrics.append(DualQuadric.identity().q)
+            ref_fallback.append(True)
+    quadrics, fallback = initialize_quadrics(
+        ds.detections, poses, K_ds, mount, range(len(ds.landmark_sides)),
+        InitStrategy(mode="svd-with-fallback"),
+    )
+    assert fallback == ref_fallback
+    assert not all(fallback) and any(fallback)  # both paths are compared
+    assert quadrics.tobytes() == np.array(ref_quadrics).tobytes()
 
 
 def test_initialize_quadrics_fallback_always_finite():

@@ -11,10 +11,12 @@ from dqslam.geometry import (
     RobotPose,
     box_corners,
     box_lines,
+    camera_frames,
     dual_conic_bbox,
     left_facing_mount,
     pose_to_extrinsics,
     project_quadric,
+    projection_matrices,
     projection_matrix,
     tangency_rows,
 )
@@ -24,7 +26,6 @@ from dqslam.simulator import (
     WorldConfig,
     _landmark_condition,
     _sample_landmark,
-    camera_frames,
     corrupt_bbox,
     corrupt_odometry,
     generate_dataset,
@@ -78,10 +79,12 @@ def test_camera_frames_match_pose_to_extrinsics():
     trajectory = init_poses(ground_truth_odometry(WorldConfig())[0], (0, 0, 0))
     R, t = camera_frames(trajectory, MOUNT)
     assert R.shape == (len(trajectory), 3, 3) and t.shape == (len(trajectory), 3)
+    P = projection_matrices(K, R, t)
     for i, pose in enumerate(trajectory):
         E = pose_to_extrinsics(RobotPose(*pose), MOUNT)
         assert R[i].tobytes() == E.rotation.tobytes()
         assert t[i].tobytes() == E.translation.tobytes()
+        assert P[i].tobytes() == projection_matrix(K, E).P.tobytes()
 
 
 def test_project_cube_bbox_detection_ranges():

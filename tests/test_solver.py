@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -396,6 +398,23 @@ def test_solve_zero_initial_lambda_recovers_from_a_rejected_step(monkeypatch):
     assert report.final_cost < report.initial_cost
     assert report.linear_solves == len(lams)
     assert lams[0] == 0.0 and max(lams) > 0.0
+
+
+def test_solve_skips_damping_too_small_to_change_the_system(monkeypatch):
+    # With a vanishing lambda_down, lambda falls far below the range where
+    # damping changes any diagonal entry; each rejected step then climbs
+    # back by lambda_up. Skipping the solves of that range must leave every
+    # accepted step and the report, but for the solve count, as they are.
+    ds = generate_dataset(WorldConfig(seed=2), SensorConfig())
+    graph = build_graph(ds, mode="monocular")
+    cfg = SolverConfig(lambda_down=1e-300, max_iterations=5)
+    fast_graph, fast = solve(graph, cfg)
+    monkeypatch.setattr(solver, "_LAMBDA_NOOP", 0.0)
+    slow_graph, slow = solve(graph, cfg)
+    assert replace(fast, linear_solves=0) == replace(slow, linear_solves=0)
+    assert fast_graph.poses.tobytes() == slow_graph.poses.tobytes()
+    assert fast_graph.quadrics.tobytes() == slow_graph.quadrics.tobytes()
+    assert 10 * fast.linear_solves < slow.linear_solves
 
 
 def test_solve_stalls_on_unconstrained_variable(rng):
