@@ -37,7 +37,7 @@ from .initialization import InitStrategy
 from .metrics import MODES, aggregate, format_table
 from .pipeline import GraphNoiseConfig, run_trial
 from .simulator import SensorConfig, WorldConfig, generate_dataset
-from .solver import SolverConfig
+from .solver import SolverConfig, load_scipy
 from .svgplot import trial_svg
 
 __all__ = ["main"]
@@ -131,6 +131,18 @@ def _configs(parser, args, classes) -> list:
     return configs
 
 
+# -- outputs ----------------------------------------------------------------
+
+def _check_out_path(flag: str, path) -> None:
+    """Refuse an output path that cannot be written as a file -- its parent
+    is not an existing directory, or it is a directory -- before any work."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        raise ValueError(f"{flag} {path}: {parent} is not an existing directory")
+    if os.path.isdir(path):
+        raise ValueError(f"{flag} {path}: is a directory")
+
+
 # -- manifest ---------------------------------------------------------------
 
 def _write_json(path, doc) -> None:
@@ -159,6 +171,7 @@ def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings
 # -- simulate ---------------------------------------------------------------
 
 def _cmd_simulate(args, argv, world, sensor) -> int:
+    _check_out_path("--out", args.out)
     t0 = time.perf_counter()
     dataset = generate_dataset(world, sensor)
     write_dataset(dataset, args.out)
@@ -232,8 +245,12 @@ def _results_doc(run) -> dict:
 
 
 def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
+    _check_out_path("--out", args.out)
+    if args.svg:
+        _check_out_path("--svg", args.svg)
     dataset = read_dataset(args.dataset)
 
+    load_s = load_scipy()
     t0 = time.perf_counter()
     run = run_trial(
         dataset,
@@ -275,7 +292,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
         },
         [dataset.seed],
         artifacts,
-        {"solve": elapsed},
+        {"load_scipy": load_s, "solve": elapsed},
         solver_work={"linear_solves": rep.linear_solves, "orderings": rep.orderings},
     )
     failed = rep.termination_reason == "stalled" or not np.isfinite(rep.final_cost)
@@ -326,6 +343,8 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     job_modes = [mode for _, mode in jobs]
 
     os.makedirs(args.out_dir, exist_ok=True)
+    # Before the pool forks, so that its workers inherit scipy.
+    load_s = load_scipy()
     started = time.time()
     t0 = time.perf_counter()
     # A pool forks all its workers at the first submit; more than one per
@@ -341,7 +360,8 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     # Back into seed order, then MODES order. A seed with a failed mode
     # contributes no rows and one failure: its first failing mode's message.
     by_job = dict(zip(jobs, outcomes))
-    all_results, failures, timings, job_log = [], {}, {"evaluate": elapsed}, {}
+    all_results, failures, job_log = [], {}, {}
+    timings = {"load_scipy": load_s, "evaluate": elapsed}
     for seed in seeds:
         runs = [by_job[seed, mode] for mode in MODES]
         errors = [error for _, error, *_ in runs if error is not None]

@@ -24,6 +24,10 @@ per-factor functions below (`motion_model`, `odometry_residual`,
 `prior_residual`, `bbox_factor_residual`, `relpos_residual`) compute one
 factor's raw residual and are its independent reference. The array kernels
 and the quadric parameter layout come from `geometry`.
+
+`GraphEvaluator.jacobian` imports scipy when it first builds a sparse
+matrix, so that importing this module (as the simulator and the dataset
+reader do) does not pay scipy's import time and memory.
 """
 
 from __future__ import annotations
@@ -32,7 +36,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .geometry import (
     QUADRIC_CENTROID,
@@ -332,12 +335,14 @@ class GraphEvaluator:
             [(w * r).ravel() for w, (r, _) in zip(self._row_scale, kinds)]
         )
 
-    def jacobian(self, poses: np.ndarray, quadrics: np.ndarray) -> sp.csr_matrix:
+    def jacobian(self, poses: np.ndarray, quadrics: np.ndarray) -> "scipy.sparse.csr_matrix":
         """Sparse Jacobian of the stacked whitened residual.
 
         Row blocks follow the residual stacking; column blocks are 3 per
         pose (SE(2) tangent) then 9 per quadric, in variable order.
         """
+        import scipy.sparse as sp
+
         kinds = self._linearize(poses, quadrics, True)
         vals = np.concatenate(
             [
@@ -448,7 +453,7 @@ def graph_residual(graph: FactorGraph):
     return r, 0.5 * float(r @ r)
 
 
-def graph_jacobian(graph: FactorGraph) -> sp.csr_matrix:
+def graph_jacobian(graph: FactorGraph) -> "scipy.sparse.csr_matrix":
     """Sparse Jacobian of the stacked whitened residual at the graph's
     stored variables."""
     ev = GraphEvaluator(graph)

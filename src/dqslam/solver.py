@@ -21,15 +21,19 @@ or too small to change it), so those trials take the default path. The
 tests compare every trial of real solves with the default path bit for
 bit. After a rejected step, lambda climbs past _LAMBDA_NOOP without a
 solve: damping that small leaves the rejected system as it was.
+
+scipy is imported where a sparse matrix is first built or factored, not
+with this module, so that commands that never solve (simulate, the dataset
+reader and writer, --help) do not pay its import, about half of the
+package's cold start.
 """
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .config import check_fields, setting
 from .factors import FactorGraph, GraphEvaluator
@@ -40,6 +44,7 @@ __all__ = [
     "SolveReport",
     "LinearSolveError",
     "ColumnOrder",
+    "load_scipy",
     "normal_equations",
     "linear_step",
     "solve",
@@ -85,6 +90,17 @@ class SolveReport:
     orderings: int = 0  # COLAMD orders computed: one per new J^T J pattern
 
 
+def load_scipy() -> float:
+    """Import the scipy modules a solve uses and return the seconds that
+    took (next to none once they are loaded). Called ahead of timed work,
+    it keeps the import out of the first solve, and a process pool forked
+    afterwards inherits the modules."""
+    t0 = time.perf_counter()
+    import scipy.sparse.linalg  # noqa: F401
+
+    return time.perf_counter() - t0
+
+
 def normal_equations(J, r: np.ndarray):
     """The Gauss-Newton normal equations of a linearization: (J^T J, J^T r).
 
@@ -92,6 +108,8 @@ def normal_equations(J, r: np.ndarray):
     canonical form: sorted row indices, no duplicates, and no explicit
     zeros (the sparse product stores none).
     """
+    import scipy.sparse as sp
+
     if not sp.issparse(J):
         J = sp.csr_matrix(np.asarray(J, dtype=float))
     JtJ = (J.T @ J).tocsc()
@@ -125,6 +143,8 @@ class ColumnOrder:
     def record(self, M, perm_c: np.ndarray) -> None:
         """Record the order perm_c that SuperLU chose for the canonical
         damped matrix M."""
+        import scipy.sparse as sp
+
         inv = np.argsort(perm_c)
         # Column k of the layout is column inv[k] of M, rows still sorted;
         # its values are the positions of M's values, 1-based so none is 0.
@@ -141,6 +161,9 @@ class ColumnOrder:
         pivot tie may break differently), J^T J stores an explicit zero
         (the default path drops it), or the system is singular or gives a
         non-finite solution. JtJ must fit the order."""
+        import scipy.sparse as sp
+        import scipy.sparse.linalg as spla
+
         perm_c, gather, indices, indptr, diag = self._layout
         data = JtJ.data[gather]
         d = data[diag]
@@ -176,6 +199,9 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
     Raises:
         LinearSolveError: singular system or non-finite solution.
     """
+    import scipy.sparse as sp
+    import scipy.sparse.linalg as spla
+
     if lam < 0:
         raise ValueError("damping must be nonnegative")
     fits = order is not None and order.fits(JtJ)

@@ -203,6 +203,8 @@ def test_solve_manifest_lists_artifacts(tmp_path, capsys):
     assert str(out) in manifest["artifacts"]
     assert manifest["command"] == "solve"
     assert manifest["seeds"] == [1]
+    # scipy's import is timed apart from the solve.
+    assert list(manifest["timings_s"]) == ["load_scipy", "solve"]
     # The solver's work is in the manifest and on the summary line, not in
     # the results document.
     work = manifest["solver_work"]
@@ -332,7 +334,7 @@ def test_evaluate_job_failure_fails_its_seed_only(tmp_path, monkeypatch):
 
     # Every job's wall time is in the manifest, in seed then mode order.
     timings = json.loads((out / "run_manifest.json").read_text())["timings_s"]
-    assert list(timings) == ["evaluate"] + [
+    assert list(timings) == ["load_scipy", "evaluate"] + [
         f"trial/{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES
     ]
     assert all(t > 0 for t in timings.values())
@@ -385,6 +387,13 @@ def test_rerun_rejects_malformed_manifest(manifest, tmp_path, capsys):
     assert not (tmp_path / "x.json").exists()
 
 
+@pytest.fixture(scope="module")
+def small_dataset(tmp_path_factory):
+    path = tmp_path_factory.mktemp("dataset") / "ds.json"
+    assert main(["simulate", "--seed", "7", "--out", str(path)] + SMALL) == 0
+    return path
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -393,13 +402,72 @@ def test_rerun_rejects_malformed_manifest(manifest, tmp_path, capsys):
         ["simulate", "--out", "{dir}"] + SMALL,
         ["rerun", "{dir}"],
         ["evaluate", "--trials", "1", "--out-dir", "{dir}/file", "--workers", "1"] + SMALL,
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}/missing/r.json"],
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}/file/r.json"],
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}"],
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}/r.json",
+         "--svg", "{dir}/missing/m.svg"],
+        ["simulate", "--out", "{dir}/missing/ds.json"] + SMALL,
     ],
     ids=["solve-missing-dataset", "solve-dataset-dir", "simulate-out-dir", "rerun-dir",
-         "evaluate-out-dir-file"],
+         "evaluate-out-dir-file", "solve-out-missing-parent", "solve-out-parent-file",
+         "solve-out-dir", "solve-svg-missing-parent", "simulate-out-missing-parent"],
 )
-def test_missing_dataset_reports_error(argv, tmp_path, capsys):
+def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, small_dataset):
+    # A bad path is refused before any work: no trial runs, no dataset is
+    # made and no file is written.
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the paths were checked")
+
+    monkeypatch.setattr(cli, "run_trial", no_work)
+    monkeypatch.setattr(cli, "generate_dataset", no_work)
     (tmp_path / "file").write_text("")
-    code = main([a.format(dir=tmp_path) for a in argv])
+    before = sorted(tmp_path.rglob("*"))
+    code = main([a.format(dir=tmp_path, dataset=small_dataset) for a in argv])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert sorted(tmp_path.rglob("*")) == before
+
+
+def test_only_solving_commands_load_scipy(tmp_path):
+    """simulate, --help, the dataset reader and a rerun of simulate load no
+    scipy module; solve does. Run in a fresh interpreter, since this one
+    has loaded scipy already."""
+    script = """
+import contextlib, io, json, sys
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+steps = {}
+import dqslam
+steps["import dqslam"] = scipy_loaded()
+import dqslam.cli
+from dqslam.cli import main
+steps["import dqslam.cli"] = scipy_loaded()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.suppress(SystemExit):
+    main(["--help"])
+steps["--help"] = scipy_loaded()
+ds, out = sys.argv[1] + "/ds.json", sys.argv[1] + "/r.json"
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["simulate", "--out", ds] + sys.argv[2:]) == 0
+steps["simulate"] = scipy_loaded()
+from dqslam.dataset_io import read_dataset
+read_dataset(ds)
+steps["read_dataset"] = scipy_loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["rerun", ds + ".manifest.json"]) == 0
+steps["rerun simulate"] = scipy_loaded()
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main(["solve", "--dataset", ds, "--out", out]) == 0
+steps["solve"] = scipy_loaded()
+print(json.dumps(steps))
+"""
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)] + SMALL,
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    steps = json.loads(proc.stdout)
+    solve = steps.pop("solve")
+    assert steps == {step: [] for step in steps}
+    assert "scipy.sparse.linalg" in solve

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 
 from dqslam import solver
 from dqslam.factors import FactorGraph, graph_residual
@@ -90,7 +91,7 @@ def damped_matrix(monkeypatch, JtJ, lam):
         return NoFactor()
 
     with monkeypatch.context() as m:
-        m.setattr(solver.spla, "splu", splu)
+        m.setattr(scipy.sparse.linalg, "splu", splu)
         linear_step(JtJ, np.zeros(JtJ.shape[0]), lam)
     (M,) = seen
     return M
