@@ -133,14 +133,23 @@ def _configs(parser, args, classes) -> list:
 
 # -- outputs ----------------------------------------------------------------
 
-def _check_out_path(flag: str, path) -> None:
-    """Refuse an output path that cannot be written as a file -- its parent
-    is not an existing directory, or it is a directory -- before any work."""
-    parent = os.path.dirname(path) or "."
-    if not os.path.isdir(parent):
-        raise ValueError(f"{flag} {path}: {parent} is not an existing directory")
-    if os.path.isdir(path):
-        raise ValueError(f"{flag} {path}: is a directory")
+def _check_out_paths(outputs: dict, dataset=None) -> None:
+    """Before any work, refuse an output path (outputs maps a label such as
+    "--out" to it) that cannot be written as a file -- its parent is not an
+    existing directory, or it is a directory -- and any two of the dataset
+    read and the outputs that name the same file, so that no output
+    overwrites the input or another output."""
+    named = {} if dataset is None else {os.path.realpath(dataset): f"--dataset {dataset}"}
+    for flag, path in outputs.items():
+        parent = os.path.dirname(path) or "."
+        if not os.path.isdir(parent):
+            raise ValueError(f"{flag} {path}: {parent} is not an existing directory")
+        if os.path.isdir(path):
+            raise ValueError(f"{flag} {path}: is a directory")
+        real = os.path.realpath(path)
+        if real in named:
+            raise ValueError(f"{flag} {path}: same file as {named[real]}")
+        named[real] = f"{flag} {path}"
 
 
 # -- manifest ---------------------------------------------------------------
@@ -171,7 +180,8 @@ def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings
 # -- simulate ---------------------------------------------------------------
 
 def _cmd_simulate(args, argv, world, sensor) -> int:
-    _check_out_path("--out", args.out)
+    manifest = _manifest_path(args.out)
+    _check_out_paths({"--out": args.out, "manifest": manifest})
     t0 = time.perf_counter()
     dataset = generate_dataset(world, sensor)
     write_dataset(dataset, args.out)
@@ -186,7 +196,7 @@ def _cmd_simulate(args, argv, world, sensor) -> int:
     )
     print("detections per landmark:", " ".join(f"{j}:{n}" for j, n in enumerate(counts)))
     _write_manifest(
-        _manifest_path(args.out),
+        manifest,
         "simulate",
         argv,
         {"world": asdict(world), "sensor": asdict(sensor)},
@@ -245,9 +255,9 @@ def _results_doc(run) -> dict:
 
 
 def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
-    _check_out_path("--out", args.out)
-    if args.svg:
-        _check_out_path("--svg", args.svg)
+    manifest = _manifest_path(args.out)
+    outputs = {"--out": args.out, "--svg": args.svg, "manifest": manifest}
+    _check_out_paths({k: v for k, v in outputs.items() if v}, dataset=args.dataset)
     dataset = read_dataset(args.dataset)
 
     load_s = load_scipy()
@@ -280,7 +290,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
         f"rmse_lm {r.rmse_lm:.4f} m"
     )
     _write_manifest(
-        _manifest_path(args.out),
+        manifest,
         "solve",
         argv,
         {

@@ -13,17 +13,16 @@ residual. The stacking order is deterministic: priors, then odometry by
 pose index, then bounding-box factors by (pose, landmark), then
 relative-position factors by (pose, landmark).
 
-`graph_residual` / `graph_jacobian` evaluate a graph at the variables it
-carries. `GraphEvaluator` compiles a graph once into flat arrays and a
-fixed Jacobian sparsity pattern, then evaluates residual and sparse
-Jacobian at arbitrary variable values; it is what the solver iterates with.
-It has one vectorized linearization per factor kind, which yields the raw
-residual and its Jacobian blocks from the same intermediate values, and
-whitens all kinds in one place, as a scale per residual row. The scalar
-per-factor functions below (`motion_model`, `odometry_residual`,
-`prior_residual`, `bbox_factor_residual`, `relpos_residual`) compute one
-factor's raw residual and are its independent reference. The array kernels
-and the quadric parameter layout come from `geometry`.
+`GraphEvaluator` compiles a graph once into flat arrays and a fixed
+Jacobian sparsity pattern, then evaluates residual and sparse Jacobian at
+arbitrary variable values; it is the one implementation of the factors,
+and what the solver iterates with. It has one vectorized linearization per
+factor kind, which yields the raw residual and its Jacobian blocks from
+the same intermediate values, and whitens all kinds in one place, as a
+scale per residual row. `motion_model` is the unicycle step that
+`initialization.init_poses` chains. The scalar per-factor references the
+tests check the evaluator against live in `tests/oracle.py`. The array
+kernels and the quadric parameter layout come from `geometry`.
 
 `GraphEvaluator.jacobian` imports scipy when it first builds a sparse
 matrix, so that importing this module (as the simulator and the dataset
@@ -41,11 +40,8 @@ from .geometry import (
     QUADRIC_CENTROID,
     CameraExtrinsics,
     CameraIntrinsics,
-    DualQuadric,
     RobotPose,
     in_frame,
-    pose_to_extrinsics,
-    projection_matrix,
     quadric_matrices,
     tangency_rows,
     wrap_angle,
@@ -56,13 +52,6 @@ __all__ = [
     "Measurements",
     "FactorGraph",
     "motion_model",
-    "se2_boxminus",
-    "odometry_residual",
-    "prior_residual",
-    "bbox_factor_residual",
-    "relpos_residual",
-    "graph_residual",
-    "graph_jacobian",
     "GraphEvaluator",
 ]
 
@@ -190,57 +179,6 @@ def motion_model(x: RobotPose, u) -> RobotPose:
         x.y + v * math.sin(x.theta),
         wrap_angle(x.theta + omega),
     )
-
-
-def se2_boxminus(a: RobotPose, b: RobotPose) -> np.ndarray:
-    """SE(2) difference a (-) b: pose a expressed in the frame of pose b,
-    as (dx, dy, dtheta) with dtheta wrapped to (-pi, pi]."""
-    c, s = math.cos(b.theta), math.sin(b.theta)
-    dx, dy = a.x - b.x, a.y - b.y
-    return np.array([c * dx + s * dy, -s * dx + c * dy, wrap_angle(a.theta - b.theta)])
-
-
-def odometry_residual(x_i: RobotPose, x_next: RobotPose, u) -> np.ndarray:
-    """Motion-model prediction from x_i under odometry u = (v, omega) minus
-    the actual next pose, in SE(2)."""
-    return se2_boxminus(motion_model(x_i, u), x_next)
-
-
-def prior_residual(x_0: RobotPose, anchor: RobotPose) -> np.ndarray:
-    """SE(2) difference between a pose and its anchor."""
-    return se2_boxminus(x_0, anchor)
-
-
-def bbox_factor_residual(
-    x_i: RobotPose,
-    q_j: DualQuadric,
-    lines,
-    K: CameraIntrinsics,
-    mount: CameraExtrinsics,
-) -> np.ndarray:
-    """Tangency defect of each of the four box lines (4, 3) against the
-    projected quadric, under the camera at pose x_i."""
-    P = projection_matrix(K, pose_to_extrinsics(x_i, mount)).P
-    Q = q_j.matrix()
-    r = np.empty(4)
-    for k, line in enumerate(np.asarray(lines, dtype=float).reshape(4, 3)):
-        a = P.T @ line
-        r[k] = a @ Q @ a
-    return r
-
-
-def relpos_residual(x_i: RobotPose, q_j: DualQuadric, z) -> np.ndarray:
-    """Measured position z (3,) minus the predicted landmark position, in
-    the robot frame.
-
-    The quadric centroid is transformed into the frame of the planar pose;
-    the z coordinate passes through unchanged.
-    """
-    c = q_j.centroid()
-    cth, sth = math.cos(x_i.theta), math.sin(x_i.theta)
-    dx, dy = c[0] - x_i.x, c[1] - x_i.y
-    local = np.array([cth * dx + sth * dy, -sth * dx + cth * dy, c[2]])
-    return np.asarray(z, dtype=float) - local
 
 
 class GraphEvaluator:
@@ -440,21 +378,3 @@ def _planar_block(c, s, heading_col):
     J[:, 1, 1] = c
     J[:, 0, 2], J[:, 1, 2], J[:, 2, 2] = heading_col
     return J
-
-
-def graph_residual(graph: FactorGraph):
-    """Stacked whitened residual of a graph at its stored variables.
-
-    Returns:
-        (residual, cost) with cost = 0.5 * ||residual||^2.
-    """
-    ev = GraphEvaluator(graph)
-    r = ev.residual(graph.poses, graph.quadrics)
-    return r, 0.5 * float(r @ r)
-
-
-def graph_jacobian(graph: FactorGraph) -> "scipy.sparse.csr_matrix":
-    """Sparse Jacobian of the stacked whitened residual at the graph's
-    stored variables."""
-    ev = GraphEvaluator(graph)
-    return ev.jacobian(graph.poses, graph.quadrics)

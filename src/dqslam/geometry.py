@@ -54,11 +54,9 @@ __all__ = [
     "vector_from_quadric",
     "ellipsoid_to_dual_quadric",
     "project_quadric",
-    "tangency_residual",
     "pose_to_extrinsics",
     "camera_frames",
     "left_facing_mount",
-    "dual_conic_bbox",
     "tangency_rows",
     "wrap_angles",
     "in_frame",
@@ -376,16 +374,6 @@ def project_quadric(P: ProjectionMatrix, q: DualQuadric) -> DualConic:
     return DualConic(0.5 * (C + C.T))
 
 
-def tangency_residual(l, P: ProjectionMatrix, q: DualQuadric) -> float:
-    """Tangency defect l^T P Q* P^T l of an image line l, (3,).
-
-    Zero iff the plane P^T l back-projected from the line is tangent to the
-    quadric; normalize_lines fixes the magnitude's gauge.
-    """
-    a = P.P.T @ np.asarray(l, dtype=float)
-    return float(a @ q.matrix() @ a)
-
-
 def left_facing_mount() -> CameraExtrinsics:
     """Robot-to-camera transform for a camera looking 90 degrees to the left.
 
@@ -429,30 +417,6 @@ def camera_frames(poses, mount: CameraExtrinsics):
     R = mount.rotation @ R_rw
     t = (mount.rotation @ t_rw[:, :, None])[:, :, 0] + mount.translation
     return R, t
-
-
-def dual_conic_bbox(C: DualConic) -> tuple:
-    """Axis-aligned bounding box (u_min, v_min, u_max, v_max) of a dual conic.
-
-    Solves for the two vertical and two horizontal tangent lines of the
-    conic; this is the exact bounding box an ideal detector would report
-    for the projected outline of an ellipsoid.
-
-    Raises:
-        DegenerateGeometryError: if the conic has no real axis-aligned
-            tangents (not an ellipse-like outline).
-    """
-    M = C.C
-    if abs(M[2, 2]) < EPS_SCALE:
-        raise DegenerateGeometryError("conic tangent box undefined ((3,3) entry ~ 0)")
-    # Vertical tangents l = (1, 0, -u): C11 - 2 u C13 + u^2 C33 = 0.
-    du = M[0, 2] ** 2 - M[0, 0] * M[2, 2]
-    dv = M[1, 2] ** 2 - M[1, 1] * M[2, 2]
-    if du <= 0 or dv <= 0:
-        raise DegenerateGeometryError("conic has no real axis-aligned tangent lines")
-    hu, hv = math.sqrt(du) / abs(M[2, 2]), math.sqrt(dv) / abs(M[2, 2])
-    u0, v0 = M[0, 2] / M[2, 2], M[1, 2] / M[2, 2]
-    return (u0 - hu, v0 - hv, u0 + hu, v0 + hv)
 
 
 def tangency_rows(planes) -> np.ndarray:

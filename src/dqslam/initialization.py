@@ -76,7 +76,7 @@ def init_poses(odometry, x0) -> np.ndarray:
 
 
 def fit_dual_quadric(
-    planes: np.ndarray, condition_threshold: float = 0.1
+    planes: np.ndarray, condition_threshold: float = InitStrategy.condition_threshold
 ) -> DualQuadric:
     """Least-squares quadric from tangent planes, via SVD nullspace.
 
@@ -118,7 +118,7 @@ def init_quadric_svd(
     intrinsics: CameraIntrinsics,
     mount: CameraExtrinsics,
     *,
-    condition_threshold: float = 0.1,
+    condition_threshold: float = InitStrategy.condition_threshold,
 ) -> DualQuadric:
     """SVD initialization of one landmark from its bounding-box detections
     (a Measurements column).

@@ -10,21 +10,20 @@ roughly unit whitened residual at typical viewing distances.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .config import check_fields, setting
 from .factors import FactorGraph
 from .initialization import InitStrategy, init_poses, initialize_quadrics
-from .metrics import TrialResult, rmse_lm, rmse_pos, rmse_volume, quadric_volume_cube
-from .simulator import Dataset, inscribed_ellipsoid
+from .metrics import MODES, TrialResult, rmse_lm, rmse_pos, rmse_volume, quadric_volume_cube
+from .simulator import Dataset
 from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
     "GraphNoiseConfig",
     "build_graph",
-    "ground_truth_graph",
     "run_trial",
     "TrialRun",
 ]
@@ -65,7 +64,7 @@ def build_graph(
     pass into the graph as they are, with the noise sigmas filled in; in
     monocular mode its relative-position measurements are left out.
     """
-    if mode not in ("monocular", "with-relpos"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
     noise = noise or GraphNoiseConfig()
     init_strategy = init_strategy or InitStrategy()
@@ -107,20 +106,6 @@ def build_graph(
     )
     graph.validate()
     return graph
-
-
-def ground_truth_graph(graph: FactorGraph, dataset: Dataset) -> FactorGraph:
-    """The same graph with variables set to the simulator's ground truth:
-    true poses and the inscribed-ellipsoid quadric of every cube."""
-    quadrics = [
-        inscribed_ellipsoid(center, side).q
-        for center, side in zip(dataset.landmark_centers, dataset.landmark_sides.tolist())
-    ]
-    return replace(
-        graph,
-        poses=dataset.ground_truth_poses.copy(),
-        quadrics=np.array(quadrics).reshape(-1, 9),
-    )
 
 
 @dataclass

@@ -222,7 +222,7 @@ def _visible_boxes(u_min, v_min, u_max, v_max, seen, K: CameraIntrinsics, min_px
     return seen, box_corners(u_min, v_min, u_max, v_max)
 
 
-def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float = 100.0):
+def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float):
     """Axis-aligned hull of the projected corners of the cube of the given
     center (3,) and side at every camera frame.
 
@@ -243,9 +243,11 @@ def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: fl
     )
 
 
-def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float = 100.0):
+def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float):
     """Exact silhouette bounding box of the cube's inscribed sphere at every
-    camera frame: the dual_conic_bbox formula on the image conics P Q* P^T.
+    camera frame, from the image conics C* = P Q* P^T: the vertical tangents
+    u = (C13 +- sqrt(C13^2 - C11 C33)) / C33, and likewise in v. The tests'
+    scalar reference is `dual_conic_bbox` in tests/oracle.py.
 
     Unlike the cube-corner hull, these box lines are exactly tangent to the
     landmark's ground-truth quadric, which the noise-free consistency
@@ -257,8 +259,8 @@ def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: 
     C = P @ inscribed_ellipsoid(center, side).matrix() @ P.transpose(0, 2, 1)
     C = 0.5 * (C + C.transpose(0, 2, 1))
     c13, c23, c33 = C[:, 0, 2], C[:, 1, 2], C[:, 2, 2]
-    # float_power calls C pow like the scalar ** 2 in dual_conic_bbox; array
-    # ** 2 computes x * x, which can differ from pow in the last bit.
+    # float_power calls C pow like a scalar ** 2 (as in the tests' reference);
+    # array ** 2 computes x * x, which can differ from pow in the last bit.
     du = np.float_power(c13, 2) - C[:, 0, 0] * c33
     dv = np.float_power(c23, 2) - C[:, 1, 1] * c33
     seen = (

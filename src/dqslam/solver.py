@@ -102,16 +102,11 @@ def load_scipy() -> float:
 
 
 def normal_equations(J, r: np.ndarray):
-    """The Gauss-Newton normal equations of a linearization: (J^T J, J^T r).
-
-    Accepts a dense or scipy-sparse Jacobian. J^T J is returned as CSC in
-    canonical form: sorted row indices, no duplicates, and no explicit
-    zeros (the sparse product stores none).
+    """The Gauss-Newton normal equations of a scipy-sparse Jacobian:
+    (J^T J, J^T r). J^T J is returned as CSC in canonical form: sorted row
+    indices, no duplicates, and no explicit zeros (the sparse product stores
+    none).
     """
-    import scipy.sparse as sp
-
-    if not sp.issparse(J):
-        J = sp.csr_matrix(np.asarray(J, dtype=float))
     JtJ = (J.T @ J).tocsc()
     JtJ.sum_duplicates()
     return JtJ, J.T @ r

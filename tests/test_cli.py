@@ -14,12 +14,12 @@ import pytest
 from dqslam import cli
 from dqslam.cli import _build_parser, main
 from dqslam.dataset_io import read_dataset
-from dqslam.factors import graph_residual
 from dqslam.initialization import InitStrategy
 from dqslam.metrics import MODES
-from dqslam.pipeline import GraphNoiseConfig, build_graph, ground_truth_graph
+from dqslam.pipeline import GraphNoiseConfig, build_graph
 from dqslam.simulator import SensorConfig, WorldConfig
 from dqslam.solver import SolverConfig
+from oracle import graph_residual, ground_truth_graph
 
 
 SMALL = [
@@ -408,26 +408,41 @@ def small_dataset(tmp_path_factory):
         ["solve", "--dataset", "{dataset}", "--out", "{dir}/r.json",
          "--svg", "{dir}/missing/m.svg"],
         ["simulate", "--out", "{dir}/missing/ds.json"] + SMALL,
+        ["solve", "--dataset", "{dir}/ds.json", "--out", "{dir}/./ds.json"],
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}/r.json", "--svg", "{dir}/r.json"],
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}/r.json",
+         "--svg", "{dir}/r.json.manifest.json"],
+        ["solve", "--dataset", "{dataset}", "--out", "{dir}/m.json"],
+        ["simulate", "--out", "{dir}/m.json"] + SMALL,
     ],
     ids=["solve-missing-dataset", "solve-dataset-dir", "simulate-out-dir", "rerun-dir",
          "evaluate-out-dir-file", "solve-out-missing-parent", "solve-out-parent-file",
-         "solve-out-dir", "solve-svg-missing-parent", "simulate-out-missing-parent"],
+         "solve-out-dir", "solve-svg-missing-parent", "simulate-out-missing-parent",
+         "solve-out-is-dataset", "solve-svg-is-out", "solve-svg-is-manifest",
+         "solve-manifest-dir", "simulate-manifest-dir"],
 )
 def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, small_dataset):
     # A bad path is refused before any work: no trial runs, no dataset is
-    # made and no file is written.
+    # made and no file is written. An output must not be the dataset, another
+    # output or the run manifest (m.json's manifest path is a directory).
     def no_work(*args, **kwargs):
         raise AssertionError("work started before the paths were checked")
 
     monkeypatch.setattr(cli, "run_trial", no_work)
     monkeypatch.setattr(cli, "generate_dataset", no_work)
     (tmp_path / "file").write_text("")
-    before = sorted(tmp_path.rglob("*"))
+    (tmp_path / "ds.json").write_bytes(small_dataset.read_bytes())
+    (tmp_path / "m.json.manifest.json").mkdir()
+
+    def snapshot():
+        return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
+
+    before = snapshot()
     code = main([a.format(dir=tmp_path, dataset=small_dataset) for a in argv])
     assert code == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert sorted(tmp_path.rglob("*")) == before
+    assert snapshot() == before
 
 
 def test_only_solving_commands_load_scipy(tmp_path):

@@ -37,3 +37,26 @@ def test_every_exported_definition_lives_in_its_module(name):
         if (inspect.isfunction(obj) or inspect.isclass(obj)) and obj.__module__ != name
     ]
     assert not foreign, f"{name}.__all__ re-exports {foreign}"
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [
+        ("dqslam.factors", "se2_boxminus"),
+        ("dqslam.factors", "odometry_residual"),
+        ("dqslam.factors", "prior_residual"),
+        ("dqslam.factors", "bbox_factor_residual"),
+        ("dqslam.factors", "relpos_residual"),
+        ("dqslam.factors", "graph_residual"),
+        ("dqslam.factors", "graph_jacobian"),
+        ("dqslam.geometry", "tangency_residual"),
+        ("dqslam.geometry", "dual_conic_bbox"),
+        ("dqslam.pipeline", "ground_truth_graph"),
+    ],
+)
+def test_scalar_references_live_only_in_the_test_oracle(module, name):
+    # The package evaluates each factor one way, through GraphEvaluator and
+    # the array kernels; their scalar references live in tests/oracle.py (or
+    # were wrappers, and are gone), so a second implementation beside the
+    # vectorized one does not grow back.
+    assert not hasattr(importlib.import_module(module), name)

@@ -14,7 +14,6 @@ from dqslam.geometry import (
     RobotPose,
     box_corners,
     box_lines,
-    dual_conic_bbox,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
     lines_through,
@@ -24,12 +23,12 @@ from dqslam.geometry import (
     projection_matrix,
     QUADRIC_CENTROID,
     quadric_matrices,
-    tangency_residual,
     vector_from_quadric,
     wrap_angle,
     wrap_angles,
 )
 from conftest import ellipsoid_tangent_planes, unit_sphere_directions
+from oracle import dual_conic_bbox, tangency_residual
 
 
 def random_rotation(rng):

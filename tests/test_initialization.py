@@ -12,7 +12,6 @@ from dqslam.geometry import (
     RobotPose,
     box_corners,
     box_lines,
-    dual_conic_bbox,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
     pose_to_extrinsics,
@@ -30,6 +29,7 @@ from dqslam.initialization import (
 )
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
 from conftest import ellipsoid_tangent_planes, look_at_extrinsics, unit_sphere_directions
+from oracle import dual_conic_bbox
 
 
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)

@@ -5,9 +5,9 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from dqslam.factors import graph_residual
-from dqslam.pipeline import GraphNoiseConfig, build_graph, ground_truth_graph, run_trial
+from dqslam.pipeline import GraphNoiseConfig, build_graph, run_trial
 from dqslam.simulator import SensorConfig, generate_dataset
+from oracle import graph_residual, ground_truth_graph
 
 
 @pytest.fixture

@@ -12,7 +12,6 @@ from dqslam.geometry import (
     box_corners,
     box_lines,
     camera_frames,
-    dual_conic_bbox,
     left_facing_mount,
     pose_to_extrinsics,
     project_quadric,
@@ -35,6 +34,7 @@ from dqslam.simulator import (
     project_cube_bbox,
     project_sphere_bbox,
 )
+from oracle import dual_conic_bbox
 from test_geometry import _reference_normalize
 
 

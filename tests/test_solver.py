@@ -8,9 +8,9 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from dqslam import solver
-from dqslam.factors import FactorGraph, graph_residual
+from dqslam.factors import FactorGraph
 from dqslam.geometry import RobotPose, CameraIntrinsics, left_facing_mount
-from dqslam.pipeline import build_graph, ground_truth_graph, run_trial
+from dqslam.pipeline import build_graph, run_trial
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
 from dqslam.solver import (
     ColumnOrder,
@@ -21,6 +21,7 @@ from dqslam.solver import (
     normal_equations,
     solve,
 )
+from oracle import graph_residual, ground_truth_graph
 
 
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
@@ -51,7 +52,7 @@ def test_linear_step_gauss_newton_matches_pseudoinverse(rng):
         m, n = 40, 17
         J = rng.normal(size=(m, n))
         r = rng.normal(size=m)
-        delta = linear_step(*normal_equations(J, r), lam=0.0)
+        delta = linear_step(*normal_equations(sp.csr_matrix(J), r), lam=0.0)
         expected = -np.linalg.pinv(J) @ r
         assert np.allclose(delta, expected, atol=1e-10)
 
@@ -59,7 +60,7 @@ def test_linear_step_gauss_newton_matches_pseudoinverse(rng):
 def test_linear_step_damping_shrinks_step(rng):
     J = rng.normal(size=(30, 10))
     r = rng.normal(size=30)
-    JtJ, g = normal_equations(J, r)
+    JtJ, g = normal_equations(sp.csr_matrix(J), r)
     norms = [np.linalg.norm(linear_step(JtJ, g, lam)) for lam in (0, 1, 1e2, 1e4, 1e8)]
     assert all(a >= b for a, b in zip(norms, norms[1:]))
     assert norms[-1] < 1e-6 * norms[0]
@@ -67,7 +68,7 @@ def test_linear_step_damping_shrinks_step(rng):
 
 def test_linear_step_zero_residual(rng):
     J = rng.normal(size=(20, 6))
-    delta = linear_step(*normal_equations(J, np.zeros(20)), lam=0.1)
+    delta = linear_step(*normal_equations(sp.csr_matrix(J), np.zeros(20)), lam=0.1)
     assert np.allclose(delta, 0)
 
 
@@ -75,7 +76,7 @@ def test_linear_step_singular_raises(rng):
     J = np.zeros((10, 4))
     J[:, 0] = rng.normal(size=10)  # three unconstrained columns
     with pytest.raises(LinearSolveError):
-        linear_step(*normal_equations(J, rng.normal(size=10)), lam=0.0)
+        linear_step(*normal_equations(sp.csr_matrix(J), rng.normal(size=10)), lam=0.0)
 
 
 def damped_matrix(monkeypatch, JtJ, lam):
@@ -114,7 +115,7 @@ def assert_same_csc(A, B):
 def test_linear_step_damped_matrix_matches_diagonal_sum(rng, monkeypatch):
     J = rng.normal(size=(30, 12)) * (rng.uniform(size=(30, 12)) < 0.4)
     J[:, 5] = 0.0  # an unconstrained variable: no diagonal entry to damp
-    JtJ, _ = normal_equations(J, np.zeros(30))
+    JtJ, _ = normal_equations(sp.csr_matrix(J), np.zeros(30))
     assert JtJ.has_sorted_indices and JtJ.has_canonical_format
     assert np.all(JtJ.data != 0)
     before = JtJ.copy()
@@ -157,7 +158,7 @@ def test_linear_step_damped_matrix_matches_diagonal_sum(rng, monkeypatch):
 def test_linear_step_missing_diagonal_raises(rng):
     J = rng.normal(size=(10, 4))
     J[:, 2] = 0.0  # column 2 of J^T J stores nothing, so damping adds nothing
-    JtJ, g = normal_equations(J, rng.normal(size=10))
+    JtJ, g = normal_equations(sp.csr_matrix(J), rng.normal(size=10))
     assert JtJ.indptr[3] == JtJ.indptr[2]
     for lam in (0.0, 1e-4, 1e4):
         with pytest.raises(LinearSolveError):
@@ -166,7 +167,7 @@ def test_linear_step_missing_diagonal_raises(rng):
 
 def test_linear_step_rejects_negative_damping(rng):
     with pytest.raises(ValueError):
-        linear_step(*normal_equations(rng.normal(size=(5, 2)), rng.normal(size=5)), lam=-1.0)
+        linear_step(*normal_equations(sp.csr_matrix(rng.normal(size=(5, 2))), rng.normal(size=5)), lam=-1.0)
 
 
 # -- linear_step in a recorded column order ------------------------------------
@@ -231,7 +232,7 @@ def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, 
 def sparse_spd(rng, n, density):
     J = rng.normal(size=(3 * n, n)) * (rng.uniform(size=(3 * n, n)) < density)
     J[np.arange(n), np.arange(n)] = 1.0  # every column constrained
-    return normal_equations(J, rng.normal(size=3 * n))
+    return normal_equations(sp.csr_matrix(J), rng.normal(size=3 * n))
 
 
 def test_column_order_records_one_order_per_pattern(rng, in_order_steps):
