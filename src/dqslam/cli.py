@@ -353,6 +353,11 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     job_modes = [mode for _, mode in jobs]
 
     os.makedirs(args.out_dir, exist_ok=True)
+    csv_path, summary_path, manifest_path = (
+        os.path.join(args.out_dir, name)
+        for name in ("results.csv", "summary.json", "run_manifest.json")
+    )
+    _check_out_paths({"results": csv_path, "summary": summary_path, "manifest": manifest_path})
     # Before the pool forks, so that its workers inherit scipy.
     load_s = load_scipy()
     started = time.time()
@@ -383,7 +388,6 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
             timings[f"trial/{seed}/{mode}"] = seconds
             job_log[f"{seed}/{mode}"] = {"start_s": job_start - started, "pid": pid}
 
-    csv_path = os.path.join(args.out_dir, "results.csv")
     with open(csv_path, "w", encoding="utf-8") as fh:
         fh.write(",".join(CSV_COLUMNS) + "\n")
         for result in all_results:
@@ -399,7 +403,6 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
         "failures": {str(k): v for k, v in sorted(failures.items())},
         "aggregate": summary,
     }
-    summary_path = os.path.join(args.out_dir, "summary.json")
     _write_json(summary_path, summary_doc)
 
     if summary:
@@ -409,7 +412,6 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
         for seed, msg in sorted(failures.items()):
             print(f"  seed {seed}: {msg}", file=sys.stderr)
 
-    manifest_path = os.path.join(args.out_dir, "run_manifest.json")
     _write_manifest(
         manifest_path,
         "evaluate",

@@ -8,19 +8,21 @@ Each lambda trial factors the damped system with SuperLU. Its
 fill-reducing column order depends only on the sparsity pattern of J^T J,
 which changes a few times per solve, so `solve` passes `linear_step` a
 `ColumnOrder`. The first trial on a pattern factors as `splu` does by
-default (COLAMD order) and records the order; later trials on it lay the
-damped values out in that order and factor them with SuperLU's NATURAL
-order, which skips the ordering (the symbolic/numeric split of sparse
-bundle adjustment, Triggs et al. 1999, section 6). SuperLU then eliminates
-the same columns in the same order, and on every system checked gives the
-same step bit for bit, with one known exception: it breaks an exact tie
-between candidate pivots towards the entry it takes for the diagonal, and
-the permuted layout moves that entry. On this program's systems such ties
-appear only where damping leaves a diagonal entry unchanged (lambda = 0,
-or too small to change it), so those trials take the default path. The
-tests compare every trial of real solves with the default path bit for
-bit. After a rejected step, lambda climbs past _LAMBDA_NOOP without a
-solve: damping that small leaves the rejected system as it was.
+default (COLAMD order) and records the order; later trials on it factor
+the same damped matrix with its columns permuted into that order, using
+SuperLU's NATURAL order, which skips the ordering (the symbolic/numeric
+split of sparse bundle adjustment, Triggs et al. 1999, section 6). SuperLU
+then eliminates the same columns in the same order, and on every system
+checked gives the same step bit for bit, with one known exception: it
+breaks an exact tie between candidate pivots towards the entry it takes
+for the diagonal, and the permutation moves that entry. On this program's
+systems such ties appear only where damping leaves a diagonal entry
+unchanged (lambda = 0, or too small to change it), so those trials take
+the default path. The tests compare every trial of real solves with the
+default path bit for bit. After a rejected step, lambda climbs past
+_LAMBDA_NOOP without a solve: damping that small leaves the rejected
+system as it was. lambda_up is at least 2, so that climb takes at most
+about 1020 multiplications, and an iteration at most 96 linear solves.
 
 scipy is imported where a sparse matrix is first built or factored, not
 with this module, so that commands that never solve (simulate, the dataset
@@ -70,7 +72,7 @@ class LinearSolveError(RuntimeError):
 class SolverConfig:
     max_iterations: int = setting(100, gt=0)
     initial_lambda: float = setting(1e-4, ge=0)
-    lambda_up: float = setting(10.0, gt=1)
+    lambda_up: float = setting(10.0, ge=2)
     lambda_down: float = setting(0.1, gt=0, lt=1)
     rel_cost_tol: float = setting(1e-8, gt=0)
     grad_tol: float = setting(1e-10, gt=0)
@@ -116,62 +118,42 @@ class ColumnOrder:
     """The column order SuperLU chose for one sparsity pattern of J^T J,
     kept across the lambda trials of a solve.
 
-    It holds the pattern it was made for, the order (`perm_c` of the first
-    factorization), the gather that lays J^T J's stored values out column
-    by column in that order, and the diagonal slots of that layout. It
-    holds no factorization. `linear_step` fills it on a new pattern and
-    uses it on the next trials; `orderings` counts the patterns seen.
+    It holds the pattern it was made for and the order (`perm_c` of the
+    first factorization), but no factorization. `linear_step` fills it on a
+    new pattern and uses it on the next trials; `orderings` counts the
+    patterns seen.
     """
 
     def __init__(self):
         self.orderings = 0
-        self._pattern = None  # (indptr, indices) the layout was made for
-        self._layout = None  # (perm_c, gather, indices, indptr, diagonal slots)
+        self._pattern = None  # (indptr, indices) the order was recorded for
+        self._perm_c = None
 
-    def fits(self, JtJ) -> bool:
-        """Whether JtJ has the pattern of the recorded order."""
+    def fits(self, M) -> bool:
+        """Whether M has the pattern of the recorded order."""
         if self._pattern is None:
             return False
         indptr, indices = self._pattern
-        return np.array_equal(JtJ.indptr, indptr) and np.array_equal(JtJ.indices, indices)
+        return np.array_equal(M.indptr, indptr) and np.array_equal(M.indices, indices)
 
     def record(self, M, perm_c: np.ndarray) -> None:
         """Record the order perm_c that SuperLU chose for the canonical
         damped matrix M."""
-        import scipy.sparse as sp
-
-        inv = np.argsort(perm_c)
-        # Column k of the layout is column inv[k] of M, rows still sorted;
-        # its values are the positions of M's values, 1-based so none is 0.
-        positions = np.arange(1, M.nnz + 1, dtype=M.indices.dtype)
-        slots = sp.csc_matrix((positions, M.indices, M.indptr), shape=M.shape)[:, inv]
-        diag = np.flatnonzero(slots.indices == np.repeat(inv, np.diff(slots.indptr)))
         self._pattern = (M.indptr, M.indices)
-        self._layout = (perm_c, slots.data - 1, slots.indices, slots.indptr, diag)
+        self._perm_c = perm_c
         self.orderings += 1
 
-    def step(self, JtJ, g: np.ndarray, lam: float):
-        """The damped step in the recorded order, or None where the default
-        path must decide: damping leaves a diagonal entry unchanged (so a
-        pivot tie may break differently), J^T J stores an explicit zero
-        (the default path drops it), or the system is singular or gives a
-        non-finite solution. JtJ must fit the order."""
-        import scipy.sparse as sp
+    def step(self, M, g: np.ndarray):
+        """The step for the damped matrix M, factored in the recorded
+        order, or None where the default path must decide: the system is
+        singular or gives a non-finite solution. M must fit the order."""
         import scipy.sparse.linalg as spla
 
-        perm_c, gather, indices, indptr, diag = self._layout
-        data = JtJ.data[gather]
-        d = data[diag]
-        damped = d + lam * d
-        if not data.all() or np.any(damped == d):
-            return None
-        data[diag] = damped
-        M = sp.csc_matrix((data, indices, indptr), shape=JtJ.shape)
         try:
-            y = spla.splu(M, permc_spec="NATURAL").solve(-g)
+            y = spla.splu(M[:, np.argsort(self._perm_c)], permc_spec="NATURAL").solve(-g)
         except RuntimeError:
             return None
-        delta = y[perm_c]
+        delta = y[self._perm_c]
         return delta if np.all(np.isfinite(delta)) else None
 
 
@@ -186,9 +168,9 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
     stored diagonal entry d: entry for entry, what `splu` factors when
     given `JtJ + sp.diags(lam * d)`, without building and sorting that sum.
 
-    With an `order` that fits JtJ's pattern, the step is taken in that
-    column order (see the module docstring), with the same result as
-    without it; otherwise the step is taken as without it and its column
+    With an `order` that fits the damped matrix's pattern, the step is taken
+    in that column order (see the module docstring), with the same result
+    as without it; otherwise the step is taken as without it and its column
     order is recorded in `order`.
 
     Raises:
@@ -199,17 +181,20 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
 
     if lam < 0:
         raise ValueError("damping must be nonnegative")
-    fits = order is not None and order.fits(JtJ)
-    if fits:
-        delta = order.step(JtJ, g, lam)
-        if delta is not None:
-            return delta
     M = sp.csc_matrix(JtJ, copy=True)
     M.sum_duplicates()
     M.eliminate_zeros()
     col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
     diag = M.indices == col
-    M.data[diag] += lam * M.data[diag]
+    d = M.data[diag]
+    damped = d + lam * d
+    M.data[diag] = damped
+    fits = order is not None and order.fits(M)
+    # Damping that leaves a diagonal entry as it was may meet a pivot tie.
+    if fits and not np.any(damped == d):
+        delta = order.step(M, g)
+        if delta is not None:
+            return delta
     try:
         lu = spla.splu(M)
         delta = lu.solve(-g)
@@ -218,13 +203,8 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
     if not np.all(np.isfinite(delta)):
         raise LinearSolveError("linear solve produced non-finite update")
     if order is not None and not fits:
-        # SuperLU's perm_c is a view that keeps the factors alive. Copy it
-        # and free the factors before the layout arrays are allocated;
-        # allocated around live factors, they fragment the heap (about
-        # 6 MB more peak RSS on a 40-landmark solve).
-        perm_c = lu.perm_c.copy()
-        del lu
-        order.record(M, perm_c)
+        # SuperLU's perm_c is a view that keeps the factors alive.
+        order.record(M, lu.perm_c.copy())
     return delta
 
 

@@ -3,12 +3,14 @@ PASS/FAIL line (run with -s to see them alongside the pytest dots).
 
 The 50-trial noisy batch is produced once through the CLI (worker pool
 width 8) and shared by the trend criteria; the determinism criterion
-reruns it at width 1 and compares bytes.
+reruns it at width 1 and compares bytes, and one more test pins those
+bytes' SHA-256.
 """
 
 from __future__ import annotations
 
 import csv
+import hashlib
 import math
 import time
 
@@ -282,3 +284,11 @@ def test_criterion_9_determinism(batch_dir, tmp_path):
         ok,
         f"results.csv byte-identical across worker widths 8 and 1 ({len(b8)} bytes)",
     )
+
+
+def test_batch_results_fingerprint(batch_dir):
+    # The north star's behaviour fingerprint: the bytes of the 50-trial
+    # batch's results.csv. A change that moves them explains the drift.
+    out, _ = batch_dir
+    digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
+    assert digest == "45b9840203e373f4c3e645c8321d08c9711ef809a662a15f398a2ad8803ca257"

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import concurrent.futures
+import csv
 import hashlib
 import json
 import os
@@ -8,6 +9,7 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 from dataclasses import fields
+from pathlib import Path
 
 import pytest
 
@@ -22,6 +24,7 @@ from dqslam.solver import SolverConfig
 from oracle import graph_residual, ground_truth_graph
 
 
+DATA = Path(__file__).parent / "data"
 SMALL = [
     "--n-landmarks", "4",
     "--trajectory-length", "65",
@@ -90,6 +93,12 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
          "--workers"),
         (["evaluate", "--base-seed", "-1", "--out-dir", str(tmp_path / "e6"), *small_batch],
          "--base-seed"),
+        # Damping that escalates too slowly: the first pair hung a solve,
+        # the second made thousands of linear solves in ten iterations.
+        (["solve", "--dataset", str(tmp_path / "ds.json"), "--out", str(tmp_path / "r.json"),
+          "--lambda-up", "1.000000000000001", "--lambda-down", "1e-300"], "--lambda-up"),
+        (["evaluate", "--lambda-up", "1.001", "--lambda-down", "0.999", "--max-iterations", "10",
+          "--out-dir", str(tmp_path / "e7"), *small_batch], "--lambda-up"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -99,7 +108,8 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert "error: argument " + flag in error
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
-    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6"):
+    assert not (tmp_path / "r.json").exists()
+    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7"):
         assert not (tmp_path / out_dir).exists()
 
 
@@ -302,10 +312,17 @@ def test_evaluate_pool_width_at_most_jobs(trials, workers, width, tmp_path, monk
 
 def test_evaluate_results_fingerprint(tmp_path):
     # The paper-batch reproduction command; its results.csv bytes are the
-    # behaviour fingerprint that every refactor keeps.
+    # behaviour fingerprint that every refactor keeps. The committed copy
+    # names each field that moved before the digest is compared.
     out = tmp_path / "r"
     assert main(["evaluate", "--trials", "8", "--base-seed", "0", "--workers", "2",
                  "--out-dir", str(out)]) == 0
+    with open(out / "results.csv") as got, open(DATA / "evaluate_seeds_0-7.csv") as want:
+        got, want = list(csv.DictReader(got)), list(csv.DictReader(want))
+    assert [(r["seed"], r["mode"]) for r in got] == [(r["seed"], r["mode"]) for r in want]
+    moved = [f"seed {w['seed']} {w['mode']} {name}: {g[name]} (was {w[name]})"
+             for g, w in zip(got, want) for name in w if g[name] != w[name]]
+    assert not moved, "\n".join(moved)
     digest = hashlib.sha256((out / "results.csv").read_bytes()).hexdigest()
     assert digest == "0981c439a1c47840975642576c6ef728a99221e683401421b52add1c126a28d6"
 
@@ -414,18 +431,27 @@ def small_dataset(tmp_path_factory):
          "--svg", "{dir}/r.json.manifest.json"],
         ["solve", "--dataset", "{dataset}", "--out", "{dir}/m.json"],
         ["simulate", "--out", "{dir}/m.json"] + SMALL,
+        ["evaluate", "--trials", "2", "--out-dir", "{dir}/csv", "--workers", "1"] + SMALL,
+        ["evaluate", "--trials", "2", "--out-dir", "{dir}/summary", "--workers", "1"] + SMALL,
+        ["evaluate", "--trials", "2", "--out-dir", "{dir}/manifest", "--workers", "1"] + SMALL,
     ],
     ids=["solve-missing-dataset", "solve-dataset-dir", "simulate-out-dir", "rerun-dir",
          "evaluate-out-dir-file", "solve-out-missing-parent", "solve-out-parent-file",
          "solve-out-dir", "solve-svg-missing-parent", "simulate-out-missing-parent",
          "solve-out-is-dataset", "solve-svg-is-out", "solve-svg-is-manifest",
-         "solve-manifest-dir", "simulate-manifest-dir"],
+         "solve-manifest-dir", "simulate-manifest-dir", "evaluate-results-dir",
+         "evaluate-summary-dir", "evaluate-manifest-dir"],
 )
 def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, small_dataset):
     # A bad path is refused before any work: no trial runs, no dataset is
     # made and no file is written. An output must not be the dataset, another
-    # output or the run manifest (m.json's manifest path is a directory).
+    # output or the run manifest (m.json's manifest path is a directory, as
+    # is one output of each evaluate out-dir). evaluate's jobs swallow the
+    # error no_work raises, so its calls are counted.
+    calls = []
+
     def no_work(*args, **kwargs):
+        calls.append(args)
         raise AssertionError("work started before the paths were checked")
 
     monkeypatch.setattr(cli, "run_trial", no_work)
@@ -433,6 +459,9 @@ def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, smal
     (tmp_path / "file").write_text("")
     (tmp_path / "ds.json").write_bytes(small_dataset.read_bytes())
     (tmp_path / "m.json.manifest.json").mkdir()
+    for out_dir, name in (("csv", "results.csv"), ("summary", "summary.json"),
+                          ("manifest", "run_manifest.json")):
+        (tmp_path / out_dir / name).mkdir(parents=True)
 
     def snapshot():
         return {p: p.read_bytes() if p.is_file() else None for p in tmp_path.rglob("*")}
@@ -443,6 +472,7 @@ def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, smal
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert snapshot() == before
+    assert calls == []
 
 
 def test_only_solving_commands_load_scipy(tmp_path):

@@ -1,7 +1,11 @@
 from __future__ import annotations
 
-from dataclasses import replace
+import contextlib
+import signal
+from dataclasses import fields, replace
+from datetime import timedelta
 
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -182,8 +186,8 @@ def in_order_steps(monkeypatch):
     taken = []
     real = ColumnOrder.step
 
-    def step(self, JtJ, g, lam):
-        delta = real(self, JtJ, g, lam)
+    def step(self, M, g):
+        delta = real(self, M, g)
         taken.append(delta is not None)
         return delta
 
@@ -222,7 +226,7 @@ def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, 
         assert report.orderings == 4
 
     # Undamped, these systems meet exact pivot ties that SuperLU would break
-    # differently in the recorded layout: such steps take the default path.
+    # differently in the recorded order: such steps take the default path.
     for JtJ, g in systems.values():
         order = ColumnOrder()
         linear_step(JtJ, g, 1.0, order)
@@ -257,15 +261,19 @@ def test_column_order_defers_to_the_default_path(rng, in_order_steps):
     JtJ, g = sparse_spd(rng, 30, 0.15)
     order = ColumnOrder()
     linear_step(JtJ, g, 1e-2, order)
-    # Damping that changes no diagonal entry, and an explicit zero that the
-    # default path drops: the step is still the default one, bit for bit.
+    # Damping that changes no diagonal entry: no step in the recorded order
+    # is tried, and the step is the default one, bit for bit.
+    for lam in (0.0, 1e-300):
+        assert np.array_equal(linear_step(JtJ, g, lam, order), linear_step(JtJ, g, lam))
+    assert order.orderings == 1
+    # An explicit zero, which the canonical damped matrix drops: a new
+    # pattern, so its order is recorded, again with the default step.
     zero = JtJ.copy()
     zero.data[np.flatnonzero(zero.indices != np.repeat(np.arange(30), np.diff(zero.indptr)))[0]] = 0.0
-    for M, lam in ((JtJ, 0.0), (JtJ, 1e-300), (zero, 1e-2)):
-        assert order.fits(M)
-        assert np.array_equal(linear_step(M, g, lam, order), linear_step(M, g, lam))
-    assert order.orderings == 1
-    assert in_order_steps == [False] * 3
+    assert order.fits(zero)
+    assert np.array_equal(linear_step(zero, g, 1e-2, order), linear_step(zero, g, 1e-2))
+    assert order.orderings == 2
+    assert in_order_steps == []
 
 
 def test_column_order_holds_no_factorization(rng):
@@ -427,11 +435,62 @@ def test_solve_stalls_on_unconstrained_variable(rng):
     assert not report.converged
 
 
+def _accepted(name):
+    """Floats up to 1e300 that SolverConfig's declared bounds on `name` accept."""
+    meta = next(f.metadata for f in fields(SolverConfig) if f.name == name)
+    low = meta["gt"] if meta["ge"] is None else meta["ge"]
+    high = 1e300 if meta["lt"] is None else meta["lt"]
+    return st.floats(low, high, exclude_min=meta["ge"] is None, exclude_max=meta["lt"] is not None)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail, rather than hang, on work that runs past `seconds`."""
+    def expire(signum, frame):
+        raise TimeoutError(f"ran past {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+@settings(max_examples=25, derandomize=True, deadline=timedelta(seconds=10),
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(config=st.builds(SolverConfig, max_iterations=st.integers(1, 5),
+                        **{name: _accepted(name) for name in (
+                            "initial_lambda", "lambda_up", "lambda_down")}),
+       mode=st.sampled_from(["monocular", "with-relpos"]))
+@example(config=SolverConfig(max_iterations=5, initial_lambda=0.0, lambda_up=2.0,
+                             lambda_down=1e-300), mode="monocular")
+@example(config=SolverConfig(max_iterations=5, initial_lambda=1e-300, lambda_up=2.0,
+                             lambda_down=np.nextafter(1.0, 0.0)), mode="monocular")
+@example(config=SolverConfig(max_iterations=5, initial_lambda=0.0, lambda_up=1e300,
+                             lambda_down=1e-300), mode="with-relpos")
+def test_solve_work_is_bounded_for_every_accepted_config(config, mode, small_world):
+    # At least a doubling per rejected step: lambda climbs from the smallest
+    # float past the no-op floor in ~1020 multiplications, and from there
+    # past the stall ceiling in 95 solves, so an iteration makes at most 96.
+    graph = build_graph(generate_dataset(small_world, SensorConfig()), mode=mode)
+    with time_limit(20):
+        _, report = solve(graph, config)
+    assert report.termination_reason in ("cost-tol", "grad-tol", "max-iters", "stalled")
+    assert np.isfinite(report.final_cost)
+    assert report.final_cost <= report.initial_cost
+    assert report.linear_solves <= 96 * config.max_iterations
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(max_iterations=0)
     with pytest.raises(ValueError):
         SolverConfig(lambda_up=0.5)
+    with pytest.raises(ValueError):
+        SolverConfig(lambda_up=1.5)
+    assert SolverConfig(lambda_up=2.0).lambda_up == 2.0
     with pytest.raises(ValueError):
         SolverConfig(lambda_down=1.5)
     with pytest.raises(ValueError):
