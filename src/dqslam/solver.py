@@ -4,25 +4,31 @@ Damped normal equations with diagonal scaling, solved sparsely; accepted
 steps never increase the whitened cost. Poses update on the SE(2) tangent
 (additive with angle wrap), quadrics additively in their 9-vector.
 
-Each lambda trial factors the damped system with SuperLU. Its
-fill-reducing column order depends only on the sparsity pattern of J^T J,
-which changes a few times per solve, so `solve` passes `linear_step` a
-`ColumnOrder`. The first trial on a pattern factors as `splu` does by
-default (COLAMD order) and records the order; later trials on it factor
-the same damped matrix with its columns permuted into that order, using
-SuperLU's NATURAL order, which skips the ordering (the symbolic/numeric
-split of sparse bundle adjustment, Triggs et al. 1999, section 6). SuperLU
-then eliminates the same columns in the same order, and on every system
-checked gives the same step bit for bit, with one known exception: it
-breaks an exact tie between candidate pivots towards the entry it takes
-for the diagonal, and the permutation moves that entry. On this program's
-systems such ties appear only where damping leaves a diagonal entry
-unchanged (lambda = 0, or too small to change it), so those trials take
-the default path. The tests compare every trial of real solves with the
-default path bit for bit. After a rejected step, lambda climbs past
-_LAMBDA_NOOP without a solve: damping that small leaves the rejected
-system as it was. lambda_up is at least 2, so that climb takes at most
-about 1020 multiplications, and an iteration at most 96 linear solves.
+Each lambda trial factors the damped system with SuperLU, once, on one of
+two paths chosen before factoring. Its fill-reducing column order depends
+only on the sparsity pattern of J^T J, which changes a few times per
+solve, so `solve` passes `linear_step` a `ColumnOrder`. The first trial on
+a pattern factors as `splu` does by default (COLAMD order) and records the
+order; later trials on it replay that order: they factor the same damped
+matrix with its columns permuted into it, using SuperLU's NATURAL order,
+which skips the ordering (the symbolic/numeric split of sparse bundle
+adjustment, Triggs et al. 1999, section 6). SuperLU then eliminates the
+same columns in the same order, and on every system checked gives the
+same step bit for bit, with one known exception: it breaks an exact tie
+between candidate pivots towards the entry it takes for the diagonal, and
+the permutation moves that entry. On this program's systems such ties
+appear only where damping leaves a diagonal entry unchanged (lambda = 0,
+or too small to change it), so those trials take the default path; the
+tests compare every trial of real solves with it bit for bit. A singular
+or non-finite replay therefore raises `LinearSolveError` itself, as the
+default path could only fail again. J^T J must be canonical CSC
+with no explicit zeros, as `normal_equations` returns it; each trial
+damps a copy of its values on the shared pattern.
+
+After a rejected step, lambda climbs past _LAMBDA_NOOP without a solve:
+damping that small leaves the rejected system as it was. lambda_up is at
+least 2, so that climb takes at most about 1020 multiplications, and an
+iteration at most 96 linear solves.
 
 scipy is imported where a sparse matrix is first built or factored, not
 with this module, so that commands that never solve (simulate, the dataset
@@ -120,7 +126,7 @@ class ColumnOrder:
 
     It holds the pattern it was made for and the order (`perm_c` of the
     first factorization), but no factorization. `linear_step` fills it on a
-    new pattern and uses it on the next trials; `orderings` counts the
+    new pattern and replays it on the next trials; `orderings` counts the
     patterns seen.
     """
 
@@ -137,43 +143,29 @@ class ColumnOrder:
         return np.array_equal(M.indptr, indptr) and np.array_equal(M.indices, indices)
 
     def record(self, M, perm_c: np.ndarray) -> None:
-        """Record the order perm_c that SuperLU chose for the canonical
-        damped matrix M."""
+        """Record the order perm_c that SuperLU chose for the damped matrix M."""
         self._pattern = (M.indptr, M.indices)
         self._perm_c = perm_c
         self.orderings += 1
-
-    def step(self, M, g: np.ndarray):
-        """The step for the damped matrix M, factored in the recorded
-        order, or None where the default path must decide: the system is
-        singular or gives a non-finite solution. M must fit the order."""
-        import scipy.sparse.linalg as spla
-
-        try:
-            y = spla.splu(M[:, np.argsort(self._perm_c)], permc_spec="NATURAL").solve(-g)
-        except RuntimeError:
-            return None
-        delta = y[self._perm_c]
-        return delta if np.all(np.isfinite(delta)) else None
 
 
 def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None) -> np.ndarray:
     """One damped Gauss-Newton step: solve (JtJ + lam diag(JtJ)) d = -g.
 
-    JtJ, g are the normal equations from normal_equations, formed once per
+    JtJ, g are the normal equations exactly as normal_equations returns
+    them (JtJ canonical CSC with no explicit zeros), formed once per
     linearization and reused across damping retries. lam = 0 gives the
-    plain Gauss-Newton step.
+    plain Gauss-Newton step. The damped matrix is JtJ's pattern with a copy
+    of its values, lam * d added to each stored diagonal entry d: what
+    `splu` factors when given `JtJ + sp.diags(lam * d)`.
 
-    The damped matrix is a canonical copy of JtJ with lam * d added to each
-    stored diagonal entry d: entry for entry, what `splu` factors when
-    given `JtJ + sp.diags(lam * d)`, without building and sorting that sum.
-
-    With an `order` that fits the damped matrix's pattern, the step is taken
-    in that column order (see the module docstring), with the same result
-    as without it; otherwise the step is taken as without it and its column
-    order is recorded in `order`.
+    With an `order` that fits JtJ's pattern and damping that changes every
+    diagonal entry, the step replays that column order (see the module
+    docstring); otherwise it is factored in the default order, which is
+    recorded in `order` for a new pattern. Either way it is factored once.
 
     Raises:
+        ValueError: negative damping, or JtJ not canonical CSC.
         LinearSolveError: singular system or non-finite solution.
     """
     import scipy.sparse as sp
@@ -181,23 +173,25 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
 
     if lam < 0:
         raise ValueError("damping must be nonnegative")
-    M = sp.csc_matrix(JtJ, copy=True)
-    M.sum_duplicates()
-    M.eliminate_zeros()
-    col = np.repeat(np.arange(M.shape[1]), np.diff(M.indptr))
-    diag = M.indices == col
-    d = M.data[diag]
+    # splu would sort a non-canonical pattern in place, under JtJ's values.
+    if JtJ.format != "csc" or not JtJ.has_canonical_format:
+        raise ValueError("J^T J must be canonical CSC, as normal_equations returns it")
+    col = np.repeat(np.arange(JtJ.shape[1]), np.diff(JtJ.indptr))
+    diag = JtJ.indices == col
+    data = JtJ.data.copy()
+    d = data[diag]
     damped = d + lam * d
-    M.data[diag] = damped
+    data[diag] = damped
+    M = sp.csc_matrix((data, JtJ.indices, JtJ.indptr), shape=JtJ.shape)
     fits = order is not None and order.fits(M)
-    # Damping that leaves a diagonal entry as it was may meet a pivot tie.
-    if fits and not np.any(damped == d):
-        delta = order.step(M, g)
-        if delta is not None:
-            return delta
     try:
-        lu = spla.splu(M)
-        delta = lu.solve(-g)
+        # Damping that leaves a diagonal entry as it was may meet a pivot tie.
+        if fits and not np.any(damped == d):
+            perm_c = order._perm_c
+            delta = spla.splu(M[:, np.argsort(perm_c)], permc_spec="NATURAL").solve(-g)[perm_c]
+        else:
+            lu = spla.splu(M)
+            delta = lu.solve(-g)
     except RuntimeError as exc:
         raise LinearSolveError(f"damped normal equations not solvable: {exc}") from exc
     if not np.all(np.isfinite(delta)):
@@ -235,7 +229,9 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
 
     with np.errstate(over="ignore", invalid="ignore"):
         r = ev.residual(poses, quadrics)
-        cost = 0.5 * float(r @ r)
+        # Not r @ r: BLAS splits that sum across threads, and its last bit
+        # (which the accept test reads) would follow the thread count.
+        cost = 0.5 * float(np.sum(r * r))
     if not np.isfinite(cost):
         raise ValueError(
             f"cost at the initial values is not finite ({cost}): the "
@@ -272,7 +268,7 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
                 break
             cand_poses, cand_quadrics = _retract(poses, quadrics, delta)
             cand_r = ev.residual(cand_poses, cand_quadrics)
-            cand_cost = 0.5 * float(cand_r @ cand_r)
+            cand_cost = 0.5 * float(np.sum(cand_r * cand_r))
             if np.isfinite(cand_cost) and cand_cost < cost:
                 break
             escalated = True

@@ -95,6 +95,7 @@ def test_criterion_1_noise_free_recovery():
     )
 
 
+@pytest.mark.slow
 def test_criterion_2_monocular_trend(batch_dir):
     out, elapsed = batch_dir
     _, by_mode = batch_medians(out)
@@ -110,6 +111,7 @@ def test_criterion_2_monocular_trend(batch_dir):
     )
 
 
+@pytest.mark.slow
 def test_criterion_3_relpos_trend(batch_dir):
     out, _ = batch_dir
     _, by_mode = batch_medians(out)
@@ -136,6 +138,7 @@ def test_criterion_3_relpos_trend(batch_dir):
     )
 
 
+@pytest.mark.slow
 def test_criterion_4_outlier_signature(batch_dir):
     out, _ = batch_dir
     _, by_mode = batch_medians(out)
@@ -268,6 +271,7 @@ def test_criterion_8_projection_analytic():
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_determinism(batch_dir, tmp_path):
     out8, _ = batch_dir
     out1 = tmp_path / "w1"
@@ -286,6 +290,7 @@ def test_criterion_9_determinism(batch_dir, tmp_path):
     )
 
 
+@pytest.mark.slow
 def test_batch_results_fingerprint(batch_dir):
     # The north star's behaviour fingerprint: the bytes of the 50-trial
     # batch's results.csv. A change that moves them explains the drift.

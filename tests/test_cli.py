@@ -182,11 +182,11 @@ def test_solve_zero_noise_and_svg(tmp_path):
 # rounds to 12 digits.
 SOLVE_SEED0_SHA256 = {
     "monocular": (
-        "0cb027706fdfe0b70d1f44604987eb20822707b25967c179e0c53cdf412aaac1",
+        "239f23366bd1a49cd1531a9bac3937d52d1cdbbd0668ca66b6bb56e84dc08097",
         "72009dded27418d3efc1500bc8c70fb51b5b52318d30707907767b08a74203c8",
     ),
     "with-relpos": (
-        "858beded22dc877bc7e665676ea3b38c325ee28e384867686f5087907a0573c6",
+        "751f4bce4131ea9f40c35aadee8d44bca48130fbb6e541b10efe651e78903b09",
         "aed517d6caa032e932a18944f8b1df07692e632d2ca5759c8c0c775f49327e3a",
     ),
 }
@@ -201,6 +201,25 @@ def test_solve_results_fingerprint(tmp_path):
                      "--out", str(out), "--svg", str(svg)]) == 0
         digests = tuple(hashlib.sha256(p.read_bytes()).hexdigest() for p in (out, svg))
         assert digests == expected, mode
+
+
+def test_solve_results_independent_of_blas_threads(tmp_path):
+    # OpenBLAS splits a long dot product across its threads, so a cost
+    # summed through BLAS changes in the last bit with the thread count. The
+    # 40-landmark with-relpos map has 13 803 residual rows, enough to show it.
+    ds_path = tmp_path / "ds.json"
+    assert main(["simulate", "--seed", "1", "--n-landmarks", "40", "--out", str(ds_path)]) == 0
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    docs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads-{threads}.json"
+        env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
+        proc = subprocess.run([sys.executable, "-m", "dqslam", "solve", "--dataset", str(ds_path),
+                               "--mode", "with-relpos", "--out", str(out)],
+                              env=env, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        docs.append(out.read_bytes())
+    assert docs[0] == docs[1]
 
 
 def test_solve_manifest_lists_artifacts(tmp_path, capsys):

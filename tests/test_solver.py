@@ -130,34 +130,6 @@ def test_linear_step_damped_matrix_matches_diagonal_sum(rng, monkeypatch):
         assert_same_csc(M, reference_damped(JtJ, lam))
     assert_same_csc(JtJ, before)  # damping works on a copy
 
-    # Unsorted columns, a duplicate off-diagonal and diagonal entry, and an
-    # explicit zero: the same matrix as the sum once splu has sorted it.
-    n = JtJ.shape[0]
-    data, indices, indptr = [], [], [0]
-    for j in range(n):
-        lo, hi = JtJ.indptr[j], JtJ.indptr[j + 1]
-        rows, vals = list(JtJ.indices[lo:hi][::-1]), list(JtJ.data[lo:hi][::-1])
-        if j == 2:
-            k = rows.index(2)
-            rows.append(2)
-            vals.append(0.25 * vals[k])
-            vals[k] *= 0.75
-            rows.append(rows[0] if rows[0] != 2 else rows[1])
-            vals.append(-1.5)
-        if j == 3:
-            rows.append(next(i for i in range(n) if i not in rows))
-            vals.append(0.0)
-        if j == 5:
-            rows.append(5)  # an explicit zero where the diagonal is missing
-            vals.append(0.0)
-        data += vals
-        indices += rows
-        indptr.append(len(indices))
-    messy = sp.csc_matrix((np.array(data), np.array(indices), np.array(indptr)), shape=(n, n))
-    assert not messy.has_sorted_indices
-    for lam in (0.0, 1e-4, 1.0):
-        assert_same_csc(damped_matrix(monkeypatch, messy, lam), reference_damped(messy, lam))
-
 
 def test_linear_step_missing_diagonal_raises(rng):
     J = rng.normal(size=(10, 4))
@@ -174,6 +146,19 @@ def test_linear_step_rejects_negative_damping(rng):
         linear_step(*normal_equations(sp.csr_matrix(rng.normal(size=(5, 2))), rng.normal(size=5)), lam=-1.0)
 
 
+def test_linear_step_rejects_non_canonical_input(rng):
+    # The damped matrix shares JtJ's row indices, which splu would sort in
+    # place under JtJ's values; such input is refused, and left as it was.
+    JtJ, g = normal_equations(sp.csr_matrix(rng.normal(size=(8, 3))), rng.normal(size=8))
+    unsorted = sp.csc_matrix((JtJ.data[::-1].copy(), JtJ.indices[::-1].copy(), JtJ.indptr.copy()),
+                             shape=JtJ.shape)
+    before = unsorted.copy()
+    for M in (unsorted, JtJ.tocsr()):
+        with pytest.raises(ValueError):
+            linear_step(M, g, 1e-2)
+    assert_same_csc(unsorted, before)
+
+
 # -- linear_step in a recorded column order ------------------------------------
 
 def pattern(JtJ):
@@ -181,18 +166,18 @@ def pattern(JtJ):
 
 
 @pytest.fixture
-def in_order_steps(monkeypatch):
-    """Whether each attempt at a step in the recorded order produced it."""
-    taken = []
-    real = ColumnOrder.step
+def splu_orders(monkeypatch):
+    """The column order each splu call is asked for: None for the default
+    (COLAMD), "NATURAL" for a replay of a recorded order."""
+    specs = []
+    real = scipy.sparse.linalg.splu
 
-    def step(self, M, g):
-        delta = real(self, M, g)
-        taken.append(delta is not None)
-        return delta
+    def splu(A, permc_spec=None, *args, **kwargs):
+        specs.append(permc_spec)
+        return real(A, permc_spec, *args, **kwargs)
 
-    monkeypatch.setattr(ColumnOrder, "step", step)
-    return taken
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", splu)
+    return specs
 
 
 @pytest.mark.parametrize("seed, world, mode", [
@@ -200,15 +185,18 @@ def in_order_steps(monkeypatch):
     (3, {"n_landmarks": 40}, "monocular"),
 ])
 def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, monkeypatch,
-                                                             in_order_steps):
+                                                             splu_orders):
     ds = generate_dataset(WorldConfig(seed=seed, **world), SensorConfig())
     real = solver.linear_step
-    trials, changes, in_order, last, systems = [], [], [], [None], {}
+    trials, changes, fits, replays, last, systems = [], [], [], [], [None], {}
 
     def checked(JtJ, g, lam, order):
         systems[id(JtJ)] = JtJ, g
-        in_order.append(order.fits(JtJ))
+        fits.append(order.fits(JtJ))
+        start = len(splu_orders)
         delta = real(JtJ, g, lam, order)
+        (spec,) = splu_orders[start:]  # one factorization per trial
+        replays.append(spec == "NATURAL")
         assert np.array_equal(delta, real(JtJ, g, lam)), len(trials)
         trials.append(lam)
         changes.append(pattern(JtJ) != last[0])
@@ -219,9 +207,8 @@ def test_column_order_steps_match_fresh_steps_in_real_solves(seed, world, mode, 
     _, report = solve(build_graph(ds, mode=mode))
     assert report.linear_solves == len(trials)
     assert report.orderings == sum(changes) >= 2
-    # Every trial after a pattern's first ran in the recorded order.
-    assert in_order == [not c for c in changes]
-    assert in_order_steps == [True] * (len(trials) - report.orderings)
+    # Every trial after a pattern's first was a replay of the recorded order.
+    assert fits == replays == [not c for c in changes]
     if seed == 0:
         assert report.orderings == 4
 
@@ -239,7 +226,7 @@ def sparse_spd(rng, n, density):
     return normal_equations(sp.csr_matrix(J), rng.normal(size=3 * n))
 
 
-def test_column_order_records_one_order_per_pattern(rng, in_order_steps):
+def test_column_order_records_one_order_per_pattern(rng, splu_orders):
     JtJ1, g = sparse_spd(rng, 40, 0.1)
     JtJ2, _ = sparse_spd(rng, 40, 0.1)
     assert pattern(JtJ1) != pattern(JtJ2)
@@ -254,26 +241,28 @@ def test_column_order_records_one_order_per_pattern(rng, in_order_steps):
             assert np.array_equal(linear_step(JtJ, g, lam, order), linear_step(JtJ, g, lam))
             assert order.orderings == orderings
             assert order.fits(JtJ)
-    assert in_order_steps == [True] * 7
+    # 20 steps, one factorization each; the fresh steps never replay.
+    assert len(splu_orders) == 20 and splu_orders.count("NATURAL") == 7
 
 
-def test_column_order_defers_to_the_default_path(rng, in_order_steps):
+def test_column_order_defers_to_the_default_path(rng, splu_orders):
     JtJ, g = sparse_spd(rng, 30, 0.15)
     order = ColumnOrder()
     linear_step(JtJ, g, 1e-2, order)
-    # Damping that changes no diagonal entry: no step in the recorded order
-    # is tried, and the step is the default one, bit for bit.
+    # Damping that changes no diagonal entry: no replay, and the step is
+    # the default one, bit for bit.
     for lam in (0.0, 1e-300):
         assert np.array_equal(linear_step(JtJ, g, lam, order), linear_step(JtJ, g, lam))
     assert order.orderings == 1
-    # An explicit zero, which the canonical damped matrix drops: a new
-    # pattern, so its order is recorded, again with the default step.
-    zero = JtJ.copy()
-    zero.data[np.flatnonzero(zero.indices != np.repeat(np.arange(30), np.diff(zero.indptr)))[0]] = 0.0
-    assert order.fits(zero)
-    assert np.array_equal(linear_step(zero, g, 1e-2, order), linear_step(zero, g, 1e-2))
+    # One off-diagonal entry fewer: a new pattern, so its order is
+    # recorded, again with the default step.
+    fewer = JtJ.copy()
+    fewer.data[np.flatnonzero(fewer.indices != np.repeat(np.arange(30), np.diff(fewer.indptr)))[0]] = 0.0
+    fewer.eliminate_zeros()
+    assert not order.fits(fewer)
+    assert np.array_equal(linear_step(fewer, g, 1e-2, order), linear_step(fewer, g, 1e-2))
     assert order.orderings == 2
-    assert in_order_steps == []
+    assert "NATURAL" not in splu_orders
 
 
 def test_column_order_holds_no_factorization(rng):
@@ -294,7 +283,7 @@ def test_column_order_holds_no_factorization(rng):
     assert held and all(isinstance(owner, np.ndarray) for owner in held)
 
 
-def test_column_order_singular_and_non_finite_raise(in_order_steps):
+def test_column_order_singular_and_non_finite_raise(splu_orders):
     def dense(a, b, c):
         return sp.csc_matrix(np.array([[a, b], [b, c]]))
 
@@ -306,12 +295,15 @@ def test_column_order_singular_and_non_finite_raise(in_order_steps):
     overflowing = dense(2e-300, 1e-300, 2e-300)
     for JtJ, g in ((singular, np.ones(2)), (overflowing, np.full(2, 1e300))):
         assert order.fits(JtJ)
+        start = len(splu_orders)
         with pytest.raises(LinearSolveError):
             linear_step(JtJ, g, 0.5, order)
+        # A replay equals the default factorization: a failed one is not
+        # factored again on the default path.
+        assert splu_orders[start:] == ["NATURAL"]
         with pytest.raises(LinearSolveError):
             linear_step(JtJ, g, 0.5)
     assert order.orderings == 1
-    assert in_order_steps == [False] * 2
 
 
 # -- solve ---------------------------------------------------------------------
