@@ -283,7 +283,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
     print(
         f"{args.mode}: {rep.termination_reason} after {rep.iterations} iterations, "
         f"cost {rep.initial_cost:.6g} -> {rep.final_cost:.6g}, "
-        f"{rep.linear_solves} linear solves, {rep.orderings} orderings"
+        f"{rep.linear_solves} linear solves"
     )
     print(
         f"rmse_pos init {r.rmse_pos_init:.4f} m -> slam {r.rmse_pos_slam:.4f} m; "
@@ -303,7 +303,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
         [dataset.seed],
         artifacts,
         {"load_scipy": load_s, "solve": elapsed},
-        solver_work={"linear_solves": rep.linear_solves, "orderings": rep.orderings},
+        solver_work={"linear_solves": rep.linear_solves},
     )
     failed = rep.termination_reason == "stalled" or not np.isfinite(rep.final_cost)
     return 1 if failed else 0

@@ -4,26 +4,10 @@ Damped normal equations with diagonal scaling, solved sparsely; accepted
 steps never increase the whitened cost. Poses update on the SE(2) tangent
 (additive with angle wrap), quadrics additively in their 9-vector.
 
-Each lambda trial factors the damped system with SuperLU, once, on one of
-two paths chosen before factoring. Its fill-reducing column order depends
-only on the sparsity pattern of J^T J, which changes a few times per
-solve, so `solve` passes `linear_step` a `ColumnOrder`. The first trial on
-a pattern factors as `splu` does by default (COLAMD order) and records the
-order; later trials on it replay that order: they factor the same damped
-matrix with its columns permuted into it, using SuperLU's NATURAL order,
-which skips the ordering (the symbolic/numeric split of sparse bundle
-adjustment, Triggs et al. 1999, section 6). SuperLU then eliminates the
-same columns in the same order, and on every system checked gives the
-same step bit for bit, with one known exception: it breaks an exact tie
-between candidate pivots towards the entry it takes for the diagonal, and
-the permutation moves that entry. On this program's systems such ties
-appear only where damping leaves a diagonal entry unchanged (lambda = 0,
-or too small to change it), so those trials take the default path; the
-tests compare every trial of real solves with it bit for bit. A singular
-or non-finite replay therefore raises `LinearSolveError` itself, as the
-default path could only fail again. J^T J must be canonical CSC
-with no explicit zeros, as `normal_equations` returns it; each trial
-damps a copy of its values on the shared pattern.
+Each lambda trial damps a copy of J^T J's values on its shared pattern
+and factors the result once with SuperLU, in its default (COLAMD) column
+order. J^T J must be canonical CSC with no explicit zeros, as
+`normal_equations` returns it.
 
 After a rejected step, lambda climbs past _LAMBDA_NOOP without a solve:
 damping that small leaves the rejected system as it was. lambda_up is at
@@ -51,7 +35,6 @@ __all__ = [
     "SolverConfig",
     "SolveReport",
     "LinearSolveError",
-    "ColumnOrder",
     "load_scipy",
     "normal_equations",
     "linear_step",
@@ -66,7 +49,10 @@ _LAMBDA_RESTART = 1e-4
 # so d + lam * d == d: the damped system is the undamped one.
 _LAMBDA_NOOP = 2.0**-55
 # Step-stagnation scale: steps this small relative to the variables cannot
-# change the cost; treated as cost convergence.
+# change the cost; treated as cost convergence. Like a tiny cost drop, a
+# tiny step counts only at lambda <= 1, damping no larger than the
+# curvature it scales: a more heavily damped step is short by
+# construction, however far the optimum is.
 _STEP_TOL = 1e-14
 
 
@@ -95,7 +81,6 @@ class SolveReport:
     converged: bool
     termination_reason: str  # cost-tol | grad-tol | max-iters | stalled
     linear_solves: int = 0  # lambda trials: linear_step calls
-    orderings: int = 0  # COLAMD orders computed: one per new J^T J pattern
 
 
 def load_scipy() -> float:
@@ -120,36 +105,7 @@ def normal_equations(J, r: np.ndarray):
     return JtJ, J.T @ r
 
 
-class ColumnOrder:
-    """The column order SuperLU chose for one sparsity pattern of J^T J,
-    kept across the lambda trials of a solve.
-
-    It holds the pattern it was made for and the order (`perm_c` of the
-    first factorization), but no factorization. `linear_step` fills it on a
-    new pattern and replays it on the next trials; `orderings` counts the
-    patterns seen.
-    """
-
-    def __init__(self):
-        self.orderings = 0
-        self._pattern = None  # (indptr, indices) the order was recorded for
-        self._perm_c = None
-
-    def fits(self, M) -> bool:
-        """Whether M has the pattern of the recorded order."""
-        if self._pattern is None:
-            return False
-        indptr, indices = self._pattern
-        return np.array_equal(M.indptr, indptr) and np.array_equal(M.indices, indices)
-
-    def record(self, M, perm_c: np.ndarray) -> None:
-        """Record the order perm_c that SuperLU chose for the damped matrix M."""
-        self._pattern = (M.indptr, M.indices)
-        self._perm_c = perm_c
-        self.orderings += 1
-
-
-def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None) -> np.ndarray:
+def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
     """One damped Gauss-Newton step: solve (JtJ + lam diag(JtJ)) d = -g.
 
     JtJ, g are the normal equations exactly as normal_equations returns
@@ -157,12 +113,8 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
     linearization and reused across damping retries. lam = 0 gives the
     plain Gauss-Newton step. The damped matrix is JtJ's pattern with a copy
     of its values, lam * d added to each stored diagonal entry d: what
-    `splu` factors when given `JtJ + sp.diags(lam * d)`.
-
-    With an `order` that fits JtJ's pattern and damping that changes every
-    diagonal entry, the step replays that column order (see the module
-    docstring); otherwise it is factored in the default order, which is
-    recorded in `order` for a new pattern. Either way it is factored once.
+    `splu` factors when given `JtJ + sp.diags(lam * d)`. It is factored
+    once, in SuperLU's default column order.
 
     Raises:
         ValueError: negative damping, or JtJ not canonical CSC.
@@ -179,26 +131,14 @@ def linear_step(JtJ, g: np.ndarray, lam: float, order: ColumnOrder | None = None
     col = np.repeat(np.arange(JtJ.shape[1]), np.diff(JtJ.indptr))
     diag = JtJ.indices == col
     data = JtJ.data.copy()
-    d = data[diag]
-    damped = d + lam * d
-    data[diag] = damped
+    data[diag] += lam * data[diag]
     M = sp.csc_matrix((data, JtJ.indices, JtJ.indptr), shape=JtJ.shape)
-    fits = order is not None and order.fits(M)
     try:
-        # Damping that leaves a diagonal entry as it was may meet a pivot tie.
-        if fits and not np.any(damped == d):
-            perm_c = order._perm_c
-            delta = spla.splu(M[:, np.argsort(perm_c)], permc_spec="NATURAL").solve(-g)[perm_c]
-        else:
-            lu = spla.splu(M)
-            delta = lu.solve(-g)
+        delta = spla.splu(M).solve(-g)
     except RuntimeError as exc:
         raise LinearSolveError(f"damped normal equations not solvable: {exc}") from exc
     if not np.all(np.isfinite(delta)):
         raise LinearSolveError("linear solve produced non-finite update")
-    if order is not None and not fits:
-        # SuperLU's perm_c is a view that keeps the factors alive.
-        order.record(M, lu.perm_c.copy())
     return delta
 
 
@@ -239,7 +179,6 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         )
     initial_cost = cost
     lam = config.initial_lambda
-    order = ColumnOrder()
     linear_solves = 0
     iterations = 0
     reason = None
@@ -259,11 +198,11 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         while True:
             linear_solves += 1
             try:
-                delta = linear_step(JtJ, g, lam, order)
+                delta = linear_step(JtJ, g, lam)
             except LinearSolveError:
                 reason = "stalled"
                 break
-            if np.abs(delta).max() <= _STEP_TOL * scale:
+            if lam <= 1 and np.abs(delta).max() <= _STEP_TOL * scale:
                 reason = "cost-tol"
                 break
             cand_poses, cand_quadrics = _retract(poses, quadrics, delta)
@@ -281,14 +220,15 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         if reason:
             break
 
-        drop = cost - cand_cost
+        # A tiny drop only signals convergence when the step was taken at
+        # the current damping (steps crippled by in-iteration escalation are
+        # adaptation) and with lambda <= 1 (see _STEP_TOL).
+        small_drop = not escalated and lam <= 1 and (
+            cost - cand_cost <= config.rel_cost_tol * max(cand_cost, 1e-300))
         poses, quadrics, r, cost = cand_poses, cand_quadrics, cand_r, cand_cost
         lam *= config.lambda_down
         iterations += 1
-        # A tiny drop only signals convergence when the step was taken
-        # at the current damping; steps crippled by in-iteration lambda
-        # escalation are adaptation, not convergence.
-        if not escalated and drop <= config.rel_cost_tol * max(cost, 1e-300):
+        if small_drop:
             reason = "cost-tol"
             break
     else:
@@ -301,6 +241,5 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         converged=reason in ("cost-tol", "grad-tol"),
         termination_reason=reason,
         linear_solves=linear_solves,
-        orderings=order.orderings,
     )
     return replace(graph, poses=poses, quadrics=quadrics), report

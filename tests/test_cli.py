@@ -203,6 +203,23 @@ def test_solve_results_fingerprint(tmp_path):
         assert digests == expected, mode
 
 
+# SHA-256 of results.json of `dqslam solve` on the 40-landmark seed-3
+# dataset, whose systems are four times larger than the default ones.
+LARGE_MAP_SOLVE_SHA256 = {
+    "monocular": "a90a728b6cdf0259d88f3cb639c1047cbe667d16dbf5f637890165fb3235c48c",
+    "with-relpos": "6a6bb10878260a39b0afd4a81194f068f5a5a0ba6d17dce8353c1cf6de08e3b0",
+}
+
+
+def test_large_map_solve_fingerprint(tmp_path):
+    ds_path = tmp_path / "ds.json"
+    assert main(["simulate", "--seed", "3", "--n-landmarks", "40", "--out", str(ds_path)]) == 0
+    for mode, expected in LARGE_MAP_SOLVE_SHA256.items():
+        out = tmp_path / f"{mode}.json"
+        assert main(["solve", "--dataset", str(ds_path), "--mode", mode, "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == expected, mode
+
+
 def test_solve_results_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits a long dot product across its threads, so a cost
     # summed through BLAS changes in the last bit with the thread count. The
@@ -237,11 +254,9 @@ def test_solve_manifest_lists_artifacts(tmp_path, capsys):
     # The solver's work is in the manifest and on the summary line, not in
     # the results document.
     work = manifest["solver_work"]
-    assert work["linear_solves"] >= work["orderings"] >= 1
+    assert work["linear_solves"] >= 1
     summary = capsys.readouterr().out.splitlines()[0]
-    assert summary.endswith(
-        f"{work['linear_solves']} linear solves, {work['orderings']} orderings"
-    )
+    assert summary.endswith(f", {work['linear_solves']} linear solves")
     assert "linear_solves" not in out.read_text()
 
 
