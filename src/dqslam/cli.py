@@ -25,12 +25,12 @@ import json
 import os
 import sys
 import time
-from dataclasses import asdict, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
 from . import __version__
-from .config import ConfigError
+from .config import ConfigError, check_fields, setting
 from .dataset_io import read_dataset, write_dataset
 from .geometry import QUADRIC_CENTROID
 from .initialization import InitStrategy
@@ -76,12 +76,27 @@ def _dest(cls, name: str) -> str:
     return "init" if (cls, name) == (InitStrategy, "mode") else name
 
 
+@dataclass(frozen=True)
+class BatchConfig:
+    """evaluate's seeds, base_seed + i for each of the trials, and pool width."""
+
+    trials: int = setting(50, ge=1, help="number of trials")
+    base_seed: int = setting(0, help="first seed", ge=next(  # a trial seed's floor
+        f.metadata["ge"] for f in fields(WorldConfig) if f.name == "seed"))
+    workers: int = setting(0, ge=0, help="worker processes, at most one per job, i.e. two "
+                           "per trial; 0 = available parallelism")
+
+    def __post_init__(self):
+        check_fields(self)
+
+
 # The configs each subcommand builds from its flags, in --help order; the
 # command receives them in this order after (args, argv).
 _CONFIGS = {
     "simulate": (WorldConfig, SensorConfig),
     "solve": (InitStrategy, SolverConfig, GraphNoiseConfig),
-    "evaluate": (InitStrategy, WorldConfig, SensorConfig, SolverConfig, GraphNoiseConfig),
+    "evaluate": (BatchConfig, InitStrategy, WorldConfig, SensorConfig, SolverConfig,
+                 GraphNoiseConfig),
     "rerun": (),
 }
 
@@ -100,19 +115,6 @@ def _add_config_flags(parser, classes, skip=()) -> None:
             else:
                 kwargs["type"] = type(f.default)
             parser.add_argument(_flag(_dest(cls, f.name)), **kwargs)
-
-
-def _int_at_least(low: int):
-    """argparse type: an integer no smaller than low."""
-
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < low:
-            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
-        return value
-
-    parse.__name__ = "int"  # argparse names it in "invalid int value"
-    return parse
 
 
 def _configs(parser, args, classes) -> list:
@@ -340,8 +342,8 @@ def _csv_row(result) -> str:
     return ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in values)
 
 
-def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int:
-    seeds = [args.base_seed + i for i in range(args.trials)]
+def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise) -> int:
+    seeds = [batch.base_seed + i for i in range(batch.trials)]
     # One job per (seed, mode), mode-major: MODES starts with the monocular
     # solves, which take most of a batch's time, so the pool starts the
     # longest jobs first and the short with-relpos ones fill in at the end.
@@ -364,7 +366,7 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     t0 = time.perf_counter()
     # A pool forks all its workers at the first submit; more than one per
     # job would only sit idle.
-    workers = min(args.workers or os.cpu_count() or 1, len(jobs))
+    workers = min(batch.workers or os.cpu_count() or 1, len(jobs))
     if workers == 1:
         outcomes = list(map(job, job_worlds, job_modes))
     else:
@@ -397,8 +399,8 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     summary_doc = {
         "schema": "dqslam.summary",
         "version": 1,
-        "n_trials": args.trials,
-        "base_seed": args.base_seed,
+        "n_trials": batch.trials,
+        "base_seed": batch.base_seed,
         "n_failures": len(failures),
         "failures": {str(k): v for k, v in sorted(failures.items())},
         "aggregate": summary,
@@ -408,7 +410,7 @@ def _cmd_evaluate(args, argv, strategy, world, sensor, solver_cfg, noise) -> int
     if summary:
         print(format_table(summary))
     if failures:
-        print(f"{len(failures)} of {args.trials} trials failed:", file=sys.stderr)
+        print(f"{len(failures)} of {batch.trials} trials failed:", file=sys.stderr)
         for seed, msg in sorted(failures.items()):
             print(f"  seed {seed}: {msg}", file=sys.stderr)
 
@@ -500,21 +502,7 @@ def _build_parser():
         "and mode, all monocular jobs first, and write per-trial CSV plus an "
         "aggregate summary in the published table layout.",
     )
-    seed_min = {f.name: f for f in fields(WorldConfig)}["seed"].metadata["ge"]
-    p_eval.add_argument(
-        "--trials", type=_int_at_least(1), default=50, help="number of trials (default: 50)"
-    )
-    p_eval.add_argument(
-        "--base-seed", type=_int_at_least(seed_min), default=0, help="first seed (default: 0)"
-    )
     p_eval.add_argument("--out-dir", required=True, help="output directory")
-    p_eval.add_argument(
-        "--workers",
-        type=_int_at_least(0),
-        default=0,
-        help="worker processes, at most one per job, i.e. two per trial "
-        "(default: 0 = available parallelism)",
-    )
     _add_config_flags(p_eval, _CONFIGS["evaluate"], skip=("seed",))
 
     p_rerun = sub.add_parser(

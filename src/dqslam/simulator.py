@@ -5,8 +5,8 @@ looking 90 degrees to its left. Cube landmarks are scattered inside the
 loop; whenever a cube projects large enough and fully inside the image, a
 bounding-box detection is generated, together with a relative-position
 measurement of the cube center. Odometry, box corners and relative
-positions are corrupted by Gaussian noise. Cameras are geometry's stacked
-frames and projections, computed once per trajectory.
+positions are corrupted by Gaussian noise. Camera frames are stacked once
+per trajectory; each candidate landmark is projected into all of them anew.
 
 Randomness is split into one child stream per noise source (world layout,
 odometry, box corners, relative positions), so toggling one noise source
@@ -57,6 +57,23 @@ __all__ = [
 _PLACEMENT_RETRIES = 200
 
 
+def _loop_straights(cfg) -> tuple[int, int]:
+    """The (long, short) straight runs of one loop (see ground_truth_odometry).
+    Raises ConfigError on trajectory_length when the loop's step count is not
+    finite or leaves fewer than 4 straight steps besides the turns."""
+    try:
+        steps = int(round(cfg.trajectory_length / cfg.n_loops / cfg.step_length))
+    except OverflowError:
+        raise ConfigError("trajectory_length", "must give a finite step count per loop") from None
+    straight = steps - 4 * cfg.turn_steps
+    if straight < 4:
+        raise ConfigError("trajectory_length", f"must give each loop at least "
+                          f"{4 * cfg.turn_steps + 4} steps (4 turns, 4 straight), got {steps}")
+    straight -= straight % 2  # keep opposite sides equal so the loop closes
+    s_long = (straight + 2) // 4
+    return s_long, straight // 2 - s_long
+
+
 @dataclass(frozen=True)
 class WorldConfig:
     """Ground-truth world layout parameters."""
@@ -84,6 +101,7 @@ class WorldConfig:
         check_fields(self)
         if self.offset_min >= self.offset_max:
             raise ConfigError("offset_min", f"must be less than offset_max ({self.offset_max})")
+        _loop_straights(self)
 
 
 @dataclass(frozen=True)
@@ -180,14 +198,7 @@ def ground_truth_odometry(cfg: WorldConfig):
     so the loop closes exactly. The step count is rounded to the nearest
     closable schedule of the requested total length.
     """
-    steps_per_loop = int(round(cfg.trajectory_length / cfg.n_loops / cfg.step_length))
-    straight_total = steps_per_loop - 4 * cfg.turn_steps
-    if straight_total < 4:
-        raise ValueError("trajectory too short for the turn schedule")
-    if straight_total % 2:
-        straight_total -= 1  # keep opposite sides equal so the loop closes
-    s_long = (straight_total + 2) // 4
-    s_short = straight_total // 2 - s_long
+    s_long, s_short = _loop_straights(cfg)
     omega_turn = (math.pi / 2.0) / cfg.turn_steps
     v = cfg.step_length
 

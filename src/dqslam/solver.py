@@ -63,7 +63,7 @@ class LinearSolveError(RuntimeError):
 @dataclass(frozen=True)
 class SolverConfig:
     max_iterations: int = setting(100, gt=0)
-    initial_lambda: float = setting(1e-4, ge=0)
+    initial_lambda: float = setting(1e-4, ge=0, le=_LAMBDA_MAX)
     lambda_up: float = setting(10.0, ge=2)
     lambda_down: float = setting(0.1, gt=0, lt=1)
     rel_cost_tol: float = setting(1e-8, gt=0)

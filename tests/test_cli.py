@@ -99,6 +99,20 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
           "--lambda-up", "1.000000000000001", "--lambda-down", "1e-300"], "--lambda-up"),
         (["evaluate", "--lambda-up", "1.001", "--lambda-down", "0.999", "--max-iterations", "10",
           "--out-dir", str(tmp_path / "e7"), *small_batch], "--lambda-up"),
+        # Damping past the stall ceiling: once a 0-iteration "stalled" solve,
+        # and a batch of unmoved rows with exit code 0.
+        (["solve", "--dataset", str(tmp_path / "ds.json"), "--out", str(tmp_path / "r.json"),
+          "--initial-lambda", "1e20"], "--initial-lambda"),
+        (["evaluate", "--initial-lambda", "1e20", "--out-dir", str(tmp_path / "e8"),
+          *small_batch], "--initial-lambda"),
+        # Loops too short for their turns, and a step count that overflows:
+        # once found mid-run, as a failed trial or a traceback.
+        (["simulate", "--trajectory-length", "5", "--out", str(tmp_path / "x.json")],
+         "--trajectory-length"),
+        (["evaluate", "--out-dir", str(tmp_path / "e9"), *small_batch,
+          "--trajectory-length", "5"], "--trajectory-length"),
+        (["simulate", "--trajectory-length", "1e308", "--step-length", "1e-10",
+          "--out", str(tmp_path / "x.json")], "--trajectory-length"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -109,7 +123,7 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
     assert not (tmp_path / "r.json").exists()
-    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7"):
+    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"):
         assert not (tmp_path / out_dir).exists()
 
 
@@ -119,12 +133,13 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
 _SUBCOMMAND_CONFIGS = {
     "simulate": (WorldConfig, SensorConfig),
     "solve": (InitStrategy, SolverConfig, GraphNoiseConfig),
-    "evaluate": (InitStrategy, WorldConfig, SensorConfig, SolverConfig, GraphNoiseConfig),
+    "evaluate": (cli.BatchConfig, InitStrategy, WorldConfig, SensorConfig, SolverConfig,
+                 GraphNoiseConfig),
 }
 _OTHER_FLAGS = {
     "simulate": {"--out"},
     "solve": {"--dataset", "--mode", "--out", "--svg"},
-    "evaluate": {"--trials", "--base-seed", "--out-dir", "--workers"},
+    "evaluate": {"--out-dir"},
 }
 
 

@@ -111,6 +111,9 @@ CORRUPTIONS = {
     "missing-sensor-key": (lambda doc: doc["sensor_config"].pop("focal_mm"), "'focal_mm'"),
     "world-value-out-of-range": (_set(["world_config", "cube_side_sigma"], -1.0),
                                  "cube_side_sigma"),
+    # Too short a loop for its four turns: no trajectory has this schedule.
+    "infeasible-schedule": (_set(["world_config", "trajectory_length"], 5.0),
+                            "world_config.trajectory_length"),
     "nan-box-line": (_set(["detections", 0, "lines", 0, 0], float("nan")),
                      "detections.lines"),
     "short-box-line": (_set(["detections", 0, "lines", 1], [0.0, 1.0]),

@@ -12,6 +12,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg
 
 from dqslam import solver
+from dqslam.config import ConfigError
 from dqslam.factors import FactorGraph
 from dqslam.geometry import RobotPose, CameraIntrinsics, left_facing_mount
 from dqslam.pipeline import build_graph, run_trial
@@ -319,14 +320,15 @@ def test_solve_skips_damping_too_small_to_change_the_system(monkeypatch):
 def test_solve_heavy_damping_is_not_convergence(mode):
     # A step damped far beyond the curvature is short, and drops the cost by
     # a tiny fraction however far the optimum is: at lambda = 1e12 the first
-    # step's drop, and at 1e20 the step itself, fall below the convergence
-    # tests. Neither may end the solve as converged at its initial cost.
+    # step's drop falls below the convergence tests, which must not end the
+    # solve as converged at its initial cost.
     graph = build_graph(generate_dataset(WorldConfig(seed=0), SensorConfig()), mode=mode)
     _, report = solve(graph, SolverConfig(initial_lambda=1e12))
     assert report.converged
     assert report.final_cost < 1e-4 * report.initial_cost
-    _, report = solve(graph, SolverConfig(initial_lambda=1e20))
-    assert not report.converged
+    # Heavier initial damping than the stall ceiling is refused up front.
+    with pytest.raises(ConfigError, match="initial_lambda"):
+        SolverConfig(initial_lambda=1e20)
 
 
 def test_solve_stalls_on_unconstrained_variable(rng):
@@ -341,8 +343,9 @@ def _accepted(name):
     """Floats up to 1e300 that SolverConfig's declared bounds on `name` accept."""
     meta = next(f.metadata for f in fields(SolverConfig) if f.name == name)
     low = meta["gt"] if meta["ge"] is None else meta["ge"]
-    high = 1e300 if meta["lt"] is None else meta["lt"]
-    return st.floats(low, high, exclude_min=meta["ge"] is None, exclude_max=meta["lt"] is not None)
+    high = meta["lt"] if meta["le"] is None else meta["le"]
+    return st.floats(low, 1e300 if high is None else high,
+                     exclude_min=meta["ge"] is None, exclude_max=meta["lt"] is not None)
 
 
 @contextlib.contextmanager
@@ -398,6 +401,10 @@ def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(initial_lambda=-1.0)
     assert SolverConfig(initial_lambda=0.0).initial_lambda == 0.0
+    # No heavier than the damping at which a solve stalls.
+    assert SolverConfig(initial_lambda=1e12).initial_lambda == 1e12
+    with pytest.raises(ValueError, match="initial_lambda"):
+        SolverConfig(initial_lambda=np.nextafter(1e12, np.inf))
 
 
 def test_solve_report_fields():
