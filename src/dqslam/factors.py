@@ -19,10 +19,9 @@ arbitrary variable values; it is the one implementation of the factors,
 and what the solver iterates with. It has one vectorized linearization per
 factor kind, which yields the raw residual and its Jacobian blocks from
 the same intermediate values, and whitens all kinds in one place, as a
-scale per residual row. `motion_model` is the unicycle step that
-`initialization.init_poses` chains. The scalar per-factor references the
-tests check the evaluator against live in `tests/oracle.py`. The array
-kernels and the quadric parameter layout come from `geometry`.
+scale per residual row. The scalar per-factor references the tests check
+the evaluator against live in `tests/oracle.py`. The array kernels and the
+quadric parameter layout come from `geometry`.
 
 `GraphEvaluator.jacobian` imports scipy when it first builds a sparse
 matrix, so that importing this module (as the simulator and the dataset
@@ -31,7 +30,6 @@ reader do) does not pay scipy's import time and memory.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,18 +38,15 @@ from .geometry import (
     QUADRIC_CENTROID,
     CameraExtrinsics,
     CameraIntrinsics,
-    RobotPose,
     in_frame,
     quadric_matrices,
     tangency_rows,
-    wrap_angle,
     wrap_angles,
 )
 
 __all__ = [
     "Measurements",
     "FactorGraph",
-    "motion_model",
     "GraphEvaluator",
 ]
 
@@ -168,17 +163,6 @@ class FactorGraph:
             sigma = np.asarray(sigma, dtype=float)
             if sigma.shape != (k, d) or not (np.isfinite(sigma) & (sigma > 0)).all():
                 raise ValueError(f"{kind} sigmas must be finite and positive, of shape {(k, d)}")
-
-
-def motion_model(x: RobotPose, u) -> RobotPose:
-    """Unicycle step under odometry u = (v, omega): advance v along the
-    current heading, then turn by omega."""
-    v, omega = u
-    return RobotPose(
-        x.x + v * math.cos(x.theta),
-        x.y + v * math.sin(x.theta),
-        wrap_angle(x.theta + omega),
-    )
 
 
 class GraphEvaluator:

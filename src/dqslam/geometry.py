@@ -408,9 +408,13 @@ def camera_frames(poses, mount: CameraExtrinsics):
     mounted camera at every pose of (n, 3) pose rows (x, y, theta).
 
     Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
-    pose_to_extrinsics(RobotPose(*pose), mount) bit for bit.
+    pose_to_extrinsics(RobotPose(*pose), mount) bit for bit. R_rw must stay
+    a transposed view, as there: a stacked matmul's bits follow its layout.
     """
-    R_wr = np.stack([rotz(theta) for theta in wrap_angles(poses[:, 2]).tolist()])
+    theta = wrap_angles(poses[:, 2]).tolist()
+    c, s = np.array([[math.cos(a) for a in theta], [math.sin(a) for a in theta]])
+    R_wr = np.zeros((len(theta), 3, 3))
+    R_wr[:, 0, 0], R_wr[:, 0, 1], R_wr[:, 1, 0], R_wr[:, 1, 1], R_wr[:, 2, 2] = c, -s, s, c, 1.0
     R_rw = R_wr.transpose(0, 2, 1)  # world-to-robot
     p = np.column_stack([poses[:, :2], np.zeros(len(poses))])
     t_rw = (-R_rw @ p[:, :, None])[:, :, 0]

@@ -11,20 +11,20 @@ detects this and triggers the identity fallback.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .config import check_fields, setting
-from .factors import motion_model
 from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
     DualQuadric,
-    RobotPose,
     camera_frames,
     projection_matrices,
     tangency_rows,
+    wrap_angle,
 )
 
 __all__ = [
@@ -67,12 +67,15 @@ class InitStrategy:
 
 
 def init_poses(odometry, x0) -> np.ndarray:
-    """Chain the motion model through raw odometry, (n, 2) rows (v, omega),
-    starting at x0, an (x, y, theta) row; returns the (n + 1, 3) pose rows."""
-    poses = [RobotPose(*x0)]
-    for u in np.asarray(odometry, dtype=float).reshape(-1, 2).tolist():
-        poses.append(motion_model(poses[-1], u))
-    return np.array([[p.x, p.y, p.theta] for p in poses])
+    """Chain the unicycle model (advance v along the heading, then turn by
+    omega) through raw odometry, (n, 2) rows (v, omega), from x0, an (x, y,
+    theta) row; returns the (n + 1, 3) pose rows, headings in (-pi, pi]."""
+    x, y, theta = float(x0[0]), float(x0[1]), wrap_angle(x0[2])
+    poses = [(x, y, theta)]
+    for v, omega in np.asarray(odometry, dtype=float).reshape(-1, 2).tolist():
+        x, y, theta = x + v * math.cos(theta), y + v * math.sin(theta), wrap_angle(theta + omega)
+        poses.append((x, y, theta))
+    return np.array(poses)
 
 
 def fit_dual_quadric(

@@ -52,19 +52,25 @@ __all__ = [
     "measure_relative_position",
     "generate_dataset",
     "inscribed_ellipsoid",
+    "MAX_SCHEDULE_STEPS",
 ]
 
 _PLACEMENT_RETRIES = 200
+MAX_SCHEDULE_STEPS = 10_000  # odometry steps over all loops
 
 
 def _loop_straights(cfg) -> tuple[int, int]:
     """The (long, short) straight runs of one loop (see ground_truth_odometry).
     Raises ConfigError on trajectory_length when the loop's step count is not
-    finite or leaves fewer than 4 straight steps besides the turns."""
+    finite, the schedule has more than MAX_SCHEDULE_STEPS steps over all
+    loops, or a loop has fewer than 4 straight steps besides the turns."""
     try:
         steps = int(round(cfg.trajectory_length / cfg.n_loops / cfg.step_length))
     except OverflowError:
         raise ConfigError("trajectory_length", "must give a finite step count per loop") from None
+    if steps * cfg.n_loops > MAX_SCHEDULE_STEPS:
+        raise ConfigError("trajectory_length", f"must give at most {MAX_SCHEDULE_STEPS} steps "
+                          f"over all loops, got {float(steps) * cfg.n_loops:.6g}")
     straight = steps - 4 * cfg.turn_steps
     if straight < 4:
         raise ConfigError("trajectory_length", f"must give each loop at least "
@@ -329,8 +335,8 @@ def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) ->
     degeneracy) and the landmark would be unrecoverable without depth
     measurements.
     """
-    sphere_seen, boxes = project_sphere_bbox(center, side, R, t, K, min_px=0.0)
-    views = seen & sphere_seen
+    R, t = R[seen], t[seen]
+    views, boxes = project_sphere_bbox(center, side, R, t, K, min_px=0.0)
     if 4 * np.count_nonzero(views) < 10:
         return 0.0
     P, boxes = projection_matrices(K, R[views], t[views]), boxes[views]

@@ -19,7 +19,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from dqslam.factors import FactorGraph, GraphEvaluator, motion_model
+from dqslam.factors import FactorGraph, GraphEvaluator
 from dqslam.geometry import (
     EPS_SCALE,
     CameraExtrinsics,
@@ -33,6 +33,7 @@ from dqslam.geometry import (
     projection_matrix,
     wrap_angle,
 )
+from dqslam.initialization import init_poses
 from dqslam.simulator import Dataset, inscribed_ellipsoid
 
 
@@ -47,7 +48,7 @@ def se2_boxminus(a: RobotPose, b: RobotPose) -> np.ndarray:
 def odometry_residual(x_i: RobotPose, x_next: RobotPose, u) -> np.ndarray:
     """Motion-model prediction from x_i under odometry u = (v, omega) minus
     the actual next pose, in SE(2)."""
-    return se2_boxminus(motion_model(x_i, u), x_next)
+    return se2_boxminus(RobotPose(*init_poses([u], x_i.as_array())[1]), x_next)
 
 
 def bbox_factor_residual(

@@ -113,6 +113,12 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
           "--trajectory-length", "5"], "--trajectory-length"),
         (["simulate", "--trajectory-length", "1e308", "--step-length", "1e-10",
           "--out", str(tmp_path / "x.json")], "--trajectory-length"),
+        # A finite schedule too long to build: once an OverflowError
+        # traceback from the schedule list.
+        (["simulate", "--trajectory-length", "1e300", "--out", str(tmp_path / "x.json")],
+         "--trajectory-length"),
+        (["evaluate", "--out-dir", str(tmp_path / "e10"), *small_batch,
+          "--trajectory-length", "1e300"], "--trajectory-length"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -123,7 +129,7 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
     assert not (tmp_path / "r.json").exists()
-    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9"):
+    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"):
         assert not (tmp_path / out_dir).exists()
 
 
@@ -239,18 +245,22 @@ def test_solve_results_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits a long dot product across its threads, so a cost
     # summed through BLAS changes in the last bit with the thread count. The
     # 40-landmark with-relpos map has 13 803 residual rows, enough to show it.
-    ds_path = tmp_path / "ds.json"
-    assert main(["simulate", "--seed", "1", "--n-landmarks", "40", "--out", str(ds_path)]) == 0
+    # The simulator's stacked products run under the same two settings.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    docs = []
+    datasets, docs = [], []
     for threads in ("1", "2"):
+        ds_path = tmp_path / f"ds-{threads}.json"
         out = tmp_path / f"threads-{threads}.json"
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run([sys.executable, "-m", "dqslam", "solve", "--dataset", str(ds_path),
-                               "--mode", "with-relpos", "--out", str(out)],
-                              env=env, capture_output=True, text=True, timeout=300)
-        assert proc.returncode == 0, proc.stderr
+        for argv in (["simulate", "--seed", "1", "--n-landmarks", "40", "--out", str(ds_path)],
+                     ["solve", "--dataset", str(ds_path), "--mode", "with-relpos",
+                      "--out", str(out)]):
+            proc = subprocess.run([sys.executable, "-m", "dqslam", *argv],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+        datasets.append(ds_path.read_bytes())
         docs.append(out.read_bytes())
+    assert datasets[0] == datasets[1]
     assert docs[0] == docs[1]
 
 

@@ -114,6 +114,9 @@ CORRUPTIONS = {
     # Too short a loop for its four turns: no trajectory has this schedule.
     "infeasible-schedule": (_set(["world_config", "trajectory_length"], 5.0),
                             "world_config.trajectory_length"),
+    # A schedule past the step ceiling, rejected before any list is built.
+    "oversized-schedule": (_set(["world_config", "trajectory_length"], 1e300),
+                           "world_config.trajectory_length"),
     "nan-box-line": (_set(["detections", 0, "lines", 0, 0], float("nan")),
                      "detections.lines"),
     "short-box-line": (_set(["detections", 0, "lines", 1], [0.0, 1.0]),

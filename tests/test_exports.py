@@ -49,6 +49,7 @@ def test_every_exported_definition_lives_in_its_module(name):
         ("dqslam.factors", "relpos_residual"),
         ("dqslam.factors", "graph_residual"),
         ("dqslam.factors", "graph_jacobian"),
+        ("dqslam.factors", "motion_model"),
         ("dqslam.geometry", "tangency_residual"),
         ("dqslam.geometry", "dual_conic_bbox"),
         ("dqslam.pipeline", "ground_truth_graph"),

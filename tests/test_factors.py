@@ -11,7 +11,6 @@ from dqslam.factors import (
     FactorGraph,
     GraphEvaluator,
     Measurements,
-    motion_model,
 )
 from dqslam.geometry import (
     CameraIntrinsics,
@@ -20,6 +19,7 @@ from dqslam.geometry import (
     left_facing_mount,
     normalize_lines,
 )
+from dqslam.initialization import init_poses
 from dqslam.pipeline import build_graph
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset, inscribed_ellipsoid
 from oracle import (
@@ -82,18 +82,23 @@ def stacking_order(*keys):
 # -- motion model and residual conventions -----------------------------------
 
 def test_motion_model_examples():
-    assert motion_model(RobotPose(0, 0, 0), (1, 0)) == RobotPose(1, 0, 0)
-    p = motion_model(RobotPose(0, 0, math.pi / 2), (2, 0))
-    assert (p.x, p.y, p.theta) == pytest.approx((0, 2, math.pi / 2), abs=1e-15)
-    p = motion_model(RobotPose(1, 1, 0), (0, math.pi / 2))
-    assert (p.x, p.y, p.theta) == pytest.approx((1, 1, math.pi / 2))
+    assert init_poses([(1, 0)], (0, 0, 0))[1].tolist() == [1, 0, 0]
+    p = init_poses([(2, 0)], (0, 0, math.pi / 2))[1]
+    assert tuple(p) == pytest.approx((0, 2, math.pi / 2), abs=1e-15)
+    p = init_poses([(0, math.pi / 2)], (1, 1, 0))[1]
+    assert tuple(p) == pytest.approx((1, 1, math.pi / 2))
+    # The heading is wrapped, at the start and after each turn.
+    assert init_poses([(0, 0.5)], (0, 0, 3.0))[:, 2] == pytest.approx(
+        [3.0, 3.5 - 2 * math.pi])
+    assert init_poses([], (0, 0, 2 * math.pi + 0.3))[0, 2] == pytest.approx(0.3)
 
 
 def test_odometry_residual_exact_prediction(rng):
     for _ in range(10):
         x = RobotPose(*rng.normal(0, 2, 3))
         u = (float(rng.uniform(0, 1)), float(rng.normal(0, 0.5)))
-        assert np.allclose(odometry_residual(x, motion_model(x, u), u), 0, atol=1e-14)
+        x_next = RobotPose(*init_poses([u], x.as_array())[1])
+        assert np.allclose(odometry_residual(x, x_next, u), 0, atol=1e-14)
 
 
 def test_odometry_residual_overshoot_convention():

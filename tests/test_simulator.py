@@ -6,6 +6,7 @@ import math
 import numpy as np
 import pytest
 
+from dqslam.config import ConfigError
 from dqslam.dataset_io import dumps_dataset
 from dqslam.geometry import (
     RobotPose,
@@ -21,6 +22,7 @@ from dqslam.geometry import (
 )
 from dqslam.initialization import init_poses
 from dqslam.simulator import (
+    MAX_SCHEDULE_STEPS,
     SensorConfig,
     WorldConfig,
     _landmark_condition,
@@ -76,15 +78,22 @@ def test_sample_landmark_side_distribution(rng):
 
 
 def test_camera_frames_match_pose_to_extrinsics():
-    trajectory = init_poses(ground_truth_odometry(WorldConfig())[0], (0, 0, 0))
-    R, t = camera_frames(trajectory, MOUNT)
-    assert R.shape == (len(trajectory), 3, 3) and t.shape == (len(trajectory), 3)
-    P = projection_matrices(K, R, t)
-    for i, pose in enumerate(trajectory):
-        E = pose_to_extrinsics(RobotPose(*pose), MOUNT)
-        assert R[i].tobytes() == E.rotation.tobytes()
-        assert t[i].tobytes() == E.translation.tobytes()
-        assert P[i].tobytes() == projection_matrix(K, E).P.tobytes()
+    rng = np.random.default_rng(5)
+    odometry, turn = ground_truth_odometry(WorldConfig())
+    for trajectory in (
+        init_poses(odometry, (0, 0, 0)),
+        init_poses(corrupt_odometry(odometry, turn, SensorConfig(), rng), (0, 0, 0)),
+        # Headings outside (-pi, pi], which camera_frames wraps as RobotPose does.
+        rng.uniform([-50, -50, -20], [50, 50, 20], (200, 3)),
+    ):
+        R, t = camera_frames(trajectory, MOUNT)
+        assert R.shape == (len(trajectory), 3, 3) and t.shape == (len(trajectory), 3)
+        P = projection_matrices(K, R, t)
+        for i, pose in enumerate(trajectory):
+            E = pose_to_extrinsics(RobotPose(*pose), MOUNT)
+            assert R[i].tobytes() == E.rotation.tobytes()
+            assert t[i].tobytes() == E.translation.tobytes()
+            assert P[i].tobytes() == projection_matrix(K, E).P.tobytes()
 
 
 def test_project_cube_bbox_detection_ranges():
@@ -427,3 +436,14 @@ def test_world_config_validation():
         WorldConfig(cube_side_sigma=-1.0)
     with pytest.raises(ValueError, match="seed"):
         WorldConfig(seed=-1)
+
+
+def test_schedule_step_ceiling():
+    # The ceiling counts the steps of all loops together.
+    step = WorldConfig.step_length
+    assert len(ground_truth_odometry(WorldConfig(
+        trajectory_length=MAX_SCHEDULE_STEPS * step, n_loops=4))[1]) == MAX_SCHEDULE_STEPS
+    for length, n_loops in [(MAX_SCHEDULE_STEPS * step + step, 1),
+                            ((MAX_SCHEDULE_STEPS // 4 + 1) * 4 * step, 4)]:
+        with pytest.raises(ConfigError, match=f"trajectory_length.*at most {MAX_SCHEDULE_STEPS}"):
+            WorldConfig(trajectory_length=length, n_loops=n_loops)
