@@ -22,6 +22,7 @@ import argparse
 import concurrent.futures
 import functools
 import json
+import math
 import os
 import sys
 import time
@@ -156,10 +157,23 @@ def _check_out_paths(outputs: dict, dataset=None) -> None:
 
 # -- manifest ---------------------------------------------------------------
 
+def _standard_json(value):
+    """value with every non-finite float as None: standard JSON (RFC 8259)
+    has null, but no NaN or Infinity."""
+    if isinstance(value, dict):
+        return {key: _standard_json(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_standard_json(item) for item in value]
+    if isinstance(value, float) and not math.isfinite(value):
+        return None
+    return value
+
+
 def _write_json(path, doc) -> None:
+    """Write doc as standard JSON, an undefined statistic (nan) as null."""
+    text = json.dumps(_standard_json(doc), indent=1, allow_nan=False)
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, indent=1)
-        fh.write("\n")
+        fh.write(text + "\n")
 
 
 def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings, **extra):

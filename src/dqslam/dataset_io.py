@@ -26,7 +26,7 @@ import numpy as np
 from .config import ConfigError
 from .factors import Measurements
 from .geometry import DegenerateGeometryError, normalize_lines, wrap_angles
-from .simulator import Dataset, SensorConfig, WorldConfig
+from .simulator import Dataset, SensorConfig, WorldConfig, ground_truth_odometry
 
 __all__ = ["SCHEMA", "SCHEMA_VERSION", "dataset_from_dict",
            "write_dataset", "read_dataset", "dumps_dataset"]
@@ -185,14 +185,18 @@ def _indices(values: list, n: int, where: str) -> list:
 
 def _measurements(doc: dict, where: str, key: str, shape: tuple, n_poses: int,
                   n_landmarks: int) -> Measurements:
-    """The measurements listed under doc[where], with range-checked indices
-    and finite values of the given shape under key."""
+    """The measurements listed under doc[where], with range-checked indices,
+    each (pose_index, landmark_id) pair at most once, and finite values of
+    the given shape under key."""
     records = _get(doc, where, "dataset")
+    pose_index = _indices(_column(records, "pose_index", where), n_poses, f"{where}.pose_index")
+    landmark_id = _indices(_column(records, "landmark_id", where), n_landmarks,
+                           f"{where}.landmark_id")
+    if len(set(zip(pose_index, landmark_id))) < len(pose_index):
+        raise ValueError(f"{where} lists a (pose_index, landmark_id) pair twice")
     return Measurements(
-        np.array(_indices(_column(records, "pose_index", where), n_poses,
-                          f"{where}.pose_index"), dtype=int),
-        np.array(_indices(_column(records, "landmark_id", where), n_landmarks,
-                          f"{where}.landmark_id"), dtype=int),
+        np.array(pose_index, dtype=int),
+        np.array(landmark_id, dtype=int),
         _numbers(_column(records, key, where), shape, f"{where}.{key}"),
     )
 
@@ -216,7 +220,10 @@ def dataset_from_dict(doc: dict) -> Dataset:
     unknown key, config value out of range, a non-finite number or a
     boolean where a number belongs, index out of range, odometry not one
     entry shorter than the poses, seed unequal to world_config.seed,
-    landmark ids other than 0, 1, ... in order,
+    landmark ids other than 0, 1, ... in order, a landmark count other than
+    world_config.n_landmarks, odometry steps or turn tags other than
+    world_config's schedule (ground_truth_odometry), a (pose_index,
+    landmark_id) pair listed twice in detections or relative_positions,
     non-positive cube side, degenerate box line, a landmark detected fewer
     than world_config.landmark_min_detections times) raises ValueError
     naming the key. Pose headings are wrapped to (-pi, pi]."""
@@ -240,6 +247,9 @@ def dataset_from_dict(doc: dict) -> Dataset:
     ids = _column(lms, "id", where)
     if not all(type(j) is int for j in ids) or ids != list(range(len(ids))):
         raise ValueError(f"{where}.id must be 0, 1, ... in order")
+    if len(ids) != world.n_landmarks:
+        raise ValueError(f"{where} lists {len(ids)} landmarks, but "
+                         f"world_config.n_landmarks = {world.n_landmarks}")
     sides = _numbers(_column(lms, "side", where), (), f"{where}.side")
     if (sides <= 0).any():
         raise ValueError(f"{where}.side must be positive")
@@ -251,6 +261,12 @@ def dataset_from_dict(doc: dict) -> Dataset:
         raise ValueError(f"odometry has {len(turns)} entries for {len(poses)} poses")
     if not _types(turns) <= {bool}:
         raise ValueError("odometry.turn must be booleans")
+    schedule = ground_truth_odometry(world)[1].tolist()
+    if len(turns) != len(schedule):
+        raise ValueError(f"odometry has {len(turns)} entries, but world_config's "
+                         f"schedule takes {len(schedule)} steps")
+    if turns != schedule:
+        raise ValueError("odometry.turn must be the turn tags of world_config's schedule")
     odometry = np.column_stack([
         _numbers(_column(odo, "v", "odometry"), (), "odometry.v"),
         _numbers(_column(odo, "omega", "odometry"), (), "odometry.omega"),

@@ -53,10 +53,12 @@ __all__ = [
     "generate_dataset",
     "inscribed_ellipsoid",
     "MAX_SCHEDULE_STEPS",
+    "MAX_LANDMARKS",
 ]
 
 _PLACEMENT_RETRIES = 200
 MAX_SCHEDULE_STEPS = 10_000  # odometry steps over all loops
+MAX_LANDMARKS = 320  # a solve at the ceiling peaks near 230 MB of RSS (README)
 
 
 def _loop_straights(cfg) -> tuple[int, int]:
@@ -84,7 +86,7 @@ def _loop_straights(cfg) -> tuple[int, int]:
 class WorldConfig:
     """Ground-truth world layout parameters."""
 
-    n_landmarks: int = setting(10, gt=0)
+    n_landmarks: int = setting(10, gt=0, le=MAX_LANDMARKS)
     landmark_z_sigma: float = setting(0.3, ge=0)
     cube_side_mean: float = setting(0.5, gt=0)
     cube_side_sigma: float = setting(0.3, ge=0)

@@ -4,10 +4,10 @@ Damped normal equations with diagonal scaling, solved sparsely; accepted
 steps never increase the whitened cost. Poses update on the SE(2) tangent
 (additive with angle wrap), quadrics additively in their 9-vector.
 
-Each lambda trial damps a copy of J^T J's values on its shared pattern
-and factors the result once with SuperLU, in its default (COLAMD) column
-order. J^T J must be canonical CSC with no explicit zeros, as
-`normal_equations` returns it.
+Each lambda trial builds J^T J + lambda diag(J^T J) on its own copy of
+J^T J and factors it once with SuperLU, in its default (COLAMD) column
+order. `normal_equations` returns J^T J as canonical CSC only so that
+SuperLU has no sort to do on each trial.
 
 After a rejected step, lambda climbs past _LAMBDA_NOOP without a solve:
 damping that small leaves the rejected system as it was. lambda_up is at
@@ -96,9 +96,8 @@ def load_scipy() -> float:
 
 def normal_equations(J, r: np.ndarray):
     """The Gauss-Newton normal equations of a scipy-sparse Jacobian:
-    (J^T J, J^T r). J^T J is returned as CSC in canonical form: sorted row
-    indices, no duplicates, and no explicit zeros (the sparse product stores
-    none).
+    (J^T J, J^T r). J^T J is canonical CSC (sorted row indices, no
+    duplicates), which spares `splu` a sort on each damping trial.
     """
     JtJ = (J.T @ J).tocsc()
     JtJ.sum_duplicates()
@@ -108,16 +107,14 @@ def normal_equations(J, r: np.ndarray):
 def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
     """One damped Gauss-Newton step: solve (JtJ + lam diag(JtJ)) d = -g.
 
-    JtJ, g are the normal equations exactly as normal_equations returns
-    them (JtJ canonical CSC with no explicit zeros), formed once per
-    linearization and reused across damping retries. lam = 0 gives the
-    plain Gauss-Newton step. The damped matrix is JtJ's pattern with a copy
-    of its values, lam * d added to each stored diagonal entry d: what
-    `splu` factors when given `JtJ + sp.diags(lam * d)`. It is factored
-    once, in SuperLU's default column order.
+    JtJ, g are the normal equations, formed once per linearization and
+    reused across damping retries; JtJ may be any scipy sparse matrix, and
+    is left as it was. lam = 0 gives the plain Gauss-Newton step. The damped
+    matrix, `JtJ + sp.diags(lam * JtJ.diagonal())`, is built on a CSC copy
+    of JtJ and factored once, in SuperLU's default column order.
 
     Raises:
-        ValueError: negative damping, or JtJ not canonical CSC.
+        ValueError: negative damping.
         LinearSolveError: singular system or non-finite solution.
     """
     import scipy.sparse as sp
@@ -125,14 +122,10 @@ def linear_step(JtJ, g: np.ndarray, lam: float) -> np.ndarray:
 
     if lam < 0:
         raise ValueError("damping must be nonnegative")
-    # splu would sort a non-canonical pattern in place, under JtJ's values.
-    if JtJ.format != "csc" or not JtJ.has_canonical_format:
-        raise ValueError("J^T J must be canonical CSC, as normal_equations returns it")
-    col = np.repeat(np.arange(JtJ.shape[1]), np.diff(JtJ.indptr))
-    diag = JtJ.indices == col
-    data = JtJ.data.copy()
-    data[diag] += lam * data[diag]
-    M = sp.csc_matrix((data, JtJ.indices, JtJ.indptr), shape=JtJ.shape)
+    d = JtJ.diagonal()
+    M = sp.csc_matrix(JtJ, copy=True)
+    M.setdiag(d + lam * d)
+    M.eliminate_zeros()  # the zeros setdiag stores where JtJ has no diagonal entry
     try:
         delta = spla.splu(M).solve(-g)
     except RuntimeError as exc:

@@ -19,7 +19,7 @@ from dqslam.dataset_io import read_dataset
 from dqslam.initialization import InitStrategy
 from dqslam.metrics import MODES
 from dqslam.pipeline import GraphNoiseConfig, build_graph
-from dqslam.simulator import SensorConfig, WorldConfig
+from dqslam.simulator import MAX_LANDMARKS, SensorConfig, WorldConfig
 from dqslam.solver import SolverConfig
 from oracle import graph_residual, ground_truth_graph
 
@@ -119,6 +119,11 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
          "--trajectory-length"),
         (["evaluate", "--out-dir", str(tmp_path / "e10"), *small_batch,
           "--trajectory-length", "1e300"], "--trajectory-length"),
+        # Landmarks past the ceiling: no bound on the solve's memory.
+        (["simulate", "--n-landmarks", str(MAX_LANDMARKS + 1), "--out", str(tmp_path / "x.json")],
+         "--n-landmarks"),
+        (["evaluate", "--out-dir", str(tmp_path / "e11"), *small_batch,
+          "--n-landmarks", str(MAX_LANDMARKS + 1)], "--n-landmarks"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -129,8 +134,9 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
     assert not (tmp_path / "r.json").exists()
-    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10"):
+    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11"):
         assert not (tmp_path / out_dir).exists()
+    assert WorldConfig(n_landmarks=MAX_LANDMARKS).n_landmarks == MAX_LANDMARKS  # built, not run
 
 
 # Which config classes each subcommand exposes; evaluate takes each trial's
@@ -316,6 +322,34 @@ def test_evaluate_summary_single_trial_avg_equals_med(tmp_path):
     agg = summary["aggregate"]["monocular"]
     assert agg["rmse_pos_slam"]["avg"] == agg["rmse_pos_slam"]["med"]
     assert summary["n_failures"] == 0
+
+
+def _standard_json(text: str):
+    """text parsed as standard JSON (RFC 8259): NaN and Infinity raise."""
+    def refuse(constant):
+        raise ValueError(f"{constant} is not standard JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_undefined_statistic_written_as_null(tmp_path):
+    # Seed 0's one-landmark monocular estimate is no ellipsoid, so its
+    # volume error is undefined: null in the documents (once NaN, which
+    # standard JSON parsers reject), still nan in results.csv.
+    ds, res = tmp_path / "ds.json", tmp_path / "res.json"
+    assert main(["simulate", "--n-landmarks", "1", "--seed", "0", "--out", str(ds)]) == 0
+    assert main(["solve", "--dataset", str(ds), "--out", str(res)]) == 0
+    assert _standard_json(res.read_text())["metrics"]["rmse_volume"] is None
+    out = tmp_path / "e"
+    assert main(["evaluate", "--trials", "1", "--n-landmarks", "1", "--workers", "1",
+                 "--out-dir", str(out)]) == 0
+    summary = _standard_json((out / "summary.json").read_text())
+    volume = summary["aggregate"]["monocular"]["rmse_volume"]
+    assert volume == {"avg": None, "med": None, "n_excluded": 1}
+    for path in (tmp_path / "ds.json.manifest.json", tmp_path / "res.json.manifest.json",
+                 out / "run_manifest.json"):
+        _standard_json(path.read_text())
+    monocular = (out / "results.csv").read_text().splitlines()[1].split(",")
+    assert monocular[1] == "monocular" and monocular[5] == "nan"
 
 
 def test_unplaceable_landmark_is_an_input_error(tmp_path, capsys):

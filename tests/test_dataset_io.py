@@ -103,6 +103,17 @@ def _swap_landmark_ids(doc):
     a["id"], b["id"] = b["id"], a["id"]
 
 
+def _triple_trajectory(doc):
+    # Three times the poses, and one odometry entry fewer: a trajectory
+    # that world_config's schedule does not take.
+    poses = doc["ground_truth"]["poses"] = doc["ground_truth"]["poses"] * 3
+    doc["odometry"] = (doc["odometry"] * 4)[:len(poses) - 1]
+
+
+def _flip_turn_tag(doc):
+    doc["odometry"][0]["turn"] = not doc["odometry"][0]["turn"]
+
+
 # Each corruption, and the text its error must contain.
 CORRUPTIONS = {
     "missing-odometry": (_delete("odometry"), "'odometry'"),
@@ -147,6 +158,19 @@ CORRUPTIONS = {
     "boolean-pose": (_set(["ground_truth", "poses", 5, 0], True), "ground_truth.poses"),
     "boolean-box-line": (_set(["detections", 0, "lines", 0, 2], False), "detections.lines"),
     "huge-integer-pose": (_set(["ground_truth", "poses", 1, 1], 10**400), "ground_truth.poses"),
+    # Sizes other than world_config declares: each once got round the
+    # landmark or schedule ceiling.
+    "fewer-landmarks-declared": (_set(["world_config", "n_landmarks"], 3),
+                                 "world_config.n_landmarks"),
+    "more-landmarks-declared": (_set(["world_config", "n_landmarks"], 40),
+                                "world_config.n_landmarks"),
+    "tripled-trajectory": (_triple_trajectory, "world_config's schedule"),
+    "flipped-turn-tag": (_flip_turn_tag, "odometry.turn"),
+    "repeated-detections": (lambda doc: doc["detections"].extend(doc["detections"]),
+                            "detections lists a (pose_index, landmark_id) pair twice"),
+    "repeated-relative-position": (
+        lambda doc: doc["relative_positions"].append(doc["relative_positions"][0]),
+        "relative_positions lists a (pose_index, landmark_id) pair twice"),
     "too-few-detections": (
         lambda doc: doc.update(
             detections=[d for d in doc["detections"] if d["landmark_id"] != 0]),

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import contextlib
 import signal
+import warnings
 from dataclasses import fields, replace
 from datetime import timedelta
 
@@ -146,17 +147,30 @@ def test_linear_step_rejects_negative_damping(rng):
         linear_step(*normal_equations(sp.csr_matrix(rng.normal(size=(5, 2))), rng.normal(size=5)), lam=-1.0)
 
 
-def test_linear_step_rejects_non_canonical_input(rng):
-    # The damped matrix shares JtJ's row indices, which splu would sort in
-    # place under JtJ's values; such input is refused, and left as it was.
-    JtJ, g = normal_equations(sp.csr_matrix(rng.normal(size=(8, 3))), rng.normal(size=8))
-    unsorted = sp.csc_matrix((JtJ.data[::-1].copy(), JtJ.indices[::-1].copy(), JtJ.indptr.copy()),
-                             shape=JtJ.shape)
-    before = unsorted.copy()
-    for M in (unsorted, JtJ.tocsr()):
-        with pytest.raises(ValueError):
-            linear_step(M, g, 1e-2)
-    assert_same_csc(unsorted, before)
+def test_linear_step_takes_any_sparse_form_and_leaves_it_unchanged(rng):
+    # The damped matrix is built on linear_step's own copy, so unsorted,
+    # duplicate-entry and CSR input each give the step of their canonical
+    # form, bit for bit, and keep their arrays as they were.
+    J = rng.normal(size=(30, 12)) * (rng.uniform(size=(30, 12)) < 0.5)
+    J[np.arange(12), np.arange(12)] = 1.0  # full column rank
+    JtJ, g = normal_equations(sp.csr_matrix(J), rng.normal(size=30))
+    columns = [np.arange(a, b) for a, b in zip(JtJ.indptr[:-1], JtJ.indptr[1:])]
+    reversed_rows = np.concatenate([c[::-1] for c in columns])
+    unsorted = sp.csc_matrix((JtJ.data[reversed_rows], JtJ.indices[reversed_rows],
+                              JtJ.indptr.copy()), shape=JtJ.shape)
+    # Each entry stored twice, as two exact halves.
+    duplicated = sp.csc_matrix((np.repeat(JtJ.data / 2, 2), np.repeat(JtJ.indices, 2),
+                                2 * JtJ.indptr), shape=JtJ.shape)
+    assert not unsorted.has_canonical_format and not duplicated.has_canonical_format
+    for M in (unsorted, duplicated, JtJ.tocsr()):
+        before = [getattr(M, name).copy() for name in ("data", "indices", "indptr")]
+        for lam in (0.0, 1e-4, 1.0, 1e6):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                step = linear_step(M, g, lam)
+            assert np.array_equal(step, linear_step(JtJ, g, lam))
+        for name, array in zip(("data", "indices", "indptr"), before):
+            assert np.array_equal(getattr(M, name), array), name
 
 
 # -- linear_step in real solves ----------------------------------------------
