@@ -186,18 +186,19 @@ def _indices(values: list, n: int, where: str) -> list:
 def _measurements(doc: dict, where: str, key: str, shape: tuple, n_poses: int,
                   n_landmarks: int) -> Measurements:
     """The measurements listed under doc[where], with range-checked indices,
-    each (pose_index, landmark_id) pair at most once, and finite values of
-    the given shape under key."""
+    (pose_index, landmark_id) pairs in strictly increasing (pose, landmark)
+    order, and finite values of the given shape under key."""
     records = _get(doc, where, "dataset")
     pose_index = _indices(_column(records, "pose_index", where), n_poses, f"{where}.pose_index")
     landmark_id = _indices(_column(records, "landmark_id", where), n_landmarks,
                            f"{where}.landmark_id")
-    if len(set(zip(pose_index, landmark_id))) < len(pose_index):
-        raise ValueError(f"{where} lists a (pose_index, landmark_id) pair twice")
+    pose_index, landmark_id = np.array(pose_index, dtype=int), np.array(landmark_id, dtype=int)
+    rank = pose_index * n_landmarks + landmark_id  # a pair's place in (pose, landmark) order
+    if (rank[1:] <= rank[:-1]).any():
+        raise ValueError(f"{where} must list each (pose_index, landmark_id) pair once, "
+                         "in (pose, landmark) order")
     return Measurements(
-        np.array(pose_index, dtype=int),
-        np.array(landmark_id, dtype=int),
-        _numbers(_column(records, key, where), shape, f"{where}.{key}"),
+        pose_index, landmark_id, _numbers(_column(records, key, where), shape, f"{where}.{key}")
     )
 
 
@@ -222,8 +223,8 @@ def dataset_from_dict(doc: dict) -> Dataset:
     entry shorter than the poses, seed unequal to world_config.seed,
     landmark ids other than 0, 1, ... in order, a landmark count other than
     world_config.n_landmarks, odometry steps or turn tags other than
-    world_config's schedule (ground_truth_odometry), a (pose_index,
-    landmark_id) pair listed twice in detections or relative_positions,
+    world_config's schedule (ground_truth_odometry), detections or
+    relative_positions not in strictly increasing (pose, landmark) order,
     non-positive cube side, degenerate box line, a landmark detected fewer
     than world_config.landmark_min_detections times) raises ValueError
     naming the key. Pose headings are wrapped to (-pi, pi]."""

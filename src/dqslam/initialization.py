@@ -2,11 +2,11 @@
 SVD fit (with identity fallback) for quadrics.
 
 The SVD fit stacks one linear constraint per observed box line l, obtained
-by expanding the tangency equation of its back-projected plane P^T l (one
-stacked product over a landmark's cameras) against the symmetric quadric
-matrix. Close-to-planar camera trajectories make that system
-rank-deficient; a condition test on the two smallest singular values
-detects this and triggers the identity fallback.
+by expanding the tangency equation of its back-projected plane P^T l (P
+formed once per pose) against the symmetric quadric matrix. Close-to-planar
+camera trajectories make that system rank-deficient; a condition test on
+the two smallest singular values detects this and triggers the identity
+fallback.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ __all__ = [
     "initialize_quadrics",
 ]
 
-_MODES = ("identity", "svd", "svd-with-fallback")
+_MODES = ("identity", "svd-with-fallback")
 
 
 class InsufficientObservationsError(ValueError):
@@ -51,6 +51,9 @@ class DegenerateSolutionError(ValueError):
 @dataclass(frozen=True)
 class InitStrategy:
     """How to initialize quadric landmarks.
+
+    mode: "identity" for every quadric, or "svd-with-fallback": an SVD fit
+    (init_quadric_svd) per landmark, the identity where that fit fails.
 
     condition_threshold: the SVD solution is accepted only when the ratio
     of the smallest to the second-smallest singular value falls below this,
@@ -117,18 +120,14 @@ def fit_dual_quadric(
 
 def init_quadric_svd(
     detections,
-    poses,
-    intrinsics: CameraIntrinsics,
-    mount: CameraExtrinsics,
+    P: np.ndarray,
     *,
     condition_threshold: float = InitStrategy.condition_threshold,
 ) -> DualQuadric:
     """SVD initialization of one landmark from its bounding-box detections
     (a Measurements column).
 
-    poses is indexed by each detection's pose_index and holds (x, y, theta)
-    pose rows (combined with the mount) or ready CameraExtrinsics (used
-    as-is, e.g. for non-planar camera rigs).
+    P: (n, 3, 4) projection matrices, indexed by each detection's pose_index.
 
     Raises:
         InsufficientObservationsError: fewer than 3 detections.
@@ -138,13 +137,7 @@ def init_quadric_svd(
         raise InsufficientObservationsError(
             f"need at least 3 detections, got {len(detections)}"
         )
-    index = detections.pose_index.tolist()
-    if isinstance(poses[index[0]], CameraExtrinsics):
-        R = np.stack([poses[i].rotation for i in index])
-        t = np.stack([poses[i].translation for i in index])
-    else:
-        R, t = camera_frames(np.asarray(poses, dtype=float)[index], mount)
-    P = projection_matrices(intrinsics, R, t)
+    P = P[detections.pose_index]
     # P^T l per line, in the bits of P.T @ l (einsum and lines @ P differ).
     planes = np.matmul(P.transpose(0, 2, 1)[:, None], detections.values[..., None])
     return fit_dual_quadric(planes, condition_threshold)
@@ -159,7 +152,8 @@ def initialize_quadrics(
     strategy: InitStrategy | None = None,
 ):
     """Initialize every landmark in landmark_ids per the strategy, from the
-    bounding-box detections (a Measurements column).
+    bounding-box detections (a Measurements column) seen from the mounted
+    camera at the (n, 3) pose rows.
 
     Returns:
         (quadrics, used_fallback): (m, 9) parameter rows, one per landmark
@@ -171,14 +165,14 @@ def initialize_quadrics(
     used_fallback = [True] * len(landmark_ids)
     if strategy.mode == "identity":
         return quadrics, used_fallback
+    P = projection_matrices(intrinsics, *camera_frames(np.asarray(poses, dtype=float), mount))
     for k, j in enumerate(landmark_ids):
         try:
             quadrics[k] = init_quadric_svd(
-                detections[detections.landmark_id == j], poses, intrinsics, mount,
+                detections[detections.landmark_id == j], P,
                 condition_threshold=strategy.condition_threshold,
             ).q
             used_fallback[k] = False
         except (InsufficientObservationsError, DegenerateSolutionError):
-            if strategy.mode == "svd":
-                raise
+            pass
     return quadrics, used_fallback

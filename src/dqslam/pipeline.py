@@ -71,11 +71,12 @@ def build_graph(
 
     anchor = dataset.ground_truth_poses[:1].copy()
     poses = init_poses(dataset.odometry, anchor[0])
+    intrinsics, mount = dataset.intrinsics(), dataset.mount()
     quadrics, _ = initialize_quadrics(
         dataset.detections,
         poses,
-        dataset.intrinsics(),
-        dataset.mount(),
+        intrinsics,
+        mount,
         range(len(dataset.landmark_sides)),
         init_strategy,
     )
@@ -91,8 +92,8 @@ def build_graph(
     graph = FactorGraph(
         poses=poses,
         quadrics=quadrics,
-        intrinsics=dataset.intrinsics(),
-        mount=dataset.mount(),
+        intrinsics=intrinsics,
+        mount=mount,
         prior_index=np.zeros(1, dtype=int),
         prior_anchor=anchor,
         prior_sigma=np.full((1, 3), noise.prior_sigma),

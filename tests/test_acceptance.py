@@ -228,13 +228,12 @@ def test_criterion_6_tangency_suite(rng):
 
 
 def test_criterion_7_svd_initialization():
-    from test_initialization import nonplanar_rig, K as K_PX
-    from dqslam.geometry import left_facing_mount
+    from test_initialization import nonplanar_rig
 
     center = np.array([0.3, -0.2, 0.15])
     gt = ellipsoid_to_dual_quadric(center, (0.4, 0.3, 0.25))
-    cams, dets = nonplanar_rig(gt, center)
-    est = init_quadric_svd(dets, cams, K_PX, left_facing_mount())
+    P, dets = nonplanar_rig(gt, center)
+    est = init_quadric_svd(dets, P)
     rig_err = float(np.max(np.abs(est.matrix() - gt.matrix())))
 
     n_seeds = 20

@@ -124,6 +124,9 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
          "--n-landmarks"),
         (["evaluate", "--out-dir", str(tmp_path / "e11"), *small_batch,
           "--n-landmarks", str(MAX_LANDMARKS + 1)], "--n-landmarks"),
+        # The strict SVD mode is gone: svd-with-fallback is the one fit.
+        (["evaluate", "--init", "svd", "--out-dir", str(tmp_path / "e12"), *small_batch],
+         "--init"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -134,7 +137,7 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
     assert not (tmp_path / "r.json").exists()
-    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11"):
+    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12"):
         assert not (tmp_path / out_dir).exists()
     assert WorldConfig(n_landmarks=MAX_LANDMARKS).n_landmarks == MAX_LANDMARKS  # built, not run
 

@@ -167,10 +167,18 @@ CORRUPTIONS = {
     "tripled-trajectory": (_triple_trajectory, "world_config's schedule"),
     "flipped-turn-tag": (_flip_turn_tag, "odometry.turn"),
     "repeated-detections": (lambda doc: doc["detections"].extend(doc["detections"]),
-                            "detections lists a (pose_index, landmark_id) pair twice"),
+                            "detections must list each (pose_index, landmark_id) pair once"),
     "repeated-relative-position": (
         lambda doc: doc["relative_positions"].append(doc["relative_positions"][0]),
-        "relative_positions lists a (pose_index, landmark_id) pair twice"),
+        "relative_positions must list each (pose_index, landmark_id) pair once"),
+    # Read, once, but written back in (pose, landmark) order: not the
+    # document's bytes.
+    "reversed-detections": (lambda doc: doc["detections"].reverse(),
+                            "detections must list each (pose_index, landmark_id) pair once, "
+                            "in (pose, landmark) order"),
+    "reversed-relative-positions": (lambda doc: doc["relative_positions"].reverse(),
+                                    "relative_positions must list each (pose_index, "
+                                    "landmark_id) pair once, in (pose, landmark) order"),
     "too-few-detections": (
         lambda doc: doc.update(
             detections=[d for d in doc["detections"] if d["landmark_id"] != 0]),

@@ -35,21 +35,19 @@ from oracle import dual_conic_bbox
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
 
 
-def silhouette_lines(quadric, extrinsics):
-    P = projection_matrix(K, extrinsics)
-    box = dual_conic_bbox(project_quadric(P, quadric))
-    return box_lines(box_corners(*box))
-
-
 def nonplanar_rig(quadric, center):
-    """Cameras around the quadric and their detections of it (landmark 0)."""
+    """Stacked projections P (n, 3, 4) of cameras around the quadric, and
+    their detections of it (landmark 0)."""
     eyes = [
         (4, 0, 1), (-4, 1, -2), (0, 4, 2), (1, -4, -1),
         (3, 3, 3), (-3, -3, 2), (0, 1, 4), (2, 0, -4),
     ]
-    cams = [look_at_extrinsics(np.asarray(eye, float) + center, center) for eye in eyes]
-    lines = np.array([silhouette_lines(quadric, E) for E in cams])
-    return cams, Measurements(np.arange(len(cams)), np.zeros(len(cams), dtype=int), lines)
+    cams = [projection_matrix(K, look_at_extrinsics(np.asarray(eye, float) + center, center))
+            for eye in eyes]
+    lines = np.array([box_lines(box_corners(*dual_conic_bbox(project_quadric(P, quadric))))
+                      for P in cams])
+    P = np.stack([cam.P for cam in cams])
+    return P, Measurements(np.arange(len(cams)), np.zeros(len(cams), dtype=int), lines)
 
 
 # -- pose chaining ------------------------------------------------------------
@@ -122,16 +120,16 @@ def test_fit_dual_quadric_degenerate_planes(rng):
 
 def test_init_quadric_svd_requires_three_detections(rng):
     q = ellipsoid_to_dual_quadric([0, 0, 0], [1, 1, 1])
-    cams, dets = nonplanar_rig(q, np.zeros(3))
+    P, dets = nonplanar_rig(q, np.zeros(3))
     with pytest.raises(InsufficientObservationsError):
-        init_quadric_svd(dets[:2], cams, K, left_facing_mount())
+        init_quadric_svd(dets[:2], P)
 
 
 def test_init_quadric_svd_nonplanar_rig():
     center = np.array([0.3, -0.2, 0.15])
     gt = ellipsoid_to_dual_quadric(center, (0.4, 0.3, 0.25))
-    cams, dets = nonplanar_rig(gt, center)
-    est = init_quadric_svd(dets, cams, K, left_facing_mount())
+    P, dets = nonplanar_rig(gt, center)
+    est = init_quadric_svd(dets, P)
     assert np.max(np.abs(est.matrix() - gt.matrix())) < 1e-6
 
 
@@ -161,10 +159,13 @@ def test_initialize_quadrics_identity_mode(zero_noise_sensor, small_world):
     assert all(np.array_equal(DualQuadric(q).matrix(), np.eye(4)) for q in quads)
 
 
-def test_initialize_quadrics_matches_per_detection_reference():
+@pytest.mark.parametrize("world", [WorldConfig(seed=0), WorldConfig(seed=3, n_landmarks=40)],
+                         ids=["default", "40-landmarks"])
+def test_initialize_quadrics_matches_per_detection_reference(world):
     # Reference: a scalar camera per detection and a back-projected plane
-    # P^T l per box line.
-    ds = generate_dataset(WorldConfig(seed=0), SensorConfig())
+    # P^T l per box line, against projections formed once per trajectory;
+    # numpy's bits can follow a stack's layout, so two layouts are checked.
+    ds = generate_dataset(world, SensorConfig())
     poses = init_poses(ds.odometry, ds.ground_truth_poses[0])
     K_ds, mount = ds.intrinsics(), ds.mount()
     ref_quadrics, ref_fallback = [], []
