@@ -35,7 +35,7 @@ from .config import ConfigError, check_fields, setting
 from .dataset_io import read_dataset, write_dataset
 from .geometry import QUADRIC_CENTROID
 from .initialization import InitStrategy
-from .metrics import MODES, aggregate, format_table
+from .metrics import MODES, TrialResult, aggregate, format_table
 from .pipeline import GraphNoiseConfig, run_trial
 from .simulator import SensorConfig, WorldConfig, generate_dataset
 from .solver import SolverConfig, load_scipy
@@ -46,17 +46,7 @@ __all__ = ["main"]
 MANIFEST_SCHEMA = "dqslam.run-manifest"
 RESULTS_SCHEMA = "dqslam.results"
 
-CSV_COLUMNS = (
-    "seed",
-    "mode",
-    "rmse_pos_init",
-    "rmse_pos_slam",
-    "rmse_lm",
-    "rmse_volume",
-    "volume_invalid_count",
-    "iterations",
-    "final_cost",
-)
+CSV_COLUMNS = tuple(f.name for f in fields(TrialResult))
 
 
 def _fmt_float(v: float) -> str:
@@ -229,14 +219,14 @@ def _manifest_path(out_path) -> str:
 
 # -- solve ------------------------------------------------------------------
 
-def _solve_svg(run) -> str:
+def _solve_svg(dataset, run) -> str:
     init, slam = run.initial_graph, run.solved_graph
     centroid_xy = QUADRIC_CENTROID[:2]
     return trial_svg(
-        run.dataset.ground_truth_poses[:, :2],
+        dataset.ground_truth_poses[:, :2],
         init.poses[:, :2],
         slam.poses[:, :2],
-        run.dataset.landmark_centers[:, :2],
+        dataset.landmark_centers[:, :2],
         init.quadrics[:, centroid_xy],
         slam.quadrics[:, centroid_xy],
     )
@@ -291,7 +281,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
     artifacts = [args.out]
     if args.svg:
         with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_solve_svg(run))
+            fh.write(_solve_svg(dataset, run))
         artifacts.append(args.svg)
 
     rep = run.report

@@ -1,11 +1,12 @@
-"""Trajectory, landmark-centroid and volume error metrics, plus
-cross-trial aggregation.
+"""The trial record, its trajectory, landmark-centroid and volume error
+metrics, and cross-trial aggregation.
 
-The position and centroid errors are mean Euclidean distances (the square
-root sits inside the sum). Volumes compare the cube of the smallest
-semi-axis of the estimated quadric against the true cube volume; estimates
-whose shape matrix is not ellipsoidal are flagged invalid and excluded
-from (but counted in) the aggregation.
+`TrialResult` is the per-trial record; its fields, in order, are the
+columns of `results.csv`. The position and centroid errors are mean
+Euclidean distances (the square root sits inside the sum). Volumes compare
+the cube of the smallest semi-axis of the estimated quadric against the
+true cube volume; estimates whose shape matrix is not ellipsoidal are
+left out of the volume error and counted in `volume_invalid_count`.
 """
 
 from __future__ import annotations
@@ -31,7 +32,8 @@ MODES = ("monocular", "with-relpos")
 
 @dataclass(frozen=True)
 class TrialResult:
-    """Per-trial metric record."""
+    """Per-trial metric record; its fields, in order, are the columns of
+    `results.csv`."""
 
     seed: int
     mode: str
@@ -39,13 +41,9 @@ class TrialResult:
     rmse_pos_slam: float
     rmse_lm: float
     rmse_volume: float  # nan when every landmark estimate is non-ellipsoidal
-    volume_valid: tuple  # per-landmark flags, False = non-ellipsoidal
+    volume_invalid_count: int  # landmark estimates that are not ellipsoids
     iterations: int
     final_cost: float
-
-    @property
-    def volume_invalid_count(self) -> int:
-        return sum(not ok for ok in self.volume_valid)
 
 
 def rmse_pos(est, gt) -> float:
@@ -92,13 +90,16 @@ def quadric_volume_cube(q):
     return float(np.min(np.sqrt(semi_sq)) ** 3)
 
 
-def rmse_volume(est, sides) -> float:
+def rmse_volume(est, sides) -> tuple[float, int]:
     """Mean absolute volume error over the ellipsoidal estimates, (m, 9)
     parameter rows, against the true cube sides (m,): row j of each is
-    landmark j.
+    landmark j. Each estimate's volume is computed once.
+
+    Returns (error, number of estimates that are not ellipsoids); the
+    error is nan when no estimate is an ellipsoid.
 
     Raises:
-        ValueError: if the counts differ, or no estimate is ellipsoidal.
+        ValueError: if the counts differ.
     """
     if len(est) != len(sides):
         raise ValueError(f"landmark count mismatch: {len(est)} estimates, "
@@ -108,9 +109,8 @@ def rmse_volume(est, sides) -> float:
         vol = quadric_volume_cube(q)
         if vol is not None:
             errors.append(abs(vol - side ** 3))
-    if not errors:
-        raise ValueError("no ellipsoidal estimates; volume error undefined")
-    return float(np.mean(errors))
+    error = float(np.mean(errors)) if errors else float("nan")
+    return error, len(est) - len(errors)
 
 
 _METRICS = ("rmse_pos_init", "rmse_pos_slam", "rmse_lm", "rmse_volume")
@@ -122,8 +122,8 @@ def aggregate(results) -> dict:
     Returns a nested dict summary[mode][metric] = {"avg": .., "med": ..};
     trials whose volume error is undefined are excluded from the volume
     statistics, with summary[mode]["rmse_volume"]["n_excluded"] reporting
-    the count. summary[mode]["volume_invalid_landmarks"] totals the
-    per-landmark invalid flags.
+    the count. summary[mode]["volume_invalid_landmarks"] totals the trials'
+    non-ellipsoid estimates.
     """
     results = list(results)
     if not results:

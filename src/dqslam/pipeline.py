@@ -17,7 +17,7 @@ import numpy as np
 from .config import check_fields, setting
 from .factors import FactorGraph
 from .initialization import InitStrategy, init_poses, initialize_quadrics
-from .metrics import MODES, TrialResult, rmse_lm, rmse_pos, rmse_volume, quadric_volume_cube
+from .metrics import MODES, TrialResult, rmse_lm, rmse_pos, rmse_volume
 from .simulator import Dataset
 from .solver import SolveReport, SolverConfig, solve
 
@@ -62,7 +62,8 @@ def build_graph(
     start pose, which also anchors the prior. Quadrics are initialized per
     the strategy (identity by default). The dataset's measurement columns
     pass into the graph as they are, with the noise sigmas filled in; in
-    monocular mode its relative-position measurements are left out.
+    monocular mode its relative-position measurements are left out. The
+    graph is not validated here: `solve` validates it before any arithmetic.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -89,7 +90,7 @@ def build_graph(
     relpos = dataset.relative_positions
     if mode == "monocular":
         relpos = relpos[:0]  # no rows
-    graph = FactorGraph(
+    return FactorGraph(
         poses=poses,
         quadrics=quadrics,
         intrinsics=intrinsics,
@@ -105,16 +106,14 @@ def build_graph(
         relpos=relpos,
         relpos_sigma=np.full((len(relpos), 3), noise.relpos_sigma),
     )
-    graph.validate()
-    return graph
 
 
 @dataclass
 class TrialRun:
-    """Everything produced by one trial solve."""
+    """What one trial solve produced: the graph it started from, the solved
+    graph, the solver's report and the scored trial record. The dataset and
+    mode are the caller's own arguments and are not repeated here."""
 
-    dataset: Dataset
-    mode: str
     initial_graph: FactorGraph
     solved_graph: FactorGraph
     report: SolveReport
@@ -133,13 +132,7 @@ def run_trial(
     solved, report = solve(graph, solver_config)
 
     gt_poses = dataset.ground_truth_poses
-    valid = tuple(
-        quadric_volume_cube(q) is not None for q in solved.quadrics
-    )
-    try:
-        vol_err = rmse_volume(solved.quadrics, dataset.landmark_sides)
-    except ValueError:
-        vol_err = float("nan")
+    vol_err, vol_invalid = rmse_volume(solved.quadrics, dataset.landmark_sides)
     result = TrialResult(
         seed=dataset.seed,
         mode=mode,
@@ -147,13 +140,11 @@ def run_trial(
         rmse_pos_slam=rmse_pos(solved.poses, gt_poses),
         rmse_lm=rmse_lm(solved.quadrics, dataset.landmark_centers),
         rmse_volume=vol_err,
-        volume_valid=valid,
+        volume_invalid_count=vol_invalid,
         iterations=report.iterations,
         final_cost=report.final_cost,
     )
     return TrialRun(
-        dataset=dataset,
-        mode=mode,
         initial_graph=graph,
         solved_graph=solved,
         report=report,

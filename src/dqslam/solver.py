@@ -78,9 +78,12 @@ class SolveReport:
     iterations: int
     initial_cost: float
     final_cost: float
-    converged: bool
     termination_reason: str  # cost-tol | grad-tol | max-iters | stalled
     linear_solves: int = 0  # lambda trials: linear_step calls
+
+    @property
+    def converged(self) -> bool:
+        return self.termination_reason in ("cost-tol", "grad-tol")
 
 
 def load_scipy() -> float:
@@ -231,7 +234,6 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
         iterations=iterations,
         initial_cost=initial_cost,
         final_cost=cost,
-        converged=reason in ("cost-tol", "grad-tol"),
         termination_reason=reason,
         linear_solves=linear_solves,
     )

@@ -20,7 +20,7 @@ def rows(quadrics):
     return np.array([q.q for q in quadrics]).reshape(-1, 9)
 
 
-def trial(mode, seed=0, pos_init=1.0, pos=0.5, lm=0.3, vol=0.1, valid=(True,) * 10):
+def trial(mode, seed=0, pos_init=1.0, pos=0.5, lm=0.3, vol=0.1, invalid=0):
     return TrialResult(
         seed=seed,
         mode=mode,
@@ -28,7 +28,7 @@ def trial(mode, seed=0, pos_init=1.0, pos=0.5, lm=0.3, vol=0.1, valid=(True,) * 
         rmse_pos_slam=pos,
         rmse_lm=lm,
         rmse_volume=vol,
-        volume_valid=valid,
+        volume_invalid_count=invalid,
         iterations=5,
         final_cost=1.0,
     )
@@ -127,18 +127,27 @@ def test_rmse_volume_exact_inscribed_mismatch():
     sides = [0.4, 0.6, 1.0]
     est = rows(ellipsoid_to_dual_quadric([j, 0, 0], [s / 2] * 3) for j, s in enumerate(sides))
     expected = np.mean([abs(s**3 - (s / 2) ** 3) for s in sides])
-    assert rmse_volume(est, np.array(sides)) == pytest.approx(expected)
+    error, invalid = rmse_volume(est, np.array(sides))
+    assert error == pytest.approx(expected)
+    assert invalid == 0
 
 
 def test_rmse_volume_zero_when_matched():
     est = rows([ellipsoid_to_dual_quadric([0, 0, 0], [1, 1, 1])])  # volume rule gives 1 = side^3
-    assert rmse_volume(est, np.array([1.0])) == pytest.approx(0.0)
+    assert rmse_volume(est, np.array([1.0]))[0] == pytest.approx(0.0)
 
 
-def test_rmse_volume_all_invalid_raises():
+def test_rmse_volume_all_invalid_is_nan():
     q = DualQuadric(vector_from_quadric(np.diag([-1.0, -1.0, 1.0, 1.0])))
-    with pytest.raises(ValueError):
-        rmse_volume(rows([q]), np.array([1.0]))
+    error, invalid = rmse_volume(rows([q, q, q]), np.array([1.0, 0.5, 2.0]))
+    assert np.isnan(error)
+    assert invalid == 3
+
+
+def test_rmse_volume_count_mismatch():
+    # Landmark 1 has no estimate.
+    with pytest.raises(ValueError, match="landmark count mismatch"):
+        rmse_volume(rows([ellipsoid_to_dual_quadric([0, 0, 0], [1, 1, 1])]), np.ones(2))
 
 
 # -- aggregation ------------------------------------------------------------------
@@ -170,7 +179,7 @@ def test_aggregate_median_outlier_robust():
 
 def test_aggregate_excludes_invalid_volumes():
     ok = trial("monocular", seed=0, vol=0.2)
-    bad = trial("monocular", seed=1, vol=float("nan"), valid=(False,) * 10)
+    bad = trial("monocular", seed=1, vol=float("nan"), invalid=10)
     s = aggregate([ok, bad])["monocular"]
     assert s["rmse_volume"]["avg"] == pytest.approx(0.2)
     assert s["rmse_volume"]["n_excluded"] == 1
@@ -190,5 +199,16 @@ def test_format_table_mentions_modes():
 
 
 def test_volume_invalid_count():
-    t = trial("monocular", valid=(True, False, True, False))
-    assert t.volume_invalid_count == 2
+    # Ellipsoids at landmarks 0 and 2, non-ellipsoids at 1 and 3: the error
+    # averages over the ellipsoids alone and the count names the other two.
+    hyperboloid = DualQuadric(vector_from_quadric(np.diag([-1.0, -1.0, 1.0, 1.0])))
+    sides = np.array([1.0, 0.7, 0.4, 0.9])
+    est = rows([
+        ellipsoid_to_dual_quadric([0, 0, 0], [1, 1, 1]),
+        hyperboloid,
+        ellipsoid_to_dual_quadric([2, 0, 0], [0.2] * 3),
+        hyperboloid,
+    ])
+    error, invalid = rmse_volume(est, sides)
+    assert invalid == 2
+    assert error == pytest.approx(np.mean([abs(1.0 - 1.0), abs(0.2**3 - 0.4**3)]))

@@ -422,6 +422,10 @@ def test_solver_config_validation():
 
 
 def test_solve_report_fields():
-    r = SolveReport(3, 10.0, 1.0, True, "cost-tol")
+    r = SolveReport(3, 10.0, 1.0, "cost-tol")
     assert r.final_cost <= r.initial_cost
     assert r.linear_solves == 0
+    # `converged` follows the termination reason; it cannot be set apart from it.
+    for reason, converged in [("cost-tol", True), ("grad-tol", True),
+                              ("max-iters", False), ("stalled", False)]:
+        assert SolveReport(3, 10.0, 1.0, reason).converged is converged
