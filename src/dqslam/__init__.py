@@ -3,16 +3,14 @@
 Jointly estimates planar robot poses and 9-parameter dual quadrics from
 odometry and bounding-box detections, with an optional relative-position
 channel, plus the synthetic evaluation harness around it.
+
+Poses are (x, y, theta) rows and quadrics 9-parameter rows throughout.
+The geometry values exported here are the ones the commands build:
+CameraIntrinsics, CameraExtrinsics (the camera mount) and DualQuadric (one
+landmark's quadric).
 """
 
-from .geometry import (
-    CameraExtrinsics,
-    CameraIntrinsics,
-    DualConic,
-    DualQuadric,
-    ProjectionMatrix,
-    RobotPose,
-)
+from .geometry import CameraExtrinsics, CameraIntrinsics, DualQuadric
 from .factors import FactorGraph, Measurements
 from .initialization import InitStrategy
 from .metrics import TrialResult

@@ -1,8 +1,10 @@
 """Projective-geometry primitives for quadric-landmark SLAM.
 
 Pinhole cameras, dual quadrics (surfaces defined by their tangent planes)
-and dual conics (their perspective images, defined by tangent lines), plus
-the conversions among them. Image points, image lines and 3D planes are
+and the stacked kernels on them. Poses are (x, y, theta) rows, projection
+matrices (..., 3, 4) arrays, and a dual quadric's image, the dual conic
+C* = P Q* P^T (its tangent lines l satisfy l^T C* l = 0), a (..., 3, 3)
+array from project_quadrics. Image points, image lines and 3D planes are
 plain homogeneous arrays, (..., 3) and (..., 4); an image line l
 back-projects to the plane P^T l.
 
@@ -36,24 +38,19 @@ import numpy as np
 __all__ = [
     "DegenerateGeometryError",
     "CameraIntrinsics",
-    "RobotPose",
     "CameraExtrinsics",
-    "ProjectionMatrix",
     "DualQuadric",
-    "DualConic",
     "wrap_angle",
-    "rotz",
     "normalize_lines",
     "lines_through",
     "box_corners",
     "box_lines",
     "projection_matrices",
-    "projection_matrix",
     "QUADRIC_CENTROID",
     "quadric_matrices",
     "vector_from_quadric",
     "ellipsoid_to_dual_quadric",
-    "project_quadric",
+    "project_quadrics",
     "pose_to_extrinsics",
     "camera_frames",
     "left_facing_mount",
@@ -90,12 +87,6 @@ def wrap_angle(theta: float) -> float:
     if w <= -math.pi:
         w += math.tau
     return w
-
-
-def rotz(theta: float) -> np.ndarray:
-    """3x3 rotation about the z axis."""
-    c, s = math.cos(theta), math.sin(theta)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -167,24 +158,6 @@ class CameraIntrinsics:
 
 
 @dataclass(frozen=True)
-class RobotPose:
-    """Planar robot pose (x, y in meters, heading theta in radians).
-
-    theta is wrapped to (-pi, pi] at construction.
-    """
-
-    x: float
-    y: float
-    theta: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "theta", wrap_angle(float(self.theta)))
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.x, self.y, self.theta])
-
-
-@dataclass(frozen=True)
 class CameraExtrinsics:
     """World-to-camera rigid transform: X_cam = rotation @ X_world + translation."""
 
@@ -200,23 +173,6 @@ class CameraExtrinsics:
             raise ValueError("rotation must be proper (det = 1)")
         object.__setattr__(self, "rotation", R)
         object.__setattr__(self, "translation", t)
-
-    @classmethod
-    def identity(cls) -> "CameraExtrinsics":
-        return cls(np.eye(3), np.zeros(3))
-
-
-@dataclass(frozen=True)
-class ProjectionMatrix:
-    """3x4 pinhole projection matrix."""
-
-    P: np.ndarray
-
-    def __post_init__(self):
-        P = _frozen_array(self.P, (3, 4))
-        if np.linalg.matrix_rank(P) != 3:
-            raise DegenerateGeometryError("projection matrix must have rank 3")
-        object.__setattr__(self, "P", P)
 
 
 @dataclass(frozen=True)
@@ -238,31 +194,9 @@ class DualQuadric:
     def matrix(self) -> np.ndarray:
         return quadric_matrices(self.q)
 
-    def centroid(self) -> np.ndarray:
-        return self.q[QUADRIC_CENTROID]
-
     @classmethod
     def identity(cls) -> "DualQuadric":
         return cls(np.array([1.0, 0, 0, 0, 1.0, 0, 0, 1.0, 0]))
-
-    @classmethod
-    def from_matrix(cls, Q) -> "DualQuadric":
-        return cls(vector_from_quadric(Q))
-
-
-@dataclass(frozen=True)
-class DualConic:
-    """Dual conic: 3x3 symmetric matrix whose tangent lines satisfy l^T C* l = 0."""
-
-    C: np.ndarray
-
-    def __post_init__(self):
-        C = np.array(self.C, dtype=float).reshape(3, 3)
-        if not np.allclose(C, C.T, atol=1e-12, rtol=0.0):
-            raise ValueError("dual conic matrix must be symmetric")
-        C = 0.5 * (C + C.T)
-        C.setflags(write=False)
-        object.__setattr__(self, "C", C)
 
 
 def lines_through(a, b) -> np.ndarray:
@@ -310,11 +244,6 @@ def projection_matrices(K: CameraIntrinsics, R, t) -> np.ndarray:
     """Stacked P = K [R | t], (..., 3, 4), of world-to-camera rotation
     arrays R (..., 3, 3) and translations t (..., 3)."""
     return K.K @ np.concatenate([R, t[..., None]], axis=-1)
-
-
-def projection_matrix(K: CameraIntrinsics, E: CameraExtrinsics) -> ProjectionMatrix:
-    """P = K [R | t] of one camera."""
-    return ProjectionMatrix(projection_matrices(K, E.rotation, E.translation))
 
 
 def quadric_matrices(q) -> np.ndarray:
@@ -365,13 +294,18 @@ def ellipsoid_to_dual_quadric(center, semi_axes, rotation=None) -> DualQuadric:
     T[:3, :3] = R
     T[:3, 3] = center
     Q = T @ np.diag([semi[0] ** 2, semi[1] ** 2, semi[2] ** 2, -1.0]) @ T.T
-    return DualQuadric.from_matrix(Q)
+    return DualQuadric(vector_from_quadric(Q))
 
 
-def project_quadric(P: ProjectionMatrix, q: DualQuadric) -> DualConic:
-    """Perspective image of a dual quadric: C* = P Q* P^T."""
-    C = P.P @ q.matrix() @ P.P.T
-    return DualConic(0.5 * (C + C.T))
+def project_quadrics(P, Q) -> np.ndarray:
+    """Perspective images C* = P Q* P^T, (..., 3, 3), of dual quadric
+    matrices Q (..., 4, 4) under projections P (..., 3, 4), symmetrized.
+
+    Keep the operands as they are: a stacked matmul's bits follow its
+    layout, so P's transpose stays a view.
+    """
+    C = P @ Q @ P.swapaxes(-1, -2)
+    return 0.5 * (C + C.swapaxes(-1, -2))
 
 
 def left_facing_mount() -> CameraExtrinsics:
@@ -392,14 +326,18 @@ def left_facing_mount() -> CameraExtrinsics:
     return CameraExtrinsics(cam_to_robot.T, np.zeros(3))
 
 
-def pose_to_extrinsics(x: RobotPose, mount: CameraExtrinsics) -> CameraExtrinsics:
-    """World-to-camera extrinsics of the mounted camera at a robot pose.
+def pose_to_extrinsics(pose, mount: CameraExtrinsics) -> CameraExtrinsics:
+    """World-to-camera extrinsics of the mounted camera at one pose row
+    (x, y, theta), the heading wrapped to (-pi, pi].
 
     The SE(2) pose is lifted to SE(3) on the z = 0 plane and composed with
-    the fixed robot-to-camera mount.
+    the fixed robot-to-camera mount. camera_frames is the stacked form.
     """
-    R_rw = rotz(x.theta).T  # world-to-robot
-    t_rw = -R_rw @ np.array([x.x, x.y, 0.0])
+    x, y, theta = pose
+    theta = wrap_angle(theta)
+    c, s = math.cos(theta), math.sin(theta)
+    R_rw = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T  # world-to-robot
+    t_rw = -R_rw @ np.array([x, y, 0.0])
     return CameraExtrinsics(mount.rotation @ R_rw, mount.rotation @ t_rw + mount.translation)
 
 
@@ -408,8 +346,8 @@ def camera_frames(poses, mount: CameraExtrinsics):
     mounted camera at every pose of (n, 3) pose rows (x, y, theta).
 
     Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
-    pose_to_extrinsics(RobotPose(*pose), mount) bit for bit. R_rw must stay
-    a transposed view, as there: a stacked matmul's bits follow its layout.
+    pose_to_extrinsics(pose, mount) bit for bit. R_rw must stay a
+    transposed view, as there: a stacked matmul's bits follow its layout.
     """
     theta = wrap_angles(poses[:, 2]).tolist()
     c, s = np.array([[math.cos(a) for a in theta], [math.sin(a) for a in theta]])

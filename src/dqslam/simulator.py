@@ -35,6 +35,7 @@ from .geometry import (
     in_frame,
     left_facing_mount,
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
+    project_quadrics,
     projection_matrices,
     tangency_rows,
 )
@@ -264,9 +265,10 @@ def project_cube_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: fl
 
 def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: float):
     """Exact silhouette bounding box of the cube's inscribed sphere at every
-    camera frame, from the image conics C* = P Q* P^T: the vertical tangents
-    u = (C13 +- sqrt(C13^2 - C11 C33)) / C33, and likewise in v. The tests'
-    scalar reference is `dual_conic_bbox` in tests/oracle.py.
+    camera frame, from the image conics C* = P Q* P^T of project_quadrics:
+    the vertical tangents u = (C13 +- sqrt(C13^2 - C11 C33)) / C33, and
+    likewise in v. The tests' scalar reference is `dual_conic_bbox` in
+    tests/oracle.py.
 
     Unlike the cube-corner hull, these box lines are exactly tangent to the
     landmark's ground-truth quadric, which the noise-free consistency
@@ -274,9 +276,8 @@ def project_sphere_bbox(center, side: float, R, t, K: CameraIntrinsics, min_px: 
     project_cube_bbox; a view is also unseen when the sphere is not entirely
     in front of the camera or its conic has no real axis-aligned tangents.
     """
-    P = projection_matrices(K, R, t)
-    C = P @ inscribed_ellipsoid(center, side).matrix() @ P.transpose(0, 2, 1)
-    C = 0.5 * (C + C.transpose(0, 2, 1))
+    Q = inscribed_ellipsoid(center, side).matrix()
+    C = project_quadrics(projection_matrices(K, R, t), Q)
     c13, c23, c33 = C[:, 0, 2], C[:, 1, 2], C[:, 2, 2]
     # float_power calls C pow like a scalar ** 2 (as in the tests' reference);
     # array ** 2 computes x * x, which can differ from pow in the last bit.

@@ -3,7 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dqslam.geometry import CameraExtrinsics, CameraIntrinsics, ProjectionMatrix
+from dqslam.geometry import CameraExtrinsics, CameraIntrinsics, wrap_angles
 from dqslam.simulator import SensorConfig, WorldConfig
 
 
@@ -14,7 +14,7 @@ def rng():
 
 @pytest.fixture
 def canonical_projection():
-    return ProjectionMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    return np.hstack([np.eye(3), np.zeros((3, 1))])
 
 
 @pytest.fixture
@@ -36,6 +36,14 @@ def zero_noise_sensor():
 def small_world():
     """Shorter, lighter world for fast end-to-end tests."""
     return WorldConfig(n_landmarks=4, trajectory_length=65.0, n_loops=1, seed=3)
+
+
+def pose_rows(rows) -> np.ndarray:
+    """A copy of (..., 3) pose rows (x, y, theta), headings wrapped to
+    (-pi, pi] as every pose the package makes."""
+    rows = np.array(rows, dtype=float)
+    rows[..., 2] = wrap_angles(rows[..., 2])
+    return rows
 
 
 def look_at_extrinsics(eye, target, up=(0.0, 0.0, 1.0)) -> CameraExtrinsics:

@@ -3,13 +3,14 @@
 The package evaluates its factor graph only through the vectorized
 `factors.GraphEvaluator`, and projects sphere silhouettes only through
 `simulator.project_sphere_bbox`. The functions here compute the same
-quantities one item at a time, on `RobotPose`, `DualQuadric` and
-`DualConic` values: one raw residual per factor kind (a prior is
-`se2_boxminus` of the pose and its anchor), the tangency defect of one
-image line, and the bounding box of one dual conic. The tests check the
-vectorized code against them. `graph_residual` and `ground_truth_graph`
-are test helpers: the stacked residual and cost of a graph at its stored
-variables, and a graph moved to the simulator's ground truth.
+quantities one item at a time, on one (x, y, theta) pose row, one
+`DualQuadric`, one (3, 4) projection matrix or one (3, 3) dual conic:
+one raw residual per factor kind (a prior is `se2_boxminus` of the pose
+and its anchor), the tangency defect of one image line, and the bounding
+box of one dual conic. The tests check the vectorized code against them.
+`graph_residual` and `ground_truth_graph` are test helpers: the stacked
+residual and cost of a graph at its stored variables, and a graph moved
+to the simulator's ground truth.
 """
 
 from __future__ import annotations
@@ -22,45 +23,44 @@ import numpy as np
 from dqslam.factors import FactorGraph, GraphEvaluator
 from dqslam.geometry import (
     EPS_SCALE,
+    QUADRIC_CENTROID,
     CameraExtrinsics,
     CameraIntrinsics,
     DegenerateGeometryError,
-    DualConic,
     DualQuadric,
-    ProjectionMatrix,
-    RobotPose,
     pose_to_extrinsics,
-    projection_matrix,
+    projection_matrices,
     wrap_angle,
 )
 from dqslam.initialization import init_poses
 from dqslam.simulator import Dataset, inscribed_ellipsoid
 
 
-def se2_boxminus(a: RobotPose, b: RobotPose) -> np.ndarray:
-    """SE(2) difference a (-) b: pose a expressed in the frame of pose b,
-    as (dx, dy, dtheta) with dtheta wrapped to (-pi, pi]."""
-    c, s = math.cos(b.theta), math.sin(b.theta)
-    dx, dy = a.x - b.x, a.y - b.y
-    return np.array([c * dx + s * dy, -s * dx + c * dy, wrap_angle(a.theta - b.theta)])
+def se2_boxminus(a, b) -> np.ndarray:
+    """SE(2) difference a (-) b of pose rows: pose a expressed in the frame
+    of pose b, as (dx, dy, dtheta) with dtheta wrapped to (-pi, pi]."""
+    c, s = math.cos(b[2]), math.sin(b[2])
+    dx, dy = a[0] - b[0], a[1] - b[1]
+    return np.array([c * dx + s * dy, -s * dx + c * dy, wrap_angle(a[2] - b[2])])
 
 
-def odometry_residual(x_i: RobotPose, x_next: RobotPose, u) -> np.ndarray:
-    """Motion-model prediction from x_i under odometry u = (v, omega) minus
-    the actual next pose, in SE(2)."""
-    return se2_boxminus(RobotPose(*init_poses([u], x_i.as_array())[1]), x_next)
+def odometry_residual(x_i, x_next, u) -> np.ndarray:
+    """Motion-model prediction from pose row x_i under odometry
+    u = (v, omega) minus the actual next pose, in SE(2)."""
+    return se2_boxminus(init_poses([u], x_i)[1], x_next)
 
 
 def bbox_factor_residual(
-    x_i: RobotPose,
+    x_i,
     q_j: DualQuadric,
     lines,
     K: CameraIntrinsics,
     mount: CameraExtrinsics,
 ) -> np.ndarray:
     """Tangency defect of each of the four box lines (4, 3) against the
-    projected quadric, under the camera at pose x_i."""
-    P = projection_matrix(K, pose_to_extrinsics(x_i, mount)).P
+    projected quadric, under the camera at pose row x_i."""
+    E = pose_to_extrinsics(x_i, mount)
+    P = projection_matrices(K, E.rotation, E.translation)
     Q = q_j.matrix()
     r = np.empty(4)
     for k, line in enumerate(np.asarray(lines, dtype=float).reshape(4, 3)):
@@ -69,16 +69,16 @@ def bbox_factor_residual(
     return r
 
 
-def relpos_residual(x_i: RobotPose, q_j: DualQuadric, z) -> np.ndarray:
+def relpos_residual(x_i, q_j: DualQuadric, z) -> np.ndarray:
     """Measured position z (3,) minus the predicted landmark position, in
     the robot frame.
 
-    The quadric centroid is transformed into the frame of the planar pose;
-    the z coordinate passes through unchanged.
+    The quadric centroid is transformed into the frame of the planar pose
+    row x_i; the z coordinate passes through unchanged.
     """
-    c = q_j.centroid()
-    cth, sth = math.cos(x_i.theta), math.sin(x_i.theta)
-    dx, dy = c[0] - x_i.x, c[1] - x_i.y
+    c = q_j.q[QUADRIC_CENTROID]
+    cth, sth = math.cos(x_i[2]), math.sin(x_i[2])
+    dx, dy = c[0] - x_i[0], c[1] - x_i[1]
     local = np.array([cth * dx + sth * dy, -sth * dx + cth * dy, c[2]])
     return np.asarray(z, dtype=float) - local
 
@@ -94,18 +94,20 @@ def graph_residual(graph: FactorGraph):
     return r, 0.5 * float(r @ r)
 
 
-def tangency_residual(l, P: ProjectionMatrix, q: DualQuadric) -> float:
-    """Tangency defect l^T P Q* P^T l of an image line l, (3,).
+def tangency_residual(l, P, q: DualQuadric) -> float:
+    """Tangency defect l^T P Q* P^T l of an image line l, (3,), under the
+    projection matrix P, (3, 4).
 
     Zero iff the plane P^T l back-projected from the line is tangent to the
     quadric; normalize_lines fixes the magnitude's gauge.
     """
-    a = P.P.T @ np.asarray(l, dtype=float)
+    a = P.T @ np.asarray(l, dtype=float)
     return float(a @ q.matrix() @ a)
 
 
-def dual_conic_bbox(C: DualConic) -> tuple:
-    """Axis-aligned bounding box (u_min, v_min, u_max, v_max) of a dual conic.
+def dual_conic_bbox(C) -> tuple:
+    """Axis-aligned bounding box (u_min, v_min, u_max, v_max) of a dual
+    conic C, (3, 3).
 
     Solves for the two vertical and two horizontal tangent lines of the
     conic; this is the exact bounding box an ideal detector would report
@@ -115,7 +117,7 @@ def dual_conic_bbox(C: DualConic) -> tuple:
         DegenerateGeometryError: if the conic has no real axis-aligned
             tangents (not an ellipse-like outline).
     """
-    M = C.C
+    M = np.asarray(C)
     if abs(M[2, 2]) < EPS_SCALE:
         raise DegenerateGeometryError("conic tangent box undefined ((3,3) entry ~ 0)")
     # Vertical tangents l = (1, 0, -u): C11 - 2 u C13 + u^2 C33 = 0.

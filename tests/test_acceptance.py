@@ -21,10 +21,9 @@ from dqslam.cli import main
 from dqslam.factors import GraphEvaluator
 from dqslam.geometry import (
     CameraIntrinsics,
-    ProjectionMatrix,
     ellipsoid_to_dual_quadric,
-    project_quadric,
-    projection_matrix,
+    project_quadrics,
+    projection_matrices,
 )
 from dqslam.initialization import InitStrategy, init_poses, init_quadric_svd, initialize_quadrics
 from dqslam.pipeline import run_trial
@@ -202,8 +201,8 @@ def test_criterion_6_tangency_suite(rng):
         if i % 10 == 0:  # silhouette lines: a slower construction
             eye = center + rng.uniform(4, 8) * unit_sphere_directions(1, rng)[0]
             E = look_at_extrinsics(eye, center)
-            P = projection_matrix(K, E)
-            C = project_quadric(P, q).C
+            P = projection_matrices(K, E.rotation, E.translation)
+            (C,) = project_quadrics(P[None], Q)
             o = np.linalg.solve(np.diag(axes), R.T @ (eye - center))
             on = np.linalg.norm(o)
             e1 = np.array([1.0, 0, 0]) if abs(o[0] / on) < 0.9 else np.array([0, 1.0, 0])
@@ -215,7 +214,7 @@ def test_criterion_6_tangency_suite(rng):
                     math.cos(phi) * u + math.sin(phi) * w
                 )
                 pi = ellipsoid_tangent_planes(center, axes, R, [s])[0]
-                l, *_ = np.linalg.lstsq(P.P.T, pi, rcond=None)
+                l, *_ = np.linalg.lstsq(P.T, pi, rcond=None)
                 l = l / math.hypot(l[0], l[1])
                 worst_line = max(worst_line, float(abs(l @ C @ l)))
     ok = worst_plane < 1e-9 and worst_line < 1e-8
@@ -257,9 +256,9 @@ def test_criterion_7_svd_initialization():
 
 
 def test_criterion_8_projection_analytic():
-    P = ProjectionMatrix(np.hstack([np.eye(3), np.zeros((3, 1))]))
+    P = np.hstack([np.eye(3), np.zeros((3, 1))])
     q = ellipsoid_to_dual_quadric([0, 0, 5], [1, 1, 1])
-    C = project_quadric(P, q).C
+    (C,) = project_quadrics(P[None], q.matrix())
     radius = math.sqrt(-C[0, 0] / C[2, 2])
     err = abs(radius - 1 / math.sqrt(24))
     ok = err < 1e-10

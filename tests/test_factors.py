@@ -15,13 +15,13 @@ from dqslam.factors import (
 from dqslam.geometry import (
     CameraIntrinsics,
     DualQuadric,
-    RobotPose,
     left_facing_mount,
     normalize_lines,
 )
 from dqslam.initialization import init_poses
 from dqslam.pipeline import build_graph
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset, inscribed_ellipsoid
+from conftest import pose_rows
 from oracle import (
     bbox_factor_residual,
     graph_residual,
@@ -37,7 +37,7 @@ MOUNT = left_facing_mount()
 
 
 def random_graph(rng, n_poses=4, n_quadrics=2, with_relpos=True):
-    poses = np.array([RobotPose(*rng.normal(0, 1, 3)).as_array() for _ in range(n_poses)])
+    poses = pose_rows(rng.normal(0, 1, (n_poses, 3)))
     quadrics = rng.normal(0, 1, (n_quadrics, 9)) + np.array([2, 0, 0, 0, 2, 0, 0, 2, 0])
     det_pose, det_lm, lines = [], [], []
     for j in range(n_quadrics):
@@ -95,42 +95,42 @@ def test_motion_model_examples():
 
 def test_odometry_residual_exact_prediction(rng):
     for _ in range(10):
-        x = RobotPose(*rng.normal(0, 2, 3))
+        x = pose_rows(rng.normal(0, 2, 3))
         u = (float(rng.uniform(0, 1)), float(rng.normal(0, 0.5)))
-        x_next = RobotPose(*init_poses([u], x.as_array())[1])
+        x_next = init_poses([u], x)[1]
         assert np.allclose(odometry_residual(x, x_next, u), 0, atol=1e-14)
 
 
 def test_odometry_residual_overshoot_convention():
-    r = odometry_residual(RobotPose(0, 0, 0), RobotPose(2, 0, 0), (1, 0))
+    r = odometry_residual([0, 0, 0], [2, 0, 0], (1, 0))
     assert np.allclose(r, [-1, 0, 0])
 
 
 def test_odometry_residual_angle_wrap():
     # prediction theta = pi - 0.1, actual theta = -pi + 0.1
-    x = RobotPose(0, 0, math.pi - 0.1)
-    r = odometry_residual(x, RobotPose(0, 0, -math.pi + 0.1), (0, 0))
+    x = [0, 0, math.pi - 0.1]
+    r = odometry_residual(x, [0, 0, -math.pi + 0.1], (0, 0))
     assert r[2] == pytest.approx(-0.2, abs=1e-12)
 
 
 def test_prior_residual():
-    a = RobotPose(0.3, -0.2, 0.4)
+    a = [0.3, -0.2, 0.4]
     assert np.allclose(se2_boxminus(a, a), 0)
-    r = se2_boxminus(RobotPose(0.1, 0, 0), RobotPose(0, 0, 0))
+    r = se2_boxminus([0.1, 0, 0], [0, 0, 0])
     assert np.allclose(r, [0.1, 0, 0])
 
 
 def test_relpos_residual_examples():
     q = DualQuadric(np.array([1, 0, 0, 1, 1, 0, 2, 1, 0.3]))  # centroid (1, 2, 0.3)
-    assert np.allclose(relpos_residual(RobotPose(0, 0, 0), q, [1, 2, 0.3]), 0)
+    assert np.allclose(relpos_residual([0, 0, 0], q, [1, 2, 0.3]), 0)
 
     q2 = DualQuadric(np.array([1, 0, 0, 1, 1, 0, 1, 1, 0.0]))  # centroid (1, 1, 0)
-    assert np.allclose(relpos_residual(RobotPose(1, 0, math.pi / 2), q2, [1, 0, 0]), 0, atol=1e-15)
+    assert np.allclose(relpos_residual([1, 0, math.pi / 2], q2, [1, 0, 0]), 0, atol=1e-15)
 
 
 def test_relpos_residual_z_passthrough(rng):
     for _ in range(10):
-        pose = RobotPose(*rng.normal(0, 3, 3))
+        pose = pose_rows(rng.normal(0, 3, 3))
         q = DualQuadric(rng.normal(0, 2, 9))
         z = rng.normal(0, 2, 3)
         r = relpos_residual(pose, q, z)
@@ -144,7 +144,7 @@ def test_bbox_residual_noise_free_silhouette(zero_noise_sensor):
     quads = [inscribed_ellipsoid(c, s) for c, s in zip(ds.landmark_centers, ds.landmark_sides)]
     dets = ds.detections[:40]
     for i, j, lines in zip(dets.pose_index, dets.landmark_id, dets.values):
-        pose = RobotPose(*ds.ground_truth_poses[i])
+        pose = ds.ground_truth_poses[i]
         r = bbox_factor_residual(pose, quads[j], lines, ds.intrinsics(), ds.mount())
         assert np.max(np.abs(r)) < 1e-8 * ds.intrinsics().fx**2
 
@@ -153,13 +153,13 @@ def test_bbox_residual_far_identity_quadric():
     lines = normalize_lines([[1, 0, -600.0], [0, 1, -500.0], [1, 0, -680.0], [0, 1, -560.0]])
     # identity quadric at the origin seen from far away: tiny box is far from
     # tangent, residuals large and positive
-    r = bbox_factor_residual(RobotPose(30, 0, 0), DualQuadric.identity(), lines, K, MOUNT)
+    r = bbox_factor_residual([30, 0, 0], DualQuadric.identity(), lines, K, MOUNT)
     assert np.all(r > 1e4)
 
 
 def test_bbox_residual_renormalization_idempotent(rng):
     lines = normalize_lines(rng.normal(size=(4, 3)))
-    pose = RobotPose(0.5, -1.0, 0.3)
+    pose = [0.5, -1.0, 0.3]
     q = DualQuadric(rng.normal(size=9))
     assert np.array_equal(
         bbox_factor_residual(pose, q, lines, K, MOUNT),
@@ -250,11 +250,11 @@ def test_graph_residual_matches_per_factor_functions(rng):
     g = random_graph(rng)
     r, cost = graph_residual(g)
 
-    poses = [RobotPose(*row) for row in g.poses]
+    poses = g.poses
     quadrics = [DualQuadric(row) for row in g.quadrics]
     expected = []
     for k in stacking_order(g.prior_index):
-        anchor = RobotPose(*g.prior_anchor[k])
+        anchor = g.prior_anchor[k]
         expected.append(se2_boxminus(poses[g.prior_index[k]], anchor) / g.prior_sigma[k])
     for k in stacking_order(g.odometry_index):
         i = g.odometry_index[k]
@@ -302,8 +302,8 @@ def test_zero_noise_graph_cost_at_ground_truth(zero_noise_sensor):
 
 def test_residual_angles_in_range(rng):
     for _ in range(20):
-        a = RobotPose(*rng.uniform(-10, 10, 3))
-        b = RobotPose(*rng.uniform(-10, 10, 3))
+        a = pose_rows(rng.uniform(-10, 10, 3))
+        b = pose_rows(rng.uniform(-10, 10, 3))
         u = (float(rng.uniform(0, 1)), float(rng.normal(0, 2)))
         r = odometry_residual(a, b, u)
         assert -math.pi < r[2] <= math.pi

@@ -10,8 +10,6 @@ from dqslam.geometry import (
     CameraIntrinsics,
     DegenerateGeometryError,
     DualQuadric,
-    ProjectionMatrix,
-    RobotPose,
     box_corners,
     box_lines,
     ellipsoid_to_dual_quadric,
@@ -19,8 +17,8 @@ from dqslam.geometry import (
     lines_through,
     normalize_lines,
     pose_to_extrinsics,
-    project_quadric,
-    projection_matrix,
+    project_quadrics,
+    projection_matrices,
     QUADRIC_CENTROID,
     quadric_matrices,
     vector_from_quadric,
@@ -248,27 +246,22 @@ def test_box_lines_rejects_other_than_four_corners():
 
 def test_projection_matrix_canonical():
     K = CameraIntrinsics(1, 1, 0, 0, 10, 10)
-    P = projection_matrix(K, CameraExtrinsics.identity())
-    assert np.allclose(P.P, np.hstack([np.eye(3), np.zeros((3, 1))]))
+    P = projection_matrices(K, np.eye(3), np.zeros(3))
+    assert np.allclose(P, np.hstack([np.eye(3), np.zeros((3, 1))]))
 
 
 def test_projection_matrix_standard_camera(default_intrinsics):
-    P = projection_matrix(default_intrinsics, CameraExtrinsics.identity())
-    assert np.allclose(P.P[0], [1500, 0, 640, 0])
+    P = projection_matrices(default_intrinsics, np.eye(3), np.zeros(3))
+    assert np.allclose(P[0], [1500, 0, 640, 0])
     # point on the optical axis lands on the principal point
-    x = P.P @ np.array([0, 0, 1, 1])
+    x = P @ np.array([0, 0, 1, 1])
     assert np.allclose(x[:2] / x[2], [640, 512])
-
-
-def test_projection_matrix_rank_validated():
-    with pytest.raises(DegenerateGeometryError):
-        ProjectionMatrix(np.zeros((3, 4)))
 
 
 def test_backproject_line_canonical(canonical_projection):
     # An image line l back-projects to the plane P^T l.
-    assert np.allclose(canonical_projection.P.T @ [1.0, 0, 0], [1, 0, 0, 0])
-    assert np.allclose(canonical_projection.P.T @ [0, 1.0, 0], [0, 1, 0, 0])
+    assert np.allclose(canonical_projection.T @ [1.0, 0, 0], [1, 0, 0, 0])
+    assert np.allclose(canonical_projection.T @ [0, 1.0, 0], [0, 1, 0, 0])
 
 
 def test_backproject_line_ray_sampling(rng, default_intrinsics):
@@ -276,9 +269,9 @@ def test_backproject_line_ray_sampling(rng, default_intrinsics):
     from conftest import look_at_extrinsics
 
     E = look_at_extrinsics([3.0, -2.0, 1.5], [0.0, 0.0, 0.0])
-    P = projection_matrix(default_intrinsics, E)
+    P = projection_matrices(default_intrinsics, E.rotation, E.translation)
     l = normalize_lines(rng.normal(size=3))
-    pi = P.P.T @ l
+    pi = P.T @ l
     a, b, c = l
     for u in (-50.0, 40.0, 700.0):
         # a point (u, v) on the line, if the line is not vertical there
@@ -349,7 +342,7 @@ def test_ellipsoid_unit_sphere():
 def test_ellipsoid_translated_sphere():
     q = ellipsoid_to_dual_quadric([0, 0, 5], [1, 1, 1])
     assert np.allclose(q.q, [-1, 0, 0, 0, -1, 0, 0, 24, 5])
-    assert np.allclose(q.centroid(), [0, 0, 5])
+    assert np.allclose(q.q[QUADRIC_CENTROID], [0, 0, 5])
 
 
 def test_ellipsoid_tangent_plane():
@@ -370,14 +363,14 @@ def test_centroid_translation_equivariance(rng):
         T = np.eye(4)
         T[:3, 3] = t
         shifted = DualQuadric(vector_from_quadric(T @ q.matrix() @ T.T))
-        assert np.allclose(shifted.centroid(), q.centroid() + t, atol=1e-9)
+        assert np.allclose(shifted.q[QUADRIC_CENTROID], q.q[QUADRIC_CENTROID] + t, atol=1e-9)
 
 
 def test_centroid_of_rotated_ellipsoid(rng):
     for _ in range(10):
         c = rng.normal(0, 4, 3)
         q = ellipsoid_to_dual_quadric(c, rng.uniform(0.2, 2, 3), random_rotation(rng))
-        assert np.allclose(q.centroid(), c, atol=1e-12)
+        assert np.allclose(q.q[QUADRIC_CENTROID], c, atol=1e-12)
 
 
 def test_tangent_plane_invariant_sampled(rng):
@@ -398,15 +391,15 @@ def test_tangent_plane_invariant_sampled(rng):
 
 def test_project_quadric_canonical_selects_block(canonical_projection, rng):
     q = DualQuadric(rng.normal(size=9))
-    C = project_quadric(canonical_projection, q)
-    assert np.allclose(C.C, q.matrix()[:3, :3])
+    (C,) = project_quadrics(canonical_projection[None], q.matrix())
+    assert np.allclose(C, q.matrix()[:3, :3])
 
 
 def test_project_quadric_sphere_depth5(canonical_projection):
     q = ellipsoid_to_dual_quadric([0, 0, 5], [1, 1, 1])
-    C = project_quadric(canonical_projection, q)
-    assert np.allclose(C.C, np.diag([-1, -1, 24]))
-    radius = math.sqrt(-C.C[0, 0] / C.C[2, 2])
+    (C,) = project_quadrics(canonical_projection[None], q.matrix())
+    assert np.allclose(C, np.diag([-1, -1, 24]))
+    radius = math.sqrt(-C[0, 0] / C[2, 2])
     assert radius == pytest.approx(1 / math.sqrt(24), abs=1e-12)
 
 
@@ -422,7 +415,7 @@ def test_tangency_transport(rng, default_intrinsics):
         q = ellipsoid_to_dual_quadric(center, axes, R)
         eye = center + 8.0 * unit_sphere_directions(1, rng)[0]
         E = look_at_extrinsics(eye, center)
-        P = projection_matrix(default_intrinsics, E)
+        P = projection_matrices(default_intrinsics, E.rotation, E.translation)
 
         # tangent planes through the camera center: in the unit-sphere frame
         # the silhouette is the circle s . o = 1 with o the mapped center
@@ -441,11 +434,11 @@ def test_tangency_transport(rng, default_intrinsics):
             planes = ellipsoid_tangent_planes(center, axes, R, [s])
             pi = planes[0]
             assert abs(pi @ np.append(eye, 1.0)) < 1e-9  # passes through center
-            l, *_ = np.linalg.lstsq(P.P.T, pi, rcond=None)
+            l, *_ = np.linalg.lstsq(P.T, pi, rcond=None)
             l = l / math.hypot(l[0], l[1])
-            C = project_quadric(P, q)
-            scale = np.abs(C.C).max() * float(l @ l)  # natural residual scale
-            assert abs(l @ C.C @ l) < 1e-11 * scale
+            (C,) = project_quadrics(P[None], q.matrix())
+            scale = np.abs(C).max() * float(l @ l)  # natural residual scale
+            assert abs(l @ C @ l) < 1e-11 * scale
 
 
 def test_tangency_residual_silhouette_circle(default_intrinsics):
@@ -456,7 +449,7 @@ def test_tangency_residual_silhouette_circle(default_intrinsics):
     r, d = 0.7, 6.0
     eye = center + d * np.array([0.0, -1.0, 0.0])
     E = look_at_extrinsics(eye, center)
-    P = projection_matrix(default_intrinsics, E)
+    P = projection_matrices(default_intrinsics, E.rotation, E.translation)
     q = ellipsoid_to_dual_quadric(center, [r, r, r])
     rho_px = default_intrinsics.fx * r / math.sqrt(d * d - r * r)
     cx, cy = default_intrinsics.cx, default_intrinsics.cy
@@ -476,16 +469,11 @@ def test_tangency_residual_bilinear_in_line_scale(rng, canonical_projection):
     # normalization fixes that gauge
     q = DualQuadric(rng.normal(size=9))
     l = rng.normal(size=3)
-    C = canonical_projection.P @ q.matrix() @ canonical_projection.P.T
+    C = canonical_projection @ q.matrix() @ canonical_projection.T
     assert (2 * l) @ C @ (2 * l) == pytest.approx(4 * (l @ C @ l), rel=1e-12)
 
 
 # -- robot pose and mount -----------------------------------------------------------
-
-def test_robot_pose_wraps_theta():
-    p = RobotPose(0, 0, 2 * math.pi + 0.3)
-    assert p.theta == pytest.approx(0.3, abs=1e-12)
-
 
 def test_extrinsics_validation():
     with pytest.raises(ValueError):
@@ -504,13 +492,13 @@ def test_left_facing_mount_axes():
 
 
 def test_pose_to_extrinsics_identity_mount():
-    E = pose_to_extrinsics(RobotPose(0, 0, 0), CameraExtrinsics.identity())
+    E = pose_to_extrinsics([0, 0, 0], CameraExtrinsics(np.eye(3), np.zeros(3)))
     assert np.allclose(E.rotation, np.eye(3))
     assert np.allclose(E.translation, 0)
 
 
 def test_pose_to_extrinsics_left_mount_axis():
-    E = pose_to_extrinsics(RobotPose(1, 0, 0), left_facing_mount())
+    E = pose_to_extrinsics([1, 0, 0], left_facing_mount())
     # optical axis (camera z) in world coordinates
     assert np.allclose(E.rotation.T @ np.array([0, 0, 1.0]), [0, 1, 0])
     # the camera center sits at the robot origin
@@ -520,8 +508,7 @@ def test_pose_to_extrinsics_left_mount_axis():
 def test_pose_to_extrinsics_round_trip(rng):
     mount = left_facing_mount()
     for _ in range(10):
-        pose = RobotPose(*rng.normal(0, 2, 3))
-        E = pose_to_extrinsics(pose, mount)
+        E = pose_to_extrinsics(rng.normal(0, 2, 3), mount)
         X = rng.normal(0, 5, 3)
         Xc = E.rotation @ X + E.translation
         assert np.allclose(E.rotation.T @ (Xc - E.translation), X, atol=1e-12)
@@ -529,14 +516,12 @@ def test_pose_to_extrinsics_round_trip(rng):
 
 def test_dual_conic_bbox_circle(canonical_projection):
     q = ellipsoid_to_dual_quadric([0, 0, 5], [1, 1, 1])
-    C = project_quadric(canonical_projection, q)
+    (C,) = project_quadrics(canonical_projection[None], q.matrix())
     u0, v0, u1, v1 = dual_conic_bbox(C)
     rho = 1 / math.sqrt(24)
     assert (u0, v0, u1, v1) == pytest.approx((-rho, -rho, rho, rho), abs=1e-12)
 
 
 def test_dual_conic_bbox_degenerate():
-    from dqslam.geometry import DualConic
-
     with pytest.raises(DegenerateGeometryError):
-        dual_conic_bbox(DualConic(np.diag([1.0, 1.0, 1.0])))
+        dual_conic_bbox(np.diag([1.0, 1.0, 1.0]))

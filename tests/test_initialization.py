@@ -7,16 +7,16 @@ import pytest
 
 from dqslam.factors import Measurements
 from dqslam.geometry import (
+    QUADRIC_CENTROID,
     CameraIntrinsics,
     DualQuadric,
-    RobotPose,
     box_corners,
     box_lines,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
     pose_to_extrinsics,
-    project_quadric,
-    projection_matrix,
+    project_quadrics,
+    projection_matrices,
 )
 from dqslam.initialization import (
     DegenerateSolutionError,
@@ -42,12 +42,11 @@ def nonplanar_rig(quadric, center):
         (4, 0, 1), (-4, 1, -2), (0, 4, 2), (1, -4, -1),
         (3, 3, 3), (-3, -3, 2), (0, 1, 4), (2, 0, -4),
     ]
-    cams = [projection_matrix(K, look_at_extrinsics(np.asarray(eye, float) + center, center))
-            for eye in eyes]
-    lines = np.array([box_lines(box_corners(*dual_conic_bbox(project_quadric(P, quadric))))
-                      for P in cams])
-    P = np.stack([cam.P for cam in cams])
-    return P, Measurements(np.arange(len(cams)), np.zeros(len(cams), dtype=int), lines)
+    frames = [look_at_extrinsics(np.asarray(eye, float) + center, center) for eye in eyes]
+    P = np.stack([projection_matrices(K, E.rotation, E.translation) for E in frames])
+    lines = np.array([box_lines(box_corners(*dual_conic_bbox(C)))
+                      for C in project_quadrics(P, quadric.matrix())])
+    return P, Measurements(np.arange(len(P)), np.zeros(len(P), dtype=int), lines)
 
 
 # -- pose chaining ------------------------------------------------------------
@@ -78,7 +77,7 @@ def test_fallback_is_identity_matrix():
     for q in [DualQuadric.identity(), *map(DualQuadric, quadrics)]:
         assert np.array_equal(q.matrix(), np.eye(4))
         assert np.array_equal(q.q, [1, 0, 0, 0, 1, 0, 0, 1, 0])
-        assert np.allclose(q.centroid(), 0)
+        assert np.allclose(q.q[QUADRIC_CENTROID], 0)
 
 
 # -- SVD fit -------------------------------------------------------------------
@@ -173,7 +172,8 @@ def test_initialize_quadrics_matches_per_detection_reference(world):
         dets = ds.detections[ds.detections.landmark_id == j]
         planes = []
         for i, lines in zip(dets.pose_index.tolist(), dets.values):
-            P = projection_matrix(K_ds, pose_to_extrinsics(RobotPose(*poses[i]), mount)).P
+            E = pose_to_extrinsics(poses[i], mount)
+            P = projection_matrices(K_ds, E.rotation, E.translation)
             planes.extend(P.T @ line for line in lines)
         try:
             ref_quadrics.append(fit_dual_quadric(np.array(planes)).q)

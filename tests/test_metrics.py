@@ -3,7 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dqslam.geometry import DualQuadric, ellipsoid_to_dual_quadric, vector_from_quadric
+from dqslam.geometry import (
+    QUADRIC_CENTROID,
+    DualQuadric,
+    ellipsoid_to_dual_quadric,
+    vector_from_quadric,
+)
 from dqslam.metrics import (
     TrialResult,
     aggregate,
@@ -84,7 +89,7 @@ def test_rmse_lm_exact_and_mean():
 def test_rmse_lm_centroid_consistency(rng):
     centers = np.array([[0.5, -1, 0.2]])
     q = DualQuadric(rng.normal(size=9))
-    expected = np.linalg.norm(q.centroid() - centers[0])
+    expected = np.linalg.norm(q.q[QUADRIC_CENTROID] - centers[0])
     assert rmse_lm(rows([q]), centers) == pytest.approx(expected)
 
 

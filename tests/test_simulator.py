@@ -9,15 +9,13 @@ import pytest
 from dqslam.config import ConfigError
 from dqslam.dataset_io import dumps_dataset
 from dqslam.geometry import (
-    RobotPose,
     box_corners,
     box_lines,
     camera_frames,
     left_facing_mount,
     pose_to_extrinsics,
-    project_quadric,
+    project_quadrics,
     projection_matrices,
-    projection_matrix,
     tangency_rows,
 )
 from dqslam.initialization import init_poses
@@ -83,17 +81,17 @@ def test_camera_frames_match_pose_to_extrinsics():
     for trajectory in (
         init_poses(odometry, (0, 0, 0)),
         init_poses(corrupt_odometry(odometry, turn, SensorConfig(), rng), (0, 0, 0)),
-        # Headings outside (-pi, pi], which camera_frames wraps as RobotPose does.
+        # Headings outside (-pi, pi], which both wrap.
         rng.uniform([-50, -50, -20], [50, 50, 20], (200, 3)),
     ):
         R, t = camera_frames(trajectory, MOUNT)
         assert R.shape == (len(trajectory), 3, 3) and t.shape == (len(trajectory), 3)
         P = projection_matrices(K, R, t)
         for i, pose in enumerate(trajectory):
-            E = pose_to_extrinsics(RobotPose(*pose), MOUNT)
+            E = pose_to_extrinsics(pose, MOUNT)
             assert R[i].tobytes() == E.rotation.tobytes()
             assert t[i].tobytes() == E.translation.tobytes()
-            assert P[i].tobytes() == projection_matrix(K, E).P.tobytes()
+            assert P[i].tobytes() == projection_matrices(K, E.rotation, E.translation).tobytes()
 
 
 def test_project_cube_bbox_detection_ranges():
@@ -120,13 +118,27 @@ def test_project_sphere_bbox_tangency():
     assert seen.tolist() == [True, False]
     box = boxes[0]
     # the silhouette box lines are exactly tangent to the projected conic
-    P = projection_matrix(K, pose_to_extrinsics(RobotPose(*poses[0]), MOUNT))
-    C = project_quadric(P, inscribed_ellipsoid(center, side))
+    E = pose_to_extrinsics(poses[0], MOUNT)
+    P = projection_matrices(K, E.rotation, E.translation)
+    (C,) = project_quadrics(P[None], inscribed_ellipsoid(center, side).matrix())
     for line in box_lines(box):
-        assert abs(line @ C.C @ line) < 1e-7 * np.abs(C.C).max()
+        assert abs(line @ C @ line) < 1e-7 * np.abs(C).max()
     # and equal, bit for bit, to the scalar conic box
     u_min, v_min, u_max, v_max = dual_conic_bbox(C)
     assert box.tolist() == [[u_min, v_min], [u_max, v_min], [u_max, v_max], [u_min, v_max]]
+
+
+def test_project_quadrics_stacked_matches_one_camera():
+    # The simulator projects each landmark into every frame at once; each
+    # frame's conic is the one-camera call's, bit for bit.
+    ds = generate_dataset(WorldConfig(seed=0), SensorConfig())
+    P = projection_matrices(K, *camera_frames(ds.ground_truth_poses, MOUNT))
+    for center, side in zip(ds.landmark_centers, ds.landmark_sides.tolist()):
+        Q = inscribed_ellipsoid(center, side).matrix()
+        C = project_quadrics(P, Q)
+        assert C.shape == (len(P), 3, 3)
+        for i in range(len(P)):
+            assert C[i].tobytes() == project_quadrics(P[i][None], Q)[0].tobytes()
 
 
 def test_landmark_condition_matches_back_projected_box_lines():
@@ -139,9 +151,11 @@ def test_landmark_condition_matches_back_projected_box_lines():
         seen, boxes = project_cube_bbox(center, side, R, t, K, SensorConfig().detection_min_px)
         planes = []
         for i in np.flatnonzero(seen):
-            P = projection_matrix(K, pose_to_extrinsics(RobotPose(*poses[i]), MOUNT))
-            box = dual_conic_bbox(project_quadric(P, inscribed_ellipsoid(center, side)))
-            planes.extend(P.P.T @ line for line in box_lines(box_corners(*box)))
+            E = pose_to_extrinsics(poses[i], MOUNT)
+            P = projection_matrices(K, E.rotation, E.translation)
+            (C,) = project_quadrics(P[None], inscribed_ellipsoid(center, side).matrix())
+            box = dual_conic_bbox(C)
+            planes.extend(P.T @ line for line in box_lines(box_corners(*box)))
         planes = np.array(planes)
         planes /= np.linalg.norm(planes, axis=1, keepdims=True)
         S = np.linalg.svd(tangency_rows(planes), compute_uv=False)

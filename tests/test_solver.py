@@ -15,7 +15,7 @@ import scipy.sparse.linalg
 from dqslam import solver
 from dqslam.config import ConfigError
 from dqslam.factors import FactorGraph
-from dqslam.geometry import RobotPose, CameraIntrinsics, left_facing_mount
+from dqslam.geometry import CameraIntrinsics, left_facing_mount
 from dqslam.pipeline import build_graph, run_trial
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
 from dqslam.solver import (
@@ -26,6 +26,7 @@ from dqslam.solver import (
     normal_equations,
     solve,
 )
+from conftest import pose_rows
 from oracle import graph_residual, ground_truth_graph
 
 
@@ -34,10 +35,10 @@ K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
 
 def priors_only_graph(rng, n_poses=4, priors_per_pose=3):
     """Affine residuals only: a genuinely linear least-squares problem."""
-    poses = np.array([RobotPose(*rng.normal(0, 0.5, 3)).as_array() for _ in range(n_poses)])
+    poses = pose_rows(rng.normal(0, 0.5, (n_poses, 3)))
     anchors, sigmas = [], []
     for _ in range(n_poses * priors_per_pose):
-        anchors.append(RobotPose(*rng.normal(0, 0.5, 3)).as_array())
+        anchors.append(pose_rows(rng.normal(0, 0.5, 3)))
         sigmas.append(rng.uniform(0.1, 1.0, 3))
     return FactorGraph(
         poses=poses,
