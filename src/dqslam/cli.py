@@ -32,7 +32,7 @@ import numpy as np
 
 from . import __version__
 from .config import ConfigError, check_fields, setting
-from .dataset_io import read_dataset, write_dataset
+from .dataset_io import _read_json, read_dataset, write_dataset
 from .geometry import QUADRIC_CENTROID
 from .initialization import InitStrategy
 from .metrics import MODES, TrialResult, aggregate, format_table
@@ -441,8 +441,7 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
 # -- rerun ------------------------------------------------------------------
 
 def _cmd_rerun(args, _argv) -> int:
-    with open(args.manifest, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    doc = _read_json(args.manifest)
     if not isinstance(doc, dict) or doc.get("schema") != MANIFEST_SCHEMA:
         raise ValueError(f"{args.manifest}: not a run manifest")
     argv = doc.get("argv")

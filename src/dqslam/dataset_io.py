@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import asdict, fields, replace
 from itertools import chain
 from operator import itemgetter
@@ -45,8 +46,12 @@ _UNITS = {
 
 
 def _native(value):
-    if isinstance(value, (bool, int, str)):
+    """A config value as a JSON scalar: an integral number (numpy's too)
+    as int, any other number as float."""
+    if isinstance(value, (bool, str)):
         return value
+    if isinstance(value, numbers.Integral):
+        return int(value)
     return float(value)
 
 
@@ -306,7 +311,15 @@ def write_dataset(ds: Dataset, path) -> None:
         fh.write(text)
 
 
-def read_dataset(path) -> Dataset:
+def _read_json(path):
+    """The JSON document in the file at path. Nesting too deep for the
+    parser raises ValueError naming the path, as malformed JSON does."""
     with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    return dataset_from_dict(doc)
+        try:
+            return json.load(fh)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
+def read_dataset(path) -> Dataset:
+    return dataset_from_dict(_read_json(path))

@@ -11,7 +11,9 @@ one per residual component. Whitening divides each residual component by
 its sigma; the total cost is half the squared norm of the stacked whitened
 residual. The stacking order is deterministic: priors, then odometry by
 pose index, then bounding-box factors by (pose, landmark), then
-relative-position factors by (pose, landmark).
+relative-position factors by (pose, landmark). Each kind's facts have
+one home, the table `FactorGraph._kinds`, read by graph validation and by
+the evaluator's compile step.
 
 `GraphEvaluator` compiles a graph once into flat arrays and a fixed
 Jacobian sparsity pattern, then evaluates residual and sparse Jacobian at
@@ -102,9 +104,10 @@ class FactorGraph:
       measurements;
 
     and each kind has a (k, d) column of noise standard deviations, one per
-    residual component (d = 3, 3, 4, 3). The camera intrinsics and
-    robot-to-camera mount are shared by all bounding-box factors. The graph
-    must contain at least one prior factor to anchor the global frame.
+    residual component (d = 3, 3, 4, 3); `_kinds` tabulates them. The camera
+    intrinsics and robot-to-camera mount are shared by all bounding-box
+    factors. The graph must contain at least one prior factor to anchor the
+    global frame.
     """
 
     poses: np.ndarray
@@ -122,6 +125,28 @@ class FactorGraph:
     relpos: Measurements = _no_measurements(3)
     relpos_sigma: np.ndarray = _rows(3)
 
+    def _kinds(self) -> list:
+        """The four factor kinds in stacking order, one tuple each: name,
+        variable-index columns, measurements, measurement row shape, sigmas
+        and residual width d. Each index column is (indices, bound, first
+        Jacobian column, width): factor r references variable indices[r] <
+        bound, whose Jacobian block spans columns first + width * indices[r]
+        onward. A kind lists its columns in increasing column order."""
+        n, m = len(self.poses), len(self.quadrics)
+        q0 = 3 * n
+        b, z = self.bbox, self.relpos
+        return [
+            ("prior", [(self.prior_index, n, 0, 3)], self.prior_anchor, (3,),
+             self.prior_sigma, 3),
+            # The next pose's block starts at 3 * (odometry_index + 1).
+            ("odometry", [(self.odometry_index, n - 1, 0, 3), (self.odometry_index, n - 1, 3, 3)],
+             self.odometry, (2,), self.odometry_sigma, 3),
+            ("bbox", [(b.pose_index, n, 0, 3), (b.landmark_id, m, q0, 9)], b.values, (4, 3),
+             self.bbox_sigma, 4),
+            ("relpos", [(z.pose_index, n, 0, 3), (z.landmark_id, m, q0, 9)], z.values, (3,),
+             self.relpos_sigma, 3),
+        ]
+
     def validate(self) -> None:
         """Check the variables' shapes, and every factor kind's columns:
         indices of existing variables, finite measurements and finite
@@ -136,22 +161,11 @@ class FactorGraph:
             if not isinstance(rows, np.ndarray) or rows.ndim != 2 or rows.shape[1] != width:
                 raise ValueError(f"{name} must be an array of shape (k, {width}), "
                                  f"got {np.shape(rows)}")
-        n, m = len(self.poses), len(self.quadrics)
         if len(self.prior_index) == 0:
             raise ValueError("graph needs at least one prior factor (gauge anchor)")
-        b, z = self.bbox, self.relpos
-        # kind, (index column, bound)s, measurements, row shape, sigmas, d
-        for kind, indices, values, shape, sigma, d in (
-            ("prior", [(self.prior_index, n)], self.prior_anchor, (3,), self.prior_sigma, 3),
-            ("odometry", [(self.odometry_index, n - 1)], self.odometry, (2,),
-             self.odometry_sigma, 3),
-            ("bbox", [(b.pose_index, n), (b.landmark_id, m)], b.values, (4, 3),
-             self.bbox_sigma, 4),
-            ("relpos", [(z.pose_index, n), (z.landmark_id, m)], z.values, (3,),
-             self.relpos_sigma, 3),
-        ):
-            k = len(indices[0][0])
-            for index, bound in indices:
+        for kind, columns, values, shape, sigma, d in self._kinds():
+            k = len(columns[0][0])
+            for index, bound, _, _ in columns:
                 index = np.asarray(index)
                 if index.shape != (k,) or index.dtype.kind not in "iu" or (
                     k and not 0 <= index.min() <= index.max() < bound
@@ -168,93 +182,62 @@ class FactorGraph:
 class GraphEvaluator:
     """Compiled residual/Jacobian evaluator for a fixed graph structure.
 
-    Compilation freezes the factor ordering, copies measurements into flat
-    arrays and fixes the Jacobian's CSR pattern: its column indices and row
-    pointers depend only on which variables each factor touches. Each factor
-    kind then has one linearization, vectorized across its factors, that
-    returns the raw residual and, on request, the raw Jacobian blocks from
-    the same intermediate values; whitening scales each residual row by the
-    inverse of its sigma, once for all kinds. Evaluation is a pure function
-    of the variable values, so results do not depend on insertion order or
-    threading.
+    Compilation reads the graph's kind table in one loop: it freezes each
+    kind's factor ordering, hands the sorted index columns and measurements
+    to the kind's linearization, and fixes the Jacobian's CSR pattern, which
+    depends only on which variables each factor touches. Each linearization,
+    vectorized across its factors, returns the raw residual and, on request,
+    the raw Jacobian blocks from the same intermediate values; whitening
+    scales each residual row by the inverse of its sigma, once for all
+    kinds. Evaluation is a pure function of the variable values, so results
+    do not depend on insertion order or threading.
     """
 
     def __init__(self, graph: FactorGraph):
         graph.validate()
         self.n_poses = len(graph.poses)
         self.n_quadrics = len(graph.quadrics)
-        # Stacking order: stable sorts by pose index, then landmark id.
-        b, z = graph.bbox, graph.relpos
-        prior = np.lexsort((graph.prior_index,))
-        odo = np.lexsort((graph.odometry_index,))
-        bbox = np.lexsort((b.landmark_id, b.pose_index))
-        relpos = np.lexsort((z.landmark_id, z.pose_index))
-
-        self._prior_idx = np.asarray(graph.prior_index)[prior]
-        self._prior_anchor = np.asarray(graph.prior_anchor, dtype=float)[prior]
-        self._odo_idx = np.asarray(graph.odometry_index)[odo]
-        self._odo_u = np.asarray(graph.odometry, dtype=float)[odo]
-        self._bb_pose = np.asarray(b.pose_index)[bbox]
-        self._bb_quad = np.asarray(b.landmark_id)[bbox]
-        lines = np.asarray(b.values, dtype=float)[bbox]
-        self._rp_pose = np.asarray(z.pose_index)[relpos]
-        self._rp_quad = np.asarray(z.landmark_id)[relpos]
-        self._rp_z = np.asarray(z.values, dtype=float)[relpos]
-
         K = graph.intrinsics.K
         R_m, t_m = graph.mount.rotation, graph.mount.translation
-        # Per line: m = K^T l, g = R_m^T m, and the constant term t_m . m.
-        self._bb_g = lines @ K @ R_m
-        self._bb_tm = lines @ K @ t_m
-
-        # Per kind, in stacking order: the whitening scale of each residual
-        # row, and the first column and width of each Jacobian block its
-        # linearization returns, in the order it returns them.
-        q0 = 3 * self.n_poses
-        self._row_scale = [
-            1.0 / np.asarray(sigma, dtype=float)[order]
-            for sigma, order in (
-                (graph.prior_sigma, prior),
-                (graph.odometry_sigma, odo),
-                (graph.bbox_sigma, bbox),
-                (graph.relpos_sigma, relpos),
-            )
-        ]
-        block_cols = [
-            [(3 * self._prior_idx, 3)],
-            [(3 * self._odo_idx, 3), (3 * (self._odo_idx + 1), 3)],
-            [(3 * self._bb_pose, 3), (q0 + 9 * self._bb_quad, 9)],
-            [(3 * self._rp_pose, 3), (q0 + 9 * self._rp_quad, 9)],
-        ]
-        # The CSR pattern. Each row stores its factor's blocks side by side,
-        # and every kind returns its blocks in increasing column order, so
-        # the blocks of a row, concatenated, are that row's CSR entries.
-        indices, widths = [], []
-        for w, blocks in zip(self._row_scale, block_cols):
-            n, d = w.shape
+        # Per kind, in stacking order: its name, the arguments handed to its
+        # linearization, and the whitening scale of each residual row. A row stores
+        # its factor's blocks side by side, in increasing column order: the
+        # row's CSR entries.
+        self._kinds, indices, widths = [], [], []
+        for name, columns, values, _, sigma, d in graph._kinds():
+            # A stable sort by the index columns, the first one leading.
+            order = np.lexsort([index for index, *_ in reversed(columns)])
+            sorted_columns = [np.asarray(index)[order] for index, *_ in columns]
+            values = np.asarray(values, dtype=float)[order]
+            if name == "bbox":
+                # Per line: m = K^T l, g = R_m^T m, and the constant term t_m . m.
+                values = (values @ K @ R_m, values @ K @ t_m)
+            self._kinds.append((name, (*sorted_columns, values),
+                                1.0 / np.asarray(sigma, dtype=float)[order]))
             cols = np.concatenate(
-                [col0[:, None] + np.arange(width) for col0, width in blocks], axis=1
+                [first + width * index[:, None] + np.arange(width)
+                 for index, (_, _, first, width) in zip(sorted_columns, columns)],
+                axis=1,
             )
             indices.append(np.repeat(cols, d, axis=0).ravel())
-            widths.append(np.full(n * d, cols.shape[1]))
+            widths.append(np.full(len(order) * d, cols.shape[1]))
         widths = np.concatenate(widths)
         self._indices = np.concatenate(indices).astype(np.int32)
         self._indptr = np.concatenate([[0], np.cumsum(widths)]).astype(np.int32)
         self.n_rows = widths.size
-        self.n_cols = q0 + 9 * self.n_quadrics
+        self.n_cols = 3 * self.n_poses + 9 * self.n_quadrics
 
     def _linearize(self, poses, quadrics, jac):
         """(raw residual, raw Jacobian blocks) per factor kind."""
-        return [
-            kind(poses, quadrics, jac)
-            for kind in (self._prior, self._odometry, self._bbox, self._relpos)
-        ]
+        # Looked up per call: a bound method kept on self would be a cycle.
+        return [getattr(self, "_" + name)(poses, quadrics, jac, *args)
+                for name, args, _ in self._kinds]
 
     def residual(self, poses: np.ndarray, quadrics: np.ndarray) -> np.ndarray:
         """Stacked whitened residual at the given variable values."""
         kinds = self._linearize(poses, quadrics, False)
         return np.concatenate(
-            [(w * r).ravel() for w, (r, _) in zip(self._row_scale, kinds)]
+            [(w * r).ravel() for (_, _, w), (r, _) in zip(self._kinds, kinds)]
         )
 
     def jacobian(self, poses: np.ndarray, quadrics: np.ndarray) -> "scipy.sparse.csr_matrix":
@@ -269,7 +252,7 @@ class GraphEvaluator:
         vals = np.concatenate(
             [
                 (w[:, :, None] * np.concatenate(blocks, axis=2)).ravel()
-                for w, (_, blocks) in zip(self._row_scale, kinds)
+                for (_, _, w), (_, blocks) in zip(self._kinds, kinds)
             ]
         )
         return sp.csr_matrix(
@@ -277,12 +260,13 @@ class GraphEvaluator:
         )
 
     # -- one linearization per factor kind --------------------------------
-    # Each returns (r, blocks): the raw residual (f, d) and, when jac is
-    # true, its raw Jacobian blocks (f, d, width) in block_cols order.
+    # Each takes its kind's sorted index columns and measurements, and
+    # returns (r, blocks): the raw residual (f, d) and, when jac is true,
+    # its raw Jacobian blocks (f, d, width), one per index column of the
+    # graph's kind table, in that order.
 
-    def _prior(self, poses, quadrics, jac):
-        x = poses[self._prior_idx]
-        anchor = self._prior_anchor
+    def _prior(self, poses, quadrics, jac, pose, anchor):
+        x = poses[pose]
         c, s = np.cos(anchor[:, 2]), np.sin(anchor[:, 2])
         dx = x[:, 0] - anchor[:, 0]
         dy = x[:, 1] - anchor[:, 1]
@@ -291,10 +275,11 @@ class GraphEvaluator:
             return r, ()
         return r, (_planar_block(c, s, (0.0, 0.0, 1.0)),)
 
-    def _odometry(self, poses, quadrics, jac):
-        xi = poses[self._odo_idx]
-        xn = poses[self._odo_idx + 1]
-        v, om = self._odo_u[:, 0], self._odo_u[:, 1]
+    def _odometry(self, poses, quadrics, jac, pose, _, u):
+        # The next pose's index column holds the same indices as pose's.
+        xi = poses[pose]
+        xn = poses[pose + 1]
+        v, om = u[:, 0], u[:, 1]
         ci, si = np.cos(xi[:, 2]), np.sin(xi[:, 2])
         c, s = np.cos(xn[:, 2]), np.sin(xn[:, 2])
         dx = xi[:, 0] + v * ci - xn[:, 0]
@@ -307,18 +292,20 @@ class GraphEvaluator:
         Jn = _planar_block(-c, -s, (r2, -r1, -1.0))
         return r, (Ji, Jn)
 
-    def _bbox(self, poses, quadrics, jac):
+    def _bbox(self, poses, quadrics, jac, pose, quad, lines):
         # Back-projected planes a = P^T l for every detection line: the
-        # rotated normal (w1, w2, g3) and the offset a4 = -p . w + t_m . m.
-        x = poses[self._bb_pose]
+        # rotated normal (w1, w2, g3) and the offset a4 = -p . w + t_m . m,
+        # from the lines' terms (g, t_m . m) precomputed at compile time.
+        g, tm = lines
+        x = poses[pose]
         c, s = np.cos(x[:, 2])[:, None], np.sin(x[:, 2])[:, None]
         px, py = x[:, 0, None], x[:, 1, None]
-        g1, g2, g3 = self._bb_g[..., 0], self._bb_g[..., 1], self._bb_g[..., 2]
+        g1, g2, g3 = g[..., 0], g[..., 1], g[..., 2]
         w1 = c * g1 - s * g2
         w2 = s * g1 + c * g2
-        a4 = -(px * w1 + py * w2) + self._bb_tm
+        a4 = -(px * w1 + py * w2) + tm
         a = np.stack([w1, w2, g3, a4], axis=-1)
-        Q = quadric_matrices(quadrics)[self._bb_quad]
+        Q = quadric_matrices(quadrics)[quad]
         h = np.einsum("dab,dkb->dka", Q, a)
         r = np.einsum("dka,dka->dk", a, h)
         if not jac:
@@ -337,12 +324,12 @@ class GraphEvaluator:
         )
         return r, (Jp, tangency_rows(a)[..., :9])
 
-    def _relpos(self, poses, quadrics, jac):
-        x = poses[self._rp_pose]
-        cen = quadrics[self._rp_quad][:, QUADRIC_CENTROID]
+    def _relpos(self, poses, quadrics, jac, pose, quad, z):
+        x = poses[pose]
+        cen = quadrics[quad][:, QUADRIC_CENTROID]
         c, s = np.cos(x[:, 2]), np.sin(x[:, 2])
         t1, t2 = in_frame(c, s, cen[:, 0] - x[:, 0], cen[:, 1] - x[:, 1])
-        r = self._rp_z - np.stack([t1, t2, cen[:, 2]], axis=1)
+        r = z - np.stack([t1, t2, cen[:, 2]], axis=1)
         if not jac:
             return r, ()
         Jp = _planar_block(c, s, (-t2, t1, 0.0))

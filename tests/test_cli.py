@@ -254,23 +254,28 @@ def test_solve_results_independent_of_blas_threads(tmp_path):
     # OpenBLAS splits a long dot product across its threads, so a cost
     # summed through BLAS changes in the last bit with the thread count. The
     # 40-landmark with-relpos map has 13 803 residual rows, enough to show it.
-    # The simulator's stacked products run under the same two settings.
+    # The simulator's stacked products, and a small evaluate batch, run
+    # under the same two settings.
     src = os.path.dirname(os.path.dirname(cli.__file__))
-    datasets, docs = [], []
+    datasets, docs, csvs = [], [], []
     for threads in ("1", "2"):
         ds_path = tmp_path / f"ds-{threads}.json"
         out = tmp_path / f"threads-{threads}.json"
+        out_dir = tmp_path / f"evaluate-{threads}"
         env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS=threads)
         for argv in (["simulate", "--seed", "1", "--n-landmarks", "40", "--out", str(ds_path)],
                      ["solve", "--dataset", str(ds_path), "--mode", "with-relpos",
-                      "--out", str(out)]):
+                      "--out", str(out)],
+                     ["evaluate", "--trials", "2", "--workers", "1", "--out-dir", str(out_dir)]):
             proc = subprocess.run([sys.executable, "-m", "dqslam", *argv],
                                   env=env, capture_output=True, text=True, timeout=300)
             assert proc.returncode == 0, proc.stderr
         datasets.append(ds_path.read_bytes())
         docs.append(out.read_bytes())
+        csvs.append((out_dir / "results.csv").read_bytes())
     assert datasets[0] == datasets[1]
     assert docs[0] == docs[1]
+    assert csvs[0] == csvs[1]
 
 
 def test_solve_manifest_lists_artifacts(tmp_path, capsys):
@@ -530,19 +535,22 @@ def small_dataset(tmp_path_factory):
         ["evaluate", "--trials", "2", "--out-dir", "{dir}/csv", "--workers", "1"] + SMALL,
         ["evaluate", "--trials", "2", "--out-dir", "{dir}/summary", "--workers", "1"] + SMALL,
         ["evaluate", "--trials", "2", "--out-dir", "{dir}/manifest", "--workers", "1"] + SMALL,
+        ["solve", "--dataset", "{dir}/deep.json", "--out", "{dir}/r.json"],
+        ["rerun", "{dir}/deep.json"],
     ],
     ids=["solve-missing-dataset", "solve-dataset-dir", "simulate-out-dir", "rerun-dir",
          "evaluate-out-dir-file", "solve-out-missing-parent", "solve-out-parent-file",
          "solve-out-dir", "solve-svg-missing-parent", "simulate-out-missing-parent",
          "solve-out-is-dataset", "solve-svg-is-out", "solve-svg-is-manifest",
          "solve-manifest-dir", "simulate-manifest-dir", "evaluate-results-dir",
-         "evaluate-summary-dir", "evaluate-manifest-dir"],
+         "evaluate-summary-dir", "evaluate-manifest-dir", "solve-deep-json", "rerun-deep-json"],
 )
 def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, small_dataset):
     # A bad path is refused before any work: no trial runs, no dataset is
     # made and no file is written. An output must not be the dataset, another
     # output or the run manifest (m.json's manifest path is a directory, as
-    # is one output of each evaluate out-dir). evaluate's jobs swallow the
+    # is one output of each evaluate out-dir), and an input must not nest
+    # beyond the JSON parser's recursion limit. evaluate's jobs swallow the
     # error no_work raises, so its calls are counted.
     calls = []
 
@@ -555,6 +563,8 @@ def test_missing_dataset_reports_error(argv, tmp_path, capsys, monkeypatch, smal
     (tmp_path / "file").write_text("")
     (tmp_path / "ds.json").write_bytes(small_dataset.read_bytes())
     (tmp_path / "m.json.manifest.json").mkdir()
+    # json.dumps recurses too, so the nested text is written directly.
+    (tmp_path / "deep.json").write_text("[" * 200_000 + "]" * 200_000)
     for out_dir, name in (("csv", "results.csv"), ("summary", "summary.json"),
                           ("manifest", "run_manifest.json")):
         (tmp_path / out_dir / name).mkdir(parents=True)

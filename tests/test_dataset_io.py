@@ -366,6 +366,7 @@ def _small_world(seed: int, shape: str) -> WorldConfig:
 
 @settings(max_examples=20, derandomize=True, deadline=None)
 @given(seed=st.integers(0, 2**31), shape=st.sampled_from(["cube", "sphere"]))
+@example(seed=np.int64(5), shape="cube")  # a config field holding a numpy integer
 def test_read_then_write_reproduces_the_text(seed, shape):
     text = dumps_dataset(generate_dataset(_small_world(seed, shape), SensorConfig()))
     assert dumps_dataset(dataset_from_dict(json.loads(text))) == text
