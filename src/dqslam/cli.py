@@ -9,11 +9,12 @@ Subcommands:
     rerun      re-execute the command recorded in a run manifest
 
 Every world, sensor, solver, factor-noise and quadric-initialization
-parameter is a kebab-case flag generated from its config dataclass field;
-defaults reproduce the published synthetic evaluation setup, and the
-dataclasses are the only range check (a rejected value exits with code 2
-before any work). Each command writes a run manifest listing its outputs,
-and reruns with equal flags and seeds reproduce those outputs byte for byte.
+parameter is a kebab-case flag generated from its config dataclass field,
+which declares the flag's name (if not its own), like its range; defaults
+reproduce the published synthetic evaluation setup, and the dataclasses
+are the only range check (a rejected value exits with code 2 before any
+work). Each command writes a run manifest listing its outputs, and reruns
+with equal flags and seeds reproduce those outputs byte for byte.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from .config import ConfigError, check_fields, setting
 from .dataset_io import _read_json, read_dataset, write_dataset
 from .geometry import QUADRIC_CENTROID
 from .initialization import InitStrategy
-from .metrics import MODES, TrialResult, aggregate, format_table
+from .metrics import METRICS, MODES, TrialResult, aggregate, format_table
 from .pipeline import GraphNoiseConfig, run_trial
 from .simulator import SensorConfig, WorldConfig, generate_dataset
 from .solver import SolverConfig, load_scipy
@@ -60,11 +61,6 @@ def _fmt_float(v: float) -> str:
 
 def _flag(name: str) -> str:
     return "--" + name.replace("_", "-")
-
-
-def _dest(cls, name: str) -> str:
-    # --mode already selects the factor set, so InitStrategy.mode is --init.
-    return "init" if (cls, name) == (InitStrategy, "mode") else name
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ def _add_config_flags(parser, classes, skip=()) -> None:
                 kwargs["choices"] = f.metadata["choices"]
             else:
                 kwargs["type"] = type(f.default)
-            parser.add_argument(_flag(_dest(cls, f.name)), **kwargs)
+            parser.add_argument(_flag(f.metadata["flag"] or f.name), **kwargs)
 
 
 def _configs(parser, args, classes) -> list:
@@ -115,7 +111,7 @@ def _configs(parser, args, classes) -> list:
     values = vars(args)
     configs = []
     for cls in classes:
-        names = {f.name: _dest(cls, f.name) for f in fields(cls)}
+        names = {f.name: f.metadata["flag"] or f.name for f in fields(cls)}
         kwargs = {name: values[dest] for name, dest in names.items() if dest in values}
         try:
             configs.append(cls(**kwargs))
@@ -246,13 +242,7 @@ def _results_doc(run) -> dict:
             "converged": run.report.converged,
             "termination_reason": run.report.termination_reason,
         },
-        "metrics": {
-            "rmse_pos_init": r.rmse_pos_init,
-            "rmse_pos_slam": r.rmse_pos_slam,
-            "rmse_lm": r.rmse_lm,
-            "rmse_volume": r.rmse_volume,
-            "volume_invalid_count": r.volume_invalid_count,
-        },
+        "metrics": {name: getattr(r, name) for name in (*METRICS, "volume_invalid_count")},
         "estimates": {
             "poses": run.solved_graph.poses.tolist(),
             "quadrics": run.solved_graph.quadrics.tolist(),
@@ -311,8 +301,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
         {"load_scipy": load_s, "solve": elapsed},
         solver_work={"linear_solves": rep.linear_solves},
     )
-    failed = rep.termination_reason == "stalled" or not np.isfinite(rep.final_cost)
-    return 1 if failed else 0
+    return 1 if rep.termination_reason == "stalled" else 0
 
 
 # -- evaluate ---------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 A field declared with `setting(default, ...)` has the type of its default
 and the bounds or choices given there; `check_fields`, called from each
-config's `__post_init__`, enforces them. The command line derives its flags
-from the same fields.
+config's `__post_init__`, enforces them. The command line derives its flags,
+name and help text included, from the same declarations.
 """
 
 from __future__ import annotations
@@ -31,12 +31,13 @@ class ConfigError(ValueError):
         self.name, self.requirement = name, requirement
 
 
-def setting(default, *, gt=None, ge=None, lt=None, le=None, choices=None, help=None):
-    """A dataclass field with its default, bounds or choices, and the help
-    text of its command-line flag (the field name when not given)."""
+def setting(default, *, gt=None, ge=None, lt=None, le=None, choices=None, help=None,
+            flag=None):
+    """A dataclass field with its default, bounds or choices, and the name
+    and help text of its command-line flag (the field name when not given)."""
     return field(
         default=default,
-        metadata=dict(gt=gt, ge=ge, lt=lt, le=le, choices=choices, help=help),
+        metadata=dict(gt=gt, ge=ge, lt=lt, le=le, choices=choices, help=help, flag=flag),
     )
 
 

@@ -3,10 +3,9 @@ SVD fit (with identity fallback) for quadrics.
 
 The SVD fit stacks one linear constraint per observed box line l, obtained
 by expanding the tangency equation of its back-projected plane P^T l (P
-formed once per pose) against the symmetric quadric matrix. Close-to-planar
-camera trajectories make that system rank-deficient; a condition test on
-the two smallest singular values detects this and triggers the identity
-fallback.
+formed once per pose) against the symmetric quadric matrix. A landmark
+keeps the identity when the smallest singular value is not isolated; this
+test does not detect planar trajectories, and accepts some of their fits.
 """
 
 from __future__ import annotations
@@ -60,7 +59,9 @@ class InitStrategy:
     i.e. when the nullspace direction is isolated.
     """
 
-    mode: str = setting("identity", choices=_MODES, help="quadric initialization strategy")
+    # --mode already selects the factor set, so this is --init.
+    mode: str = setting("identity", choices=_MODES, help="quadric initialization strategy",
+                        flag="init")
     condition_threshold: float = setting(
         0.1, gt=0, le=1, help="SVD acceptance ratio for the degeneracy test"
     )
@@ -130,13 +131,9 @@ def init_quadric_svd(
     P: (n, 3, 4) projection matrices, indexed by each detection's pose_index.
 
     Raises:
-        InsufficientObservationsError: fewer than 3 detections.
+        InsufficientObservationsError: fewer than 3 detections (9 planes).
         DegenerateSolutionError: see fit_dual_quadric.
     """
-    if len(detections) < 3:
-        raise InsufficientObservationsError(
-            f"need at least 3 detections, got {len(detections)}"
-        )
     P = P[detections.pose_index]
     # P^T l per line, in the bits of P.T @ l (einsum and lines @ P differ).
     planes = np.matmul(P.transpose(0, 2, 1)[:, None], detections.values[..., None])

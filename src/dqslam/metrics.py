@@ -26,9 +26,15 @@ __all__ = [
     "aggregate",
     "format_table",
     "MODES",
+    "METRICS",
 ]
 
 MODES = ("monocular", "with-relpos")
+
+# The trial's error metrics in order, TrialResult field: (table label, width).
+METRICS = {"rmse_pos_init": ("init pos", 12), "rmse_pos_slam": ("slam pos", 12),
+           "rmse_lm": ("lm", 9), "rmse_volume": ("vol", 9)}
+
 
 @dataclass(frozen=True)
 class TrialResult:
@@ -113,9 +119,6 @@ def rmse_volume(est, sides) -> tuple[float, int]:
     return error, len(est) - len(errors)
 
 
-_METRICS = ("rmse_pos_init", "rmse_pos_slam", "rmse_lm", "rmse_volume")
-
-
 def aggregate(results) -> dict:
     """Average and median of every metric, per mode.
 
@@ -132,7 +135,7 @@ def aggregate(results) -> dict:
     for mode in sorted({r.mode for r in results}):
         rows = [r for r in results if r.mode == mode]
         entry: dict = {}
-        for metric in _METRICS:
+        for metric in METRICS:
             values = np.array([getattr(r, metric) for r in rows])
             finite = values[np.isfinite(values)]
             stats = {
@@ -152,18 +155,14 @@ def aggregate(results) -> dict:
 
 def format_table(summary: dict) -> str:
     """Render the aggregate summary as a fixed-width text table."""
-    header = (
-        f"{'mode':<14} {'init pos avg':>12} {'init pos med':>12} "
-        f"{'slam pos avg':>12} {'slam pos med':>12} "
-        f"{'lm avg':>9} {'lm med':>9} {'vol avg':>9} {'vol med':>9}"
+    header = f"{'mode':<14}" + "".join(
+        f" {label + ' avg':>{width}} {label + ' med':>{width}}"
+        for label, width in METRICS.values()
     )
     lines = [header, "-" * len(header)]
     for mode, entry in summary.items():
-        lines.append(
-            f"{mode:<14} "
-            f"{entry['rmse_pos_init']['avg']:>12.3f} {entry['rmse_pos_init']['med']:>12.3f} "
-            f"{entry['rmse_pos_slam']['avg']:>12.3f} {entry['rmse_pos_slam']['med']:>12.3f} "
-            f"{entry['rmse_lm']['avg']:>9.3f} {entry['rmse_lm']['med']:>9.3f} "
-            f"{entry['rmse_volume']['avg']:>9.3f} {entry['rmse_volume']['med']:>9.3f}"
-        )
+        lines.append(f"{mode:<14}" + "".join(
+            f" {entry[name]['avg']:>{width}.3f} {entry[name]['med']:>{width}.3f}"
+            for name, (_, width) in METRICS.items()
+        ))
     return "\n".join(lines)

@@ -181,15 +181,12 @@ def solve(graph: FactorGraph, config: SolverConfig | None = None):
 
     for _ in range(config.max_iterations):
         JtJ, g = normal_equations(ev.jacobian(poses, quadrics), r)
-        grad = np.abs(g).max() if g.size else 0.0
-        if grad < config.grad_tol:
+        # A valid graph has a prior on a pose: g and poses are never empty.
+        if np.abs(g).max() < config.grad_tol:
             reason = "grad-tol"
             break
 
-        scale = 1.0 + max(
-            np.abs(poses).max() if poses.size else 0.0,
-            np.abs(quadrics).max() if quadrics.size else 0.0,
-        )
+        scale = 1.0 + max(np.abs(poses).max(), np.abs(quadrics).max(initial=0.0))
         escalated = False
         while True:
             linear_solves += 1

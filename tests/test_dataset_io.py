@@ -158,6 +158,11 @@ CORRUPTIONS = {
     "boolean-pose": (_set(["ground_truth", "poses", 5, 0], True), "ground_truth.poses"),
     "boolean-box-line": (_set(["detections", 0, "lines", 0, 2], False), "detections.lines"),
     "huge-integer-pose": (_set(["ground_truth", "poses", 1, 1], 10**400), "ground_truth.poses"),
+    "boolean-world-int": (_set(["world_config", "n_landmarks"], True),
+                          "world_config.n_landmarks"),
+    "boolean-sensor-float": (_set(["sensor_config", "focal_mm"], True),
+                             "sensor_config.focal_mm"),
+    "number-for-pose-list": (_set(["ground_truth", "poses"], 5), "ground_truth.poses"),
     # Sizes other than world_config declares: each once got round the
     # landmark or schedule ceiling.
     "fewer-landmarks-declared": (_set(["world_config", "n_landmarks"], 3),

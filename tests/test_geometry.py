@@ -475,6 +475,15 @@ def test_tangency_residual_bilinear_in_line_scale(rng, canonical_projection):
 
 # -- robot pose and mount -----------------------------------------------------------
 
+def test_intrinsics_validation():
+    for fx, fy in [(0, 1), (1, -1)]:
+        with pytest.raises(ValueError, match="focal lengths"):
+            CameraIntrinsics(fx, fy, 0, 0, 10, 10)
+    for width, height in [(0, 10), (10, -1)]:
+        with pytest.raises(ValueError, match="image size"):
+            CameraIntrinsics(1, 1, 0, 0, width, height)
+
+
 def test_extrinsics_validation():
     with pytest.raises(ValueError):
         CameraExtrinsics(np.eye(3) * 2.0, np.zeros(3))

@@ -86,18 +86,20 @@ def test_fit_dual_quadric_recovers_ellipsoid(rng):
     center = np.array([0.5, -1.0, 0.8])
     axes = np.array([0.9, 0.5, 0.3])
     gt = ellipsoid_to_dual_quadric(center, axes)
-    planes = ellipsoid_tangent_planes(center, axes, np.eye(3), unit_sphere_directions(40, rng))
-    est = fit_dual_quadric(planes)
-    assert np.max(np.abs(est.matrix() - gt.matrix())) < 1e-8
-    assert est.matrix()[3, 3] == 1.0  # exact fixed scale
-
-    # residual invariant: the fit annihilates its own constraint system
     from dqslam.geometry import tangency_rows
 
-    planes_n = planes / np.linalg.norm(planes, axis=1, keepdims=True)
-    A = tangency_rows(planes_n)
-    qhat = np.append(est.q, 1.0)
-    assert np.linalg.norm(A @ qhat) / np.linalg.norm(qhat) < 1e-10
+    # 9 planes, the fewest accepted, give fewer rows than the 10 unknowns.
+    for n in (40, 9):
+        planes = ellipsoid_tangent_planes(center, axes, np.eye(3), unit_sphere_directions(n, rng))
+        est = fit_dual_quadric(planes)
+        assert np.max(np.abs(est.matrix() - gt.matrix())) < 1e-8
+        assert est.matrix()[3, 3] == 1.0  # exact fixed scale
+
+        # residual invariant: the fit annihilates its own constraint system
+        planes_n = planes / np.linalg.norm(planes, axis=1, keepdims=True)
+        A = tangency_rows(planes_n)
+        qhat = np.append(est.q, 1.0)
+        assert np.linalg.norm(A @ qhat) / np.linalg.norm(qhat) < 1e-10
 
 
 def test_fit_dual_quadric_insufficient_rows(rng):

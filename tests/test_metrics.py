@@ -162,6 +162,8 @@ def test_aggregate_single_trial():
     entry = s["monocular"]
     for metric in ("rmse_pos_init", "rmse_pos_slam", "rmse_lm", "rmse_volume"):
         assert entry[metric]["avg"] == entry[metric]["med"]
+    with pytest.raises(ValueError, match="no trial results"):
+        aggregate([])
 
 
 def test_aggregate_avg_and_median():
@@ -201,6 +203,22 @@ def test_format_table_mentions_modes():
     s = aggregate([trial("monocular"), trial("with-relpos", seed=1)])
     text = format_table(s)
     assert "monocular" in text and "with-relpos" in text
+    # The exact text: one monocular trial has no volume error, and the one
+    # with-relpos trial none at all, so its volume columns read nan.
+    s = aggregate([
+        trial("monocular", pos_init=1.25, pos=0.5, lm=0.375, vol=0.0625),
+        trial("monocular", seed=1, pos_init=12.5, pos=1.5, lm=0.125, vol=np.nan, invalid=3),
+        trial("with-relpos", pos_init=1.25, pos=0.25, lm=0.5, vol=np.nan, invalid=10),
+    ])
+    assert format_table(s) == "\n".join([
+        "mode           init pos avg init pos med slam pos avg slam pos med"
+        "    lm avg    lm med   vol avg   vol med",
+        "-" * 106,
+        "monocular             6.875        6.875        1.000        1.000"
+        "     0.250     0.250     0.062     0.062",
+        "with-relpos           1.250        1.250        0.250        0.250"
+        "     0.500     0.500       nan       nan",
+    ])
 
 
 def test_volume_invalid_count():
