@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import contextlib
 import functools
 import json
 import math
@@ -71,7 +72,7 @@ class BatchConfig:
     base_seed: int = setting(0, help="first seed", ge=next(  # a trial seed's floor
         f.metadata["ge"] for f in fields(WorldConfig) if f.name == "seed"))
     workers: int = setting(0, ge=0, help="worker processes, at most one per job, i.e. two "
-                           "per trial; 0 = available parallelism")
+                           "per trial; 0 = the CPUs this process may use")
 
     def __post_init__(self):
         check_fields(self)
@@ -306,6 +307,15 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
 
 # -- evaluate ---------------------------------------------------------------
 
+def _detection_count(world, sensor) -> int:
+    """Worker: the seed's detection count, evaluate's estimate of its solves'
+    cost; 0 when its simulation raises, which its jobs then report."""
+    try:
+        return len(generate_dataset(world, sensor).detections)
+    except Exception:
+        return 0
+
+
 def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
     """Worker: one seed in one mode. The dataset is regenerated from the
     seed, which is deterministic and cheap next to a solve.
@@ -330,6 +340,14 @@ def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
     return result, error, time.perf_counter() - t0, started, os.getpid()
 
 
+def _available_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask (taskset, cgroup
+    cpusets) where the platform has one, else every CPU."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _csv_row(result) -> str:
     values = (getattr(result, name) for name in CSV_COLUMNS)
     return ",".join(_fmt_float(v) if isinstance(v, float) else str(v) for v in values)
@@ -337,15 +355,10 @@ def _csv_row(result) -> str:
 
 def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise) -> int:
     seeds = [batch.base_seed + i for i in range(batch.trials)]
-    # One job per (seed, mode), mode-major: MODES starts with the monocular
-    # solves, which take most of a batch's time, so the pool starts the
-    # longest jobs first and the short with-relpos ones fill in at the end.
-    jobs = [(seed, mode) for mode in MODES for seed in seeds]
     job = functools.partial(
         _evaluate_job, sensor=sensor, noise=noise, solver_cfg=solver_cfg, strategy=strategy
     )
-    job_worlds = [replace(world, seed=seed) for seed, _ in jobs]
-    job_modes = [mode for _, mode in jobs]
+    count = functools.partial(_detection_count, sensor=sensor)
 
     os.makedirs(args.out_dir, exist_ok=True)
     csv_path, summary_path, manifest_path = (
@@ -357,15 +370,24 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
     load_s = load_scipy()
     started = time.time()
     t0 = time.perf_counter()
-    # A pool forks all its workers at the first submit; more than one per
-    # job would only sit idle.
-    workers = min(batch.workers or os.cpu_count() or 1, len(jobs))
-    if workers == 1:
-        outcomes = list(map(job, job_worlds, job_modes))
-    else:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(job, job_worlds, job_modes))
+    # One job per (seed, mode). A pool forks all its workers at the first
+    # submit; more than one per job would only sit idle.
+    workers = min(batch.workers or _available_cpus(), len(MODES) * len(seeds))
+    worlds = {seed: replace(world, seed=seed) for seed in seeds}
+    with (contextlib.nullcontext() if workers == 1 else
+          concurrent.futures.ProcessPoolExecutor(max_workers=workers)) as pool:
+        run = map if pool is None else pool.map
+        # Longest solves first: a seed's detection count estimates the cost
+        # of its solves, so a first pass simulates each seed to count them.
+        # The monocular jobs, which take most of a batch's time, go in
+        # descending count (ties by seed), then the with-relpos ones in the
+        # same seed order; each job simulates its seed again.
+        counts = dict(zip(seeds, run(count, worlds.values())))
+        order = sorted(seeds, key=lambda seed: (-counts[seed], seed))
+        jobs = [(seed, mode) for mode in MODES for seed in order]
+        outcomes = list(run(job, [worlds[seed] for seed, _ in jobs], [mode for _, mode in jobs]))
     elapsed = time.perf_counter() - t0
+    job_seconds = [seconds for _, _, seconds, *_ in outcomes]
 
     # Back into seed order, then MODES order. A seed with a failed mode
     # contributes no rows and one failure: its first failing mode's message.
@@ -423,6 +445,11 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
         [csv_path, summary_path],
         timings,
         jobs=job_log,
+        schedule={
+            "detections": {str(seed): counts[seed] for seed in seeds},
+            # The makespan had the jobs been split evenly between the workers.
+            "ideal_s": max(sum(job_seconds) / workers, max(job_seconds)),
+        },
     )
     return 1 if failures else 0
 
@@ -491,8 +518,10 @@ def _build_parser():
         help="run a seeded batch of trials in both modes",
         description="Run n seeded trials (seed_i = base-seed + i) through "
         "simulate -> solve -> metrics in both modes, one pool job per seed "
-        "and mode, all monocular jobs first, and write per-trial CSV plus an "
-        "aggregate summary in the published table layout.",
+        "and mode, and write per-trial CSV plus an aggregate summary in the "
+        "published table layout. A first pass simulates each seed to count "
+        "its detections; the monocular jobs start first, in descending "
+        "count, then the with-relpos ones in the same seed order.",
     )
     p_eval.add_argument("--out-dir", required=True, help="output directory")
     _add_config_flags(p_eval, _CONFIGS["evaluate"], skip=("seed",))

@@ -340,8 +340,6 @@ def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) ->
     """
     R, t = R[seen], t[seen]
     views, boxes = project_sphere_bbox(center, side, R, t, K, min_px=0.0)
-    if 4 * np.count_nonzero(views) < 10:
-        return 0.0
     P, boxes = projection_matrices(K, R[views], t[views]), boxes[views]
     # The box line v = v0 back-projects to the plane P[1] - v0 P[2], and
     # u = u0 to P[0] - u0 P[2]: the planes of box_lines' lines (top,

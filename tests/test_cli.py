@@ -8,7 +8,7 @@ import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import pytest
@@ -19,7 +19,7 @@ from dqslam.dataset_io import read_dataset
 from dqslam.initialization import InitStrategy
 from dqslam.metrics import MODES
 from dqslam.pipeline import GraphNoiseConfig, build_graph
-from dqslam.simulator import MAX_LANDMARKS, SensorConfig, WorldConfig
+from dqslam.simulator import MAX_LANDMARKS, SensorConfig, WorldConfig, generate_dataset
 from dqslam.solver import SolverConfig
 from oracle import graph_residual, ground_truth_graph
 
@@ -378,13 +378,18 @@ def test_unplaceable_landmark_is_an_input_error(tmp_path, capsys):
 TINY = ["--n-landmarks", "1", "--trajectory-length", "20", "--n-loops", "1"]
 
 
-# evaluate runs one job per (seed, mode): two per trial.
+# evaluate runs one job per (seed, mode): two per trial. --workers 0 means
+# the CPUs in this process's affinity mask; cpus, when given, replaces it.
 @pytest.mark.parametrize(
-    "trials, workers, width",
-    [(1, 64, 2), (2, 64, 4), (3, 2, 2), (3, 0, min(os.cpu_count() or 1, 6)), (2, 1, 1)],
-    ids=["one-trial", "wider-than-jobs", "narrower-than-jobs", "default-width", "one-worker"],
+    "trials, workers, cpus, width",
+    [(1, 64, None, 2), (2, 64, None, 4), (3, 2, None, 2),
+     (3, 0, None, min(len(os.sched_getaffinity(0)), 6)), (3, 0, {0}, 1), (2, 1, None, 1)],
+    ids=["one-trial", "wider-than-jobs", "narrower-than-jobs", "default-width", "one-cpu",
+         "one-worker"],
 )
-def test_evaluate_pool_width_at_most_jobs(trials, workers, width, tmp_path, monkeypatch):
+def test_evaluate_pool_width_at_most_jobs(trials, workers, cpus, width, tmp_path, monkeypatch):
+    if cpus is not None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: cpus)
     widths = []
 
     class InlinePool:
@@ -457,13 +462,64 @@ def test_evaluate_job_failure_fails_its_seed_only(tmp_path, monkeypatch):
     ]
     assert all(t > 0 for t in timings.values())
     # Each job's start offset from the batch start and the process that ran
-    # it: this serial batch ran every job here, one after another.
+    # it: this serial batch ran every job here, one after another, the
+    # monocular ones first by descending detection count (seeds 6, 5 and 4
+    # have 20, 15 and 13).
     jobs = json.loads((out / "run_manifest.json").read_text())["jobs"]
     assert list(jobs) == [f"{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES]
     assert {job["pid"] for job in jobs.values()} == {os.getpid()}
-    starts = [jobs[f"{seed}/{mode}"]["start_s"] for mode in MODES for seed in (4, 5, 6)]
+    starts = [jobs[f"{seed}/{mode}"]["start_s"] for mode in MODES for seed in (6, 5, 4)]
     assert 0 <= starts[0] and starts == sorted(starts)
     assert starts[-1] < timings["evaluate"]
+
+
+# Seeds 7-10 of TINY worlds have 10, 29, 29 and 16 detections.
+SCHEDULED = ["evaluate", "--trials", "4", "--base-seed", "7", "--workers", "1", *TINY]
+
+
+def _start_order(manifest) -> list:
+    jobs = manifest["jobs"]
+    return sorted(jobs, key=lambda key: jobs[key]["start_s"])
+
+
+def test_evaluate_starts_longest_solves_first(tmp_path):
+    out = tmp_path / "r"
+    assert main(SCHEDULED + ["--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    world, sensor = WorldConfig(n_landmarks=1, trajectory_length=20, n_loops=1), SensorConfig()
+    counts = {str(seed): len(generate_dataset(replace(world, seed=seed), sensor).detections)
+              for seed in range(7, 11)}
+    assert manifest["schedule"]["detections"] == counts
+    # Monocular jobs by descending count, ties by seed, then the with-relpos
+    # jobs in the same seed order.
+    assert _start_order(manifest) == [f"{seed}/{mode}" for mode in MODES for seed in (8, 9, 10, 7)]
+    # A serial batch's ideal makespan is the sum of its job times, which
+    # the batch's wall time includes.
+    timings = manifest["timings_s"]
+    ideal = manifest["schedule"]["ideal_s"]
+    assert ideal == pytest.approx(sum(t for k, t in timings.items() if k.startswith("trial/")))
+    assert 0 < ideal <= timings["evaluate"]
+
+
+def test_evaluate_simulation_failure_fails_its_seed_only(tmp_path, monkeypatch):
+    real_generate_dataset = cli.generate_dataset
+
+    def generate_dataset(world, sensor):
+        if world.seed == 9:
+            raise RuntimeError("no world")
+        return real_generate_dataset(world, sensor)
+
+    monkeypatch.setattr(cli, "generate_dataset", generate_dataset)
+    out = tmp_path / "r"
+    assert main(SCHEDULED + ["--out-dir", str(out)]) == 1
+    summary = json.loads((out / "summary.json").read_text())
+    assert summary["failures"] == {"9": "RuntimeError: no world"}
+    rows = (out / "results.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[0] for row in rows] == ["7", "7", "8", "8", "10", "10"]
+    # Its count reads 0, so its jobs start last in each mode.
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    assert manifest["schedule"]["detections"]["9"] == 0
+    assert _start_order(manifest) == [f"{seed}/{mode}" for mode in MODES for seed in (8, 10, 7, 9)]
 
 
 def test_python_m_dqslam_runs_the_cli():
