@@ -55,6 +55,7 @@ __all__ = [
     "camera_frames",
     "left_facing_mount",
     "tangency_rows",
+    "tangency_svd",
     "wrap_angles",
     "in_frame",
     "EPS_SCALE",
@@ -327,27 +328,18 @@ def left_facing_mount() -> CameraExtrinsics:
 
 
 def pose_to_extrinsics(pose, mount: CameraExtrinsics) -> CameraExtrinsics:
-    """World-to-camera extrinsics of the mounted camera at one pose row
-    (x, y, theta), the heading wrapped to (-pi, pi].
-
-    The SE(2) pose is lifted to SE(3) on the z = 0 plane and composed with
-    the fixed robot-to-camera mount. camera_frames is the stacked form.
-    """
-    x, y, theta = pose
-    theta = wrap_angle(theta)
-    c, s = math.cos(theta), math.sin(theta)
-    R_rw = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T  # world-to-robot
-    t_rw = -R_rw @ np.array([x, y, 0.0])
-    return CameraExtrinsics(mount.rotation @ R_rw, mount.rotation @ t_rw + mount.translation)
+    """camera_frames at one pose row (x, y, theta), as CameraExtrinsics."""
+    R, t = camera_frames(np.asarray(pose, dtype=float).reshape(1, 3), mount)
+    return CameraExtrinsics(R[0], t[0])
 
 
 def camera_frames(poses, mount: CameraExtrinsics):
     """World-to-camera rotations (n, 3, 3) and translations (n, 3) of the
-    mounted camera at every pose of (n, 3) pose rows (x, y, theta).
-
-    Same arithmetic as pose_to_extrinsics, stacked, so every frame equals
-    pose_to_extrinsics(pose, mount) bit for bit. R_rw must stay a
-    transposed view, as there: a stacked matmul's bits follow its layout.
+    mounted camera at (n, 3) pose rows (x, y, theta): each pose lifted to
+    SE(3) on the z = 0 plane, heading wrapped to (-pi, pi], then composed
+    with the robot-to-camera mount. Equal bit for bit to the scalar
+    pose_to_extrinsics in tests/oracle.py; R_rw must stay a transposed
+    view, as a stacked matmul's bits follow its layout.
     """
     theta = wrap_angles(poses[:, 2]).tolist()
     c, s = np.array([[math.cos(a) for a in theta], [math.sin(a) for a in theta]])
@@ -377,6 +369,16 @@ def tangency_rows(planes) -> np.ndarray:
         [(p[i] if i == j else 2.0 * p[i]) * p[j] for i, j in zip(_ROWS.tolist(), _COLS.tolist())],
         axis=-1,
     )
+
+
+def tangency_svd(planes):
+    """(S, Vt) of the SVD of the tangency_rows of planes (n, 4) scaled to
+    unit norm; thin, except that below 10 rows Vt stays (10, 10), its last
+    row spanning the nullspace the rows leave."""
+    planes = np.asarray(planes, dtype=float)
+    A = tangency_rows(planes / np.linalg.norm(planes, axis=1, keepdims=True))
+    _, S, Vt = np.linalg.svd(A, full_matrices=len(A) < 10)
+    return S, Vt
 
 
 def wrap_angles(angles) -> np.ndarray:

@@ -22,7 +22,7 @@ from .geometry import (
     DualQuadric,
     camera_frames,
     projection_matrices,
-    tangency_rows,
+    tangency_svd,
     wrap_angle,
 )
 
@@ -87,8 +87,8 @@ def fit_dual_quadric(
 ) -> DualQuadric:
     """Least-squares quadric from tangent planes, via SVD nullspace.
 
-    planes: (n, 4) homogeneous plane rows; normalized to unit Euclidean
-    norm before assembling the system (conditions the SVD).
+    planes: (n, 4) homogeneous plane rows, whose system tangency_svd
+    assembles and decomposes.
 
     Raises:
         InsufficientObservationsError: fewer than 9 constraint rows.
@@ -100,9 +100,7 @@ def fit_dual_quadric(
         raise InsufficientObservationsError(
             f"{planes.shape[0]} planes constrain at most {planes.shape[0]} of 9 DOF"
         )
-    planes = planes / np.linalg.norm(planes, axis=1, keepdims=True)
-    A = tangency_rows(planes)
-    _, S, Vt = np.linalg.svd(A)
+    S, Vt = tangency_svd(planes)
     v = Vt[-1]
     if len(S) < 10:  # fewer rows than unknowns: exact nullspace
         S = np.concatenate([S, np.zeros(10 - len(S))])

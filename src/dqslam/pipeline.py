@@ -1,11 +1,12 @@
 """End-to-end trial assembly: dataset -> factor graph -> solve -> metrics.
 
 The measurement noise models used by the graph are configuration, separate
-from the simulator's data noise. Odometry and relative-position factors
-mirror the simulator sigmas by default. The bounding-box factor sigma is
-expressed in tangency-residual units (which our line normalization fixes);
-its default was calibrated so that a one-pixel corner error contributes
-roughly unit whitened residual at typical viewing distances.
+from the simulator's data noise. Odometry and relative-position factor
+sigmas default to the simulator's (`SensorConfig`'s field defaults). The
+bounding-box factor sigma is expressed in tangency-residual units (which
+our line normalization fixes); its default was calibrated so that a
+one-pixel corner error contributes roughly unit whitened residual at
+typical viewing distances.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from .config import check_fields, setting
 from .factors import FactorGraph
 from .initialization import InitStrategy, init_poses, initialize_quadrics
 from .metrics import MODES, TrialResult, rmse_lm, rmse_pos, rmse_volume
-from .simulator import Dataset
+from .simulator import Dataset, SensorConfig
 from .solver import SolveReport, SolverConfig, solve
 
 __all__ = [
@@ -40,11 +41,11 @@ class GraphNoiseConfig:
     """
 
     prior_sigma: float = setting(1e-6, gt=0)
-    odo_sigma_xy: float = setting(0.02, gt=0)
-    odo_sigma_theta: float = setting(0.02, gt=0)
-    odo_sigma_theta_turn: float = setting(0.1, gt=0)
+    odo_sigma_xy: float = setting(SensorConfig.odo_sigma, gt=0)
+    odo_sigma_theta: float = setting(SensorConfig.odo_sigma, gt=0)
+    odo_sigma_theta_turn: float = setting(SensorConfig.odo_turn_omega_sigma, gt=0)
     bbox_line_sigma: float = setting(1e6, gt=0)
-    relpos_sigma: float = setting(0.1, gt=0)
+    relpos_sigma: float = setting(SensorConfig.relpos_sigma_m, gt=0)
 
     def __post_init__(self):
         check_fields(self)

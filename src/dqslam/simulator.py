@@ -37,7 +37,7 @@ from .geometry import (
     pose_to_extrinsics,  # noqa: F401  (bench/tracing.py shims it by this name)
     project_quadrics,
     projection_matrices,
-    tangency_rows,
+    tangency_svd,
 )
 from .initialization import init_poses
 
@@ -332,11 +332,11 @@ def measure_relative_position(centers, poses, sigma: float, rng) -> np.ndarray:
 def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) -> float:
     """Uniqueness margin of the landmark's plane-constraint system.
 
-    Ratio of the second-smallest to largest singular value of the tangency
-    system built from noise-free silhouette boxes at the views marked in
-    seen. Near zero means several quadrics fit the views exactly (the planar
-    degeneracy) and the landmark would be unrecoverable without depth
-    measurements.
+    Ratio of the second-smallest to largest singular value of the system
+    the SVD initializer solves (tangency_svd), built from noise-free
+    silhouette boxes at the views marked in seen. Near zero means several
+    quadrics fit the views exactly (the planar degeneracy) and the landmark
+    would be unrecoverable without depth measurements.
     """
     R, t = R[seen], t[seen]
     views, boxes = project_sphere_bbox(center, side, R, t, K, min_px=0.0)
@@ -347,9 +347,7 @@ def _landmark_condition(center, side: float, seen, R, t, K: CameraIntrinsics) ->
     # constraint rows do not see.
     rows = [1, 0, 1, 0]
     coords = np.stack([boxes[:, 0, 1], boxes[:, 1, 0], boxes[:, 2, 1], boxes[:, 3, 0]], 1)
-    planes = (P[:, rows] - coords[:, :, None] * P[:, 2:3]).reshape(-1, 4)
-    planes /= np.linalg.norm(planes, axis=1, keepdims=True)
-    S = np.linalg.svd(tangency_rows(planes), compute_uv=False)
+    S, _ = tangency_svd((P[:, rows] - coords[:, :, None] * P[:, 2:3]).reshape(-1, 4))
     return float(S[-2] / S[0])
 
 

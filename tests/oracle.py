@@ -1,13 +1,15 @@
 """Scalar reference implementations for the tests.
 
 The package evaluates its factor graph only through the vectorized
-`factors.GraphEvaluator`, and projects sphere silhouettes only through
+`factors.GraphEvaluator`, forms camera frames only through
+`geometry.camera_frames`, and projects sphere silhouettes only through
 `simulator.project_sphere_bbox`. The functions here compute the same
 quantities one item at a time, on one (x, y, theta) pose row, one
 `DualQuadric`, one (3, 4) projection matrix or one (3, 3) dual conic:
-one raw residual per factor kind (a prior is `se2_boxminus` of the pose
-and its anchor), the tangency defect of one image line, and the bounding
-box of one dual conic. The tests check the vectorized code against them.
+the mounted camera's frame at one pose, one raw residual per factor kind
+(a prior is `se2_boxminus` of the pose and its anchor), the tangency
+defect of one image line, and the bounding box of one dual conic. The
+tests check the vectorized code against them.
 `graph_residual` and `ground_truth_graph` are test helpers: the stacked
 residual and cost of a graph at its stored variables, and a graph moved
 to the simulator's ground truth.
@@ -28,12 +30,23 @@ from dqslam.geometry import (
     CameraIntrinsics,
     DegenerateGeometryError,
     DualQuadric,
-    pose_to_extrinsics,
     projection_matrices,
     wrap_angle,
 )
 from dqslam.initialization import init_poses
 from dqslam.simulator import Dataset, inscribed_ellipsoid
+
+
+def pose_to_extrinsics(pose, mount: CameraExtrinsics) -> CameraExtrinsics:
+    """World-to-camera extrinsics of the mounted camera at one pose row
+    (x, y, theta), the heading wrapped to (-pi, pi]: the SE(2) pose lifted
+    to SE(3) on the z = 0 plane, composed with the robot-to-camera mount."""
+    x, y, theta = pose
+    theta = wrap_angle(theta)
+    c, s = math.cos(theta), math.sin(theta)
+    R_rw = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]]).T  # world-to-robot
+    t_rw = -R_rw @ np.array([x, y, 0.0])
+    return CameraExtrinsics(mount.rotation @ R_rw, mount.rotation @ t_rw + mount.translation)
 
 
 def se2_boxminus(a, b) -> np.ndarray:

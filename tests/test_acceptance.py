@@ -236,7 +236,7 @@ def test_criterion_7_svd_initialization():
     rig_err = float(np.max(np.abs(est.matrix() - gt.matrix())))
 
     n_seeds = 20
-    n_triggered = 0
+    n_triggered = n_fell_back = n_landmarks = 0
     for seed in range(n_seeds):
         ds = generate_dataset(WorldConfig(seed=seed), SensorConfig())
         poses = init_poses(ds.odometry, ds.ground_truth_poses[0])
@@ -246,12 +246,15 @@ def test_criterion_7_svd_initialization():
             InitStrategy(mode="svd-with-fallback"),
         )
         n_triggered += any(fallback)
+        n_fell_back += sum(fallback)
+        n_landmarks += len(fallback)
     ok = rig_err < 1e-6 and n_triggered >= 0.9 * n_seeds
     report(
         "7 (SVD initialization)",
         ok,
         f"non-planar rig max entry error={rig_err:.2e} (<1e-6); planar trajectory "
-        f"triggered fallback in {n_triggered}/{n_seeds} seeds (>=90%)",
+        f"triggered fallback in {n_triggered}/{n_seeds} seeds (>=90%), "
+        f"{n_fell_back}/{n_landmarks} landmarks fell back",
     )
 
 

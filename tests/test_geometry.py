@@ -21,6 +21,8 @@ from dqslam.geometry import (
     projection_matrices,
     QUADRIC_CENTROID,
     quadric_matrices,
+    tangency_rows,
+    tangency_svd,
     vector_from_quadric,
     wrap_angle,
     wrap_angles,
@@ -385,6 +387,30 @@ def test_tangent_plane_invariant_sampled(rng):
         planes /= np.linalg.norm(planes[:, :3], axis=1, keepdims=True)
         res = np.einsum("na,ab,nb->n", planes, q.matrix(), planes)
         assert np.max(np.abs(res)) < 1e-9
+
+
+def test_tangency_svd_singular_values(rng):
+    # The same values as the value-only SVD of the unit-plane system; the
+    # bits differ (with and without vectors LAPACK takes different paths).
+    for n in (9, 12, 40, 160):
+        planes = rng.normal(size=(n, 4))
+        S, Vt = tangency_svd(planes)
+        A = tangency_rows(planes / np.linalg.norm(planes, axis=1, keepdims=True))
+        np.testing.assert_allclose(S, np.linalg.svd(A, compute_uv=False), rtol=1e-14, atol=0)
+        assert Vt.shape == (10, 10)
+
+
+def test_tangency_svd_nine_planes_keep_the_nullspace(rng):
+    # Nine tangent planes leave one direction of the 10 unknowns free: the
+    # quadric itself. A thin SVD would drop it from Vt.
+    center, axes = np.array([0.5, -1.0, 0.8]), np.array([0.9, 0.5, 0.3])
+    planes = ellipsoid_tangent_planes(center, axes, np.eye(3), unit_sphere_directions(9, rng))
+    S, Vt = tangency_svd(planes)
+    assert S.shape == (9,) and Vt.shape == (10, 10)
+    A = tangency_rows(planes / np.linalg.norm(planes, axis=1, keepdims=True))
+    assert np.linalg.norm(A @ Vt[-1]) < 1e-12
+    q = np.append(ellipsoid_to_dual_quadric(center, axes).q, 1.0)
+    assert abs(Vt[-1] @ q) / np.linalg.norm(q) == pytest.approx(1.0, abs=1e-12)
 
 
 # -- projection to conics ----------------------------------------------------------

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,7 +15,6 @@ from dqslam.geometry import (
     box_lines,
     ellipsoid_to_dual_quadric,
     left_facing_mount,
-    pose_to_extrinsics,
     project_quadrics,
     projection_matrices,
 )
@@ -29,7 +29,7 @@ from dqslam.initialization import (
 )
 from dqslam.simulator import SensorConfig, WorldConfig, generate_dataset
 from conftest import ellipsoid_tangent_planes, look_at_extrinsics, unit_sphere_directions
-from oracle import dual_conic_bbox
+from oracle import dual_conic_bbox, pose_to_extrinsics
 
 
 K = CameraIntrinsics(1500, 1500, 640, 512, 1280, 1024)
@@ -190,6 +190,27 @@ def test_initialize_quadrics_matches_per_detection_reference(world):
     assert fallback == ref_fallback
     assert not all(fallback) and any(fallback)  # both paths are compared
     assert quadrics.tobytes() == np.array(ref_quadrics).tobytes()
+
+
+# SHA-256 of svd-with-fallback's quadric rows and fallback flags on the
+# default world, seeds 0-7, at odometry-chained poses. The reference test
+# above fits through fit_dual_quadric itself, so only this pin sees a bit
+# change in the fit's shared arithmetic.
+SVD_INIT_SHA256 = "73314f249ac4a79229defaba07a8a85a8a008febfa8690672b2078f074dcedfa"
+
+
+def test_svd_initialization_bytes_pinned():
+    digest = hashlib.sha256()
+    for seed in range(8):
+        ds = generate_dataset(WorldConfig(seed=seed), SensorConfig())
+        quadrics, fallback = initialize_quadrics(
+            ds.detections, init_poses(ds.odometry, ds.ground_truth_poses[0]),
+            ds.intrinsics(), ds.mount(), range(len(ds.landmark_sides)),
+            InitStrategy(mode="svd-with-fallback"),
+        )
+        digest.update(quadrics.tobytes())
+        digest.update(bytes(fallback))
+    assert digest.hexdigest() == SVD_INIT_SHA256
 
 
 def test_initialize_quadrics_fallback_always_finite():

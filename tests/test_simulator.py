@@ -13,7 +13,6 @@ from dqslam.geometry import (
     box_lines,
     camera_frames,
     left_facing_mount,
-    pose_to_extrinsics,
     project_quadrics,
     projection_matrices,
     tangency_rows,
@@ -34,7 +33,7 @@ from dqslam.simulator import (
     project_cube_bbox,
     project_sphere_bbox,
 )
-from oracle import dual_conic_bbox
+from oracle import dual_conic_bbox, pose_to_extrinsics
 from test_geometry import _reference_normalize
 
 
