@@ -47,6 +47,7 @@ __all__ = ["main"]
 
 MANIFEST_SCHEMA = "dqslam.run-manifest"
 RESULTS_SCHEMA = "dqslam.results"
+SUMMARY_SCHEMA = "dqslam.summary"
 
 CSV_COLUMNS = tuple(f.name for f in fields(TrialResult))
 
@@ -68,25 +69,14 @@ def _flag(name: str) -> str:
 class BatchConfig:
     """evaluate's seeds, base_seed + i for each of the trials, and pool width."""
 
-    trials: int = setting(50, ge=1, help="number of trials")
+    trials: int = setting(50, ge=1, le=10_000, help="number of trials")
     base_seed: int = setting(0, help="first seed", ge=next(  # a trial seed's floor
         f.metadata["ge"] for f in fields(WorldConfig) if f.name == "seed"))
-    workers: int = setting(0, ge=0, help="worker processes, at most one per job, i.e. two "
+    workers: int = setting(0, ge=0, le=256, help="worker processes, at most one per job, i.e. two "
                            "per trial; 0 = the CPUs this process may use")
 
     def __post_init__(self):
         check_fields(self)
-
-
-# The configs each subcommand builds from its flags, in --help order; the
-# command receives them in this order after (args, argv).
-_CONFIGS = {
-    "simulate": (WorldConfig, SensorConfig),
-    "solve": (InitStrategy, SolverConfig, GraphNoiseConfig),
-    "evaluate": (BatchConfig, InitStrategy, WorldConfig, SensorConfig, SolverConfig,
-                 GraphNoiseConfig),
-    "rerun": (),
-}
 
 
 def _add_config_flags(parser, classes, skip=()) -> None:
@@ -412,7 +402,7 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
 
     summary = aggregate(all_results) if all_results else {}
     summary_doc = {
-        "schema": "dqslam.summary",
+        "schema": SUMMARY_SCHEMA,
         "version": 1,
         "n_trials": batch.trials,
         "base_seed": batch.base_seed,
@@ -495,7 +485,7 @@ def _build_parser():
         "the published evaluation setup (130 m two-loop trajectory, 10 cube "
         "landmarks, 15 mm / 10 um / 1280x1024 camera, 1 px box noise).",
     )
-    _add_config_flags(p_sim, _CONFIGS["simulate"])
+    _add_config_flags(p_sim, _COMMANDS["simulate"][1])
     p_sim.add_argument("--out", required=True, help="output dataset path (JSON)")
 
     p_solve = sub.add_parser(
@@ -509,7 +499,7 @@ def _build_parser():
     p_solve.add_argument(
         "--mode", choices=MODES, default="monocular", help="factor set to use"
     )
-    _add_config_flags(p_solve, _CONFIGS["solve"])
+    _add_config_flags(p_solve, _COMMANDS["solve"][1])
     p_solve.add_argument("--out", required=True, help="output results path (JSON)")
     p_solve.add_argument("--svg", default=None, help="optional SVG map path")
 
@@ -524,7 +514,7 @@ def _build_parser():
         "count, then the with-relpos ones in the same seed order.",
     )
     p_eval.add_argument("--out-dir", required=True, help="output directory")
-    _add_config_flags(p_eval, _CONFIGS["evaluate"], skip=("seed",))
+    _add_config_flags(p_eval, _COMMANDS["evaluate"][1], skip=("seed",))
 
     p_rerun = sub.add_parser(
         "rerun",
@@ -537,11 +527,14 @@ def _build_parser():
     return parser, sub.choices
 
 
+# Each subcommand's handler and the configs it builds from its flags, in
+# --help order; the handler receives them in this order after (args, argv).
 _COMMANDS = {
-    "simulate": _cmd_simulate,
-    "solve": _cmd_solve,
-    "evaluate": _cmd_evaluate,
-    "rerun": _cmd_rerun,
+    "simulate": (_cmd_simulate, (WorldConfig, SensorConfig)),
+    "solve": (_cmd_solve, (InitStrategy, SolverConfig, GraphNoiseConfig)),
+    "evaluate": (_cmd_evaluate, (BatchConfig, InitStrategy, WorldConfig, SensorConfig,
+                                 SolverConfig, GraphNoiseConfig)),
+    "rerun": (_cmd_rerun, ()),
 }
 
 
@@ -549,9 +542,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
-    configs = _configs(commands[args.command], args, _CONFIGS[args.command])
+    handler, classes = _COMMANDS[args.command]
+    configs = _configs(commands[args.command], args, classes)
     try:
-        return _COMMANDS[args.command](args, argv, *configs)
+        return handler(args, argv, *configs)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -40,7 +40,6 @@ __all__ = [
     "CameraIntrinsics",
     "CameraExtrinsics",
     "DualQuadric",
-    "wrap_angle",
     "normalize_lines",
     "lines_through",
     "box_corners",
@@ -73,21 +72,6 @@ QUADRIC_CENTROID.setflags(write=False)
 class DegenerateGeometryError(ValueError):
     """Raised for degenerate geometric input (coincident points, zero-scale
     quadrics, lines that cannot be normalized)."""
-
-
-def wrap_angle(theta: float) -> float:
-    """Wrap an angle to the interval (-pi, pi].
-
-    Values already in range are returned unchanged (bit-exact), so wrapping
-    is idempotent.
-    """
-    theta = float(theta)
-    if -math.pi < theta <= math.pi:
-        return theta
-    w = theta - math.tau * math.floor((theta + math.pi) / math.tau)
-    if w <= -math.pi:
-        w += math.tau
-    return w
 
 
 def _frozen_array(values, shape) -> np.ndarray:
@@ -382,11 +366,9 @@ def tangency_svd(planes):
 
 
 def wrap_angles(angles) -> np.ndarray:
-    """A copy of angles wrapped to (-pi, pi], element by element.
-
-    Bit-identical to wrap_angle on every finite angle. Where wrap_angle
-    raises on an infinite or NaN angle, this returns NaN.
-    """
+    """A copy of angles wrapped to (-pi, pi], element by element; an angle
+    already in range is returned unchanged (bit-exact), so wrapping is
+    idempotent, and an infinite or NaN angle becomes NaN."""
     out = np.array(angles, dtype=float, copy=True)
     mask = (out <= -math.pi) | (out > math.pi)
     if np.any(mask):

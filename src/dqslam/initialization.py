@@ -23,7 +23,7 @@ from .geometry import (
     camera_frames,
     projection_matrices,
     tangency_svd,
-    wrap_angle,
+    wrap_angles,
 )
 
 __all__ = [
@@ -73,11 +73,15 @@ class InitStrategy:
 def init_poses(odometry, x0) -> np.ndarray:
     """Chain the unicycle model (advance v along the heading, then turn by
     omega) through raw odometry, (n, 2) rows (v, omega), from x0, an (x, y,
-    theta) row; returns the (n + 1, 3) pose rows, headings in (-pi, pi]."""
-    x, y, theta = float(x0[0]), float(x0[1]), wrap_angle(x0[2])
+    theta) row; returns the (n + 1, 3) pose rows, headings in (-pi, pi].
+    A chained heading is wrapped (wrap_angles) only when it leaves that
+    interval."""
+    x, y, theta = float(x0[0]), float(x0[1]), float(wrap_angles(x0[2]))
     poses = [(x, y, theta)]
     for v, omega in np.asarray(odometry, dtype=float).reshape(-1, 2).tolist():
-        x, y, theta = x + v * math.cos(theta), y + v * math.sin(theta), wrap_angle(theta + omega)
+        x, y, theta = x + v * math.cos(theta), y + v * math.sin(theta), theta + omega
+        if not -math.pi < theta <= math.pi:
+            theta = float(wrap_angles(theta))
         poses.append((x, y, theta))
     return np.array(poses)
 
@@ -111,10 +115,7 @@ def fit_dual_quadric(
         )
     if abs(v[9]) < 1e-12:
         raise DegenerateSolutionError("fit has (4,4) coefficient ~ 0; scale is lost")
-    q = v[:9] / v[9]
-    if not np.all(np.isfinite(q)):
-        raise DegenerateSolutionError("fit produced non-finite parameters")
-    return DualQuadric(q)
+    return DualQuadric(v[:9] / v[9])
 
 
 def init_quadric_svd(

@@ -6,6 +6,7 @@ The package evaluates its factor graph only through the vectorized
 `simulator.project_sphere_bbox`. The functions here compute the same
 quantities one item at a time, on one (x, y, theta) pose row, one
 `DualQuadric`, one (3, 4) projection matrix or one (3, 3) dual conic:
+one heading wrapped to (-pi, pi] (the reference of `geometry.wrap_angles`),
 the mounted camera's frame at one pose, one raw residual per factor kind
 (a prior is `se2_boxminus` of the pose and its anchor), the tangency
 defect of one image line, and the bounding box of one dual conic. The
@@ -31,10 +32,24 @@ from dqslam.geometry import (
     DegenerateGeometryError,
     DualQuadric,
     projection_matrices,
-    wrap_angle,
 )
 from dqslam.initialization import init_poses
 from dqslam.simulator import Dataset, inscribed_ellipsoid
+
+
+def wrap_angle(theta: float) -> float:
+    """Wrap an angle to the interval (-pi, pi].
+
+    Values already in range are returned unchanged (bit-exact), so wrapping
+    is idempotent.
+    """
+    theta = float(theta)
+    if -math.pi < theta <= math.pi:
+        return theta
+    w = theta - math.tau * math.floor((theta + math.pi) / math.tau)
+    if w <= -math.pi:
+        w += math.tau
+    return w
 
 
 def pose_to_extrinsics(pose, mount: CameraExtrinsics) -> CameraExtrinsics:

@@ -127,6 +127,12 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         # The strict SVD mode is gone: svd-with-fallback is the one fit.
         (["evaluate", "--init", "svd", "--out-dir", str(tmp_path / "e12"), *small_batch],
          "--init"),
+        # A pool or a seed table too large to start: once thousands of
+        # forked workers, or minutes spent listing worlds before any check.
+        (["evaluate", "--out-dir", str(tmp_path / "e13"), *small_batch, "--workers", "100000"],
+         "--workers"),
+        (["evaluate", "--out-dir", str(tmp_path / "e14"), *small_batch, "--trials", "10001"],
+         "--trials"),
     ]
     for argv, flag in cases:
         with pytest.raises(SystemExit) as exc:
@@ -137,9 +143,12 @@ def test_simulate_rejects_invalid_flag_value(tmp_path, capsys):
         assert error.count(flag) == 1
     assert not (tmp_path / "x.json").exists()
     assert not (tmp_path / "r.json").exists()
-    for out_dir in ("e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12"):
-        assert not (tmp_path / out_dir).exists()
-    assert WorldConfig(n_landmarks=MAX_LANDMARKS).n_landmarks == MAX_LANDMARKS  # built, not run
+    for i in range(1, 15):
+        assert not (tmp_path / f"e{i}").exists()
+    # The ceilings themselves are accepted: built, not run.
+    assert WorldConfig(n_landmarks=MAX_LANDMARKS).n_landmarks == MAX_LANDMARKS
+    batch = cli.BatchConfig(trials=10_000, workers=256)
+    assert (batch.trials, batch.workers) == (10_000, 256)
 
 
 # Which config classes each subcommand exposes; evaluate takes each trial's

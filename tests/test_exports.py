@@ -62,6 +62,7 @@ def test_every_exported_definition_lives_in_its_module(name):
         ("dqslam.geometry", "CameraExtrinsics.identity"),
         ("dqslam.geometry", "DualQuadric.centroid"),
         ("dqslam.geometry", "DualQuadric.from_matrix"),
+        ("dqslam.geometry", "wrap_angle"),
         ("dqslam", "RobotPose"),
         ("dqslam", "ProjectionMatrix"),
         ("dqslam", "DualConic"),

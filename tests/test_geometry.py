@@ -24,11 +24,10 @@ from dqslam.geometry import (
     tangency_rows,
     tangency_svd,
     vector_from_quadric,
-    wrap_angle,
     wrap_angles,
 )
 from conftest import ellipsoid_tangent_planes, unit_sphere_directions
-from oracle import dual_conic_bbox, tangency_residual
+from oracle import dual_conic_bbox, tangency_residual, wrap_angle
 
 
 def random_rotation(rng):
