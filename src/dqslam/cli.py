@@ -33,8 +33,8 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .config import ConfigError, check_fields, setting
-from .dataset_io import _read_json, read_dataset, write_dataset
+from .config import ConfigError, Settings, setting
+from .dataset_io import _check_schema, _read_json, read_dataset, write_dataset
 from .geometry import QUADRIC_CENTROID
 from .initialization import InitStrategy
 from .metrics import METRICS, MODES, TrialResult, aggregate, format_table
@@ -45,7 +45,7 @@ from .svgplot import trial_svg
 
 __all__ = ["main"]
 
-MANIFEST_SCHEMA = "dqslam.run-manifest"
+MANIFEST_SCHEMA, MANIFEST_VERSION = "dqslam.run-manifest", 1
 RESULTS_SCHEMA = "dqslam.results"
 SUMMARY_SCHEMA = "dqslam.summary"
 
@@ -66,7 +66,7 @@ def _flag(name: str) -> str:
 
 
 @dataclass(frozen=True)
-class BatchConfig:
+class BatchConfig(Settings):
     """evaluate's seeds, base_seed + i for each of the trials, and pool width."""
 
     trials: int = setting(50, ge=1, le=10_000, help="number of trials")
@@ -74,9 +74,6 @@ class BatchConfig:
         f.metadata["ge"] for f in fields(WorldConfig) if f.name == "seed"))
     workers: int = setting(0, ge=0, le=256, help="worker processes, at most one per job, i.e. two "
                            "per trial; 0 = the CPUs this process may use")
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def _add_config_flags(parser, classes, skip=()) -> None:
@@ -146,18 +143,22 @@ def _standard_json(value):
     return value
 
 
+def _write(path, text: str) -> None:
+    """Write an artifact: text, complete, as the file at path."""
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+
+
 def _write_json(path, doc) -> None:
     """Write doc as standard JSON, an undefined statistic (nan) as null."""
-    text = json.dumps(_standard_json(doc), indent=1, allow_nan=False)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text + "\n")
+    _write(path, json.dumps(_standard_json(doc), indent=1, allow_nan=False) + "\n")
 
 
 def _write_manifest(path, command, argv, config: dict, seeds, artifacts, timings, **extra):
     """Write a run manifest; `extra` adds command-specific entries."""
     doc = {
         "schema": MANIFEST_SCHEMA,
-        "version": 1,
+        "version": MANIFEST_VERSION,
         "tool_version": __version__,
         "command": command,
         "argv": list(argv),
@@ -261,8 +262,7 @@ def _cmd_solve(args, argv, strategy, solver_cfg, noise) -> int:
     _write_json(args.out, _results_doc(run))
     artifacts = [args.out]
     if args.svg:
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(_solve_svg(dataset, run))
+        _write(args.svg, _solve_svg(dataset, run))
         artifacts.append(args.svg)
 
     rep = run.report
@@ -306,14 +306,15 @@ def _detection_count(world, sensor) -> int:
         return 0
 
 
-def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
+def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy, batch_start):
     """Worker: one seed in one mode. The dataset is regenerated from the
     seed, which is deterministic and cheap next to a solve.
 
-    Returns (result, error message, wall seconds, start time.time(), pid);
-    exactly one of result and error is None.
+    Returns (result, error message, record); exactly one of result and
+    error is None. The record holds the job's start in seconds after
+    batch_start (a time.time()), its wall seconds and the pid that ran it.
     """
-    started = time.time()
+    start_s = time.time() - batch_start
     t0 = time.perf_counter()
     try:
         dataset = generate_dataset(world, sensor)
@@ -327,7 +328,8 @@ def _evaluate_job(world, mode, sensor, noise, solver_cfg, strategy):
         result, error = run.result, None
     except Exception as exc:  # trial failure: recorded, run continues
         result, error = None, f"{type(exc).__name__}: {exc}"
-    return result, error, time.perf_counter() - t0, started, os.getpid()
+    return result, error, {"start_s": start_s, "seconds": time.perf_counter() - t0,
+                           "pid": os.getpid()}
 
 
 def _available_cpus() -> int:
@@ -345,9 +347,6 @@ def _csv_row(result) -> str:
 
 def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise) -> int:
     seeds = [batch.base_seed + i for i in range(batch.trials)]
-    job = functools.partial(
-        _evaluate_job, sensor=sensor, noise=noise, solver_cfg=solver_cfg, strategy=strategy
-    )
     count = functools.partial(_detection_count, sensor=sensor)
 
     os.makedirs(args.out_dir, exist_ok=True)
@@ -358,7 +357,8 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
     _check_out_paths({"results": csv_path, "summary": summary_path, "manifest": manifest_path})
     # Before the pool forks, so that its workers inherit scipy.
     load_s = load_scipy()
-    started = time.time()
+    job = functools.partial(_evaluate_job, sensor=sensor, noise=noise, solver_cfg=solver_cfg,
+                            strategy=strategy, batch_start=time.time())
     t0 = time.perf_counter()
     # One job per (seed, mode). A pool forks all its workers at the first
     # submit; more than one per job would only sit idle.
@@ -377,13 +377,13 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
         jobs = [(seed, mode) for mode in MODES for seed in order]
         outcomes = list(run(job, [worlds[seed] for seed, _ in jobs], [mode for _, mode in jobs]))
     elapsed = time.perf_counter() - t0
-    job_seconds = [seconds for _, _, seconds, *_ in outcomes]
 
     # Back into seed order, then MODES order. A seed with a failed mode
     # contributes no rows and one failure: its first failing mode's message.
     by_job = dict(zip(jobs, outcomes))
-    all_results, failures, job_log = [], {}, {}
-    timings = {"load_scipy": load_s, "evaluate": elapsed}
+    job_log = {f"{seed}/{mode}": by_job[seed, mode][2] for seed in seeds for mode in MODES}
+    job_seconds = [record["seconds"] for record in job_log.values()]
+    all_results, failures = [], {}
     for seed in seeds:
         runs = [by_job[seed, mode] for mode in MODES]
         errors = [error for _, error, *_ in runs if error is not None]
@@ -391,14 +391,9 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
             failures[seed] = errors[0]
         else:
             all_results.extend(result for result, *_ in runs)
-        for mode, (_, _, seconds, job_start, pid) in zip(MODES, runs):
-            timings[f"trial/{seed}/{mode}"] = seconds
-            job_log[f"{seed}/{mode}"] = {"start_s": job_start - started, "pid": pid}
 
-    with open(csv_path, "w", encoding="utf-8") as fh:
-        fh.write(",".join(CSV_COLUMNS) + "\n")
-        for result in all_results:
-            fh.write(_csv_row(result) + "\n")
+    _write(csv_path, "".join(f"{line}\n" for line in (",".join(CSV_COLUMNS),
+                                                      *map(_csv_row, all_results))))
 
     summary = aggregate(all_results) if all_results else {}
     summary_doc = {
@@ -433,7 +428,7 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
         },
         seeds,
         [csv_path, summary_path],
-        timings,
+        {"load_scipy": load_s, "evaluate": elapsed},
         jobs=job_log,
         schedule={
             "detections": {str(seed): counts[seed] for seed in seeds},
@@ -448,8 +443,7 @@ def _cmd_evaluate(args, argv, batch, strategy, world, sensor, solver_cfg, noise)
 
 def _cmd_rerun(args, _argv) -> int:
     doc = _read_json(args.manifest)
-    if not isinstance(doc, dict) or doc.get("schema") != MANIFEST_SCHEMA:
-        raise ValueError(f"{args.manifest}: not a run manifest")
+    _check_schema(doc, MANIFEST_SCHEMA, MANIFEST_VERSION, args.manifest)
     argv = doc.get("argv")
     # A rerun of a rerun could name its own manifest and never end.
     commands = [c for c in _COMMANDS if c != "rerun"]

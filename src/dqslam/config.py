@@ -1,9 +1,10 @@
 """Declared types and ranges of config dataclass fields.
 
 A field declared with `setting(default, ...)` has the type of its default
-and the bounds or choices given there; `check_fields`, called from each
-config's `__post_init__`, enforces them. The command line derives its flags,
-name and help text included, from the same declarations.
+and the bounds or choices given there; a config dataclass derives from
+`Settings`, whose `__post_init__` enforces them when it is built. The
+command line derives its flags, name and help text included, from the same
+declarations.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import numbers
 import operator
 from dataclasses import field, fields
 
-__all__ = ["ConfigError", "setting", "check_fields"]
+__all__ = ["ConfigError", "setting", "Settings"]
 
 _BOUNDS = {
     "gt": (operator.gt, "greater than"),
@@ -49,17 +50,21 @@ def _has_type(value, kind) -> bool:
     return isinstance(value, numbers.Integral if kind is int else kind)
 
 
-def check_fields(config) -> None:
-    """Raise ConfigError for the first field of a config dataclass whose
-    value is not of its default's type (a finite number for floats) or
-    breaks its declared bounds or choices."""
-    for f in fields(config):
-        value, kind, meta = getattr(config, f.name), type(f.default), f.metadata
-        if not _has_type(value, kind):
-            expected = "a finite number" if kind is float else f"of type {kind.__name__}"
-            raise ConfigError(f.name, f"must be {expected}, got {value!r}")
-        if meta.get("choices") and value not in meta["choices"]:
-            raise ConfigError(f.name, f"must be one of {', '.join(meta['choices'])}; got {value!r}")
-        for key, (holds, wording) in _BOUNDS.items():
-            if meta.get(key) is not None and not holds(value, meta[key]):
-                raise ConfigError(f.name, f"must be {wording} {meta[key]}, got {value!r}")
+class Settings:
+    """Base of the config dataclasses. Building one raises ConfigError for
+    the first field whose value is not of its default's type (a finite
+    number for floats) or breaks its declared bounds or choices; a config
+    with rules across fields checks them after super().__post_init__()."""
+
+    def __post_init__(self):
+        for f in fields(self):
+            value, kind, meta = getattr(self, f.name), type(f.default), f.metadata
+            if not _has_type(value, kind):
+                expected = "a finite number" if kind is float else f"of type {kind.__name__}"
+                raise ConfigError(f.name, f"must be {expected}, got {value!r}")
+            if meta.get("choices") and value not in meta["choices"]:
+                raise ConfigError(f.name,
+                                  f"must be one of {', '.join(meta['choices'])}; got {value!r}")
+            for key, (holds, wording) in _BOUNDS.items():
+                if meta.get(key) is not None and not holds(value, meta[key]):
+                    raise ConfigError(f.name, f"must be {wording} {meta[key]}, got {value!r}")

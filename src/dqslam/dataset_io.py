@@ -139,6 +139,16 @@ def dumps_dataset(ds: Dataset) -> str:
     return _layout(doc, 0) + "\n"
 
 
+def _check_schema(doc, schema: str, version: int, where: str) -> None:
+    """Raise ValueError naming where unless doc is an object of the given
+    schema at the given version, an integer: true and 1.0 equal 1, but no
+    boolean or float is a version."""
+    if not isinstance(doc, dict) or doc.get("schema") != schema:
+        raise ValueError(f"{where}: not a {schema} document")
+    if type(doc.get("version")) is not int or doc["version"] != version:
+        raise ValueError(f"{where}: unsupported schema version {doc.get('version')!r}")
+
+
 def _get(obj, key: str, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ValueError(f"{where}: missing key {key!r}")
@@ -233,10 +243,7 @@ def dataset_from_dict(doc: dict) -> Dataset:
     non-positive cube side, degenerate box line, a landmark detected fewer
     than world_config.landmark_min_detections times) raises ValueError
     naming the key. Pose headings are wrapped to (-pi, pi]."""
-    if not isinstance(doc, dict) or doc.get("schema") != SCHEMA:
-        raise ValueError(f"not a {SCHEMA} document")
-    if doc.get("version") != SCHEMA_VERSION:
-        raise ValueError(f"unsupported schema version {doc.get('version')}")
+    _check_schema(doc, SCHEMA, SCHEMA_VERSION, "dataset")
     world = _config(WorldConfig, doc, "world_config")
     sensor = _config(SensorConfig, doc, "sensor_config")
     seed = _get(doc, "seed", "dataset")

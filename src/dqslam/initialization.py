@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_fields, setting
+from .config import Settings, setting
 from .geometry import (
     CameraExtrinsics,
     CameraIntrinsics,
@@ -48,7 +48,7 @@ class DegenerateSolutionError(ValueError):
 
 
 @dataclass(frozen=True)
-class InitStrategy:
+class InitStrategy(Settings):
     """How to initialize quadric landmarks.
 
     mode: "identity" for every quadric, or "svd-with-fallback": an SVD fit
@@ -65,9 +65,6 @@ class InitStrategy:
     condition_threshold: float = setting(
         0.1, gt=0, le=1, help="SVD acceptance ratio for the degeneracy test"
     )
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def init_poses(odometry, x0) -> np.ndarray:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_fields, setting
+from .config import Settings, setting
 from .factors import FactorGraph
 from .initialization import InitStrategy, init_poses, initialize_quadrics
 from .metrics import MODES, TrialResult, rmse_lm, rmse_pos, rmse_volume
@@ -31,7 +31,7 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class GraphNoiseConfig:
+class GraphNoiseConfig(Settings):
     """Factor noise models (standard deviations).
 
     prior_sigma anchors the first pose and fixes the gauge; it is kept very
@@ -46,9 +46,6 @@ class GraphNoiseConfig:
     odo_sigma_theta_turn: float = setting(SensorConfig.odo_turn_omega_sigma, gt=0)
     bbox_line_sigma: float = setting(1e6, gt=0)
     relpos_sigma: float = setting(SensorConfig.relpos_sigma_m, gt=0)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 def build_graph(

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import ConfigError, check_fields, setting
+from .config import ConfigError, Settings, setting
 from .factors import Measurements
 from .geometry import (
     EPS_SCALE,
@@ -84,7 +84,7 @@ def _loop_straights(cfg) -> tuple[int, int]:
 
 
 @dataclass(frozen=True)
-class WorldConfig:
+class WorldConfig(Settings):
     """Ground-truth world layout parameters."""
 
     n_landmarks: int = setting(10, gt=0, le=MAX_LANDMARKS)
@@ -107,14 +107,14 @@ class WorldConfig:
     seed: int = setting(0, ge=0)
 
     def __post_init__(self):
-        check_fields(self)
+        super().__post_init__()
         if self.offset_min >= self.offset_max:
             raise ConfigError("offset_min", f"must be less than offset_max ({self.offset_max})")
         _loop_straights(self)
 
 
 @dataclass(frozen=True)
-class SensorConfig:
+class SensorConfig(Settings):
     """Camera, detector and noise parameters."""
 
     focal_mm: float = setting(15.0, gt=0)
@@ -126,9 +126,6 @@ class SensorConfig:
     odo_sigma: float = setting(0.02, ge=0)
     odo_turn_omega_sigma: float = setting(0.1, ge=0)
     relpos_sigma_m: float = setting(0.1, ge=0)
-
-    def __post_init__(self):
-        check_fields(self)
 
     def intrinsics(self) -> CameraIntrinsics:
         f = self.focal_mm * 1e-3 / self.pixel_size_m

@@ -27,7 +27,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .config import check_fields, setting
+from .config import Settings, setting
 from .factors import FactorGraph, GraphEvaluator
 from .geometry import wrap_angles
 
@@ -61,16 +61,13 @@ class LinearSolveError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class SolverConfig:
+class SolverConfig(Settings):
     max_iterations: int = setting(100, gt=0)
     initial_lambda: float = setting(1e-4, ge=0, le=_LAMBDA_MAX)
     lambda_up: float = setting(10.0, ge=2)
     lambda_down: float = setting(0.1, gt=0, lt=1)
     rel_cost_tol: float = setting(1e-8, gt=0)
     grad_tol: float = setting(1e-10, gt=0)
-
-    def __post_init__(self):
-        check_fields(self)
 
 
 @dataclass(frozen=True)

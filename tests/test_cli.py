@@ -4,6 +4,7 @@ import concurrent.futures
 import csv
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -15,6 +16,7 @@ import pytest
 
 from dqslam import cli
 from dqslam.cli import _build_parser, main
+from dqslam.config import ConfigError
 from dqslam.dataset_io import read_dataset
 from dqslam.initialization import InitStrategy
 from dqslam.metrics import MODES
@@ -184,6 +186,40 @@ def test_config_flags_match_dataclass_fields(command):
             assert type(sub.get_default(dest)) is type(f.default), flag
             expected.add(flag)
     assert set(flags) == expected
+
+
+def _past(bound, key: str, kind: type):
+    """The value of kind nearest to bound that breaks the bound named key."""
+    if key in ("gt", "lt"):
+        return kind(bound)
+    direction = 1 if key == "le" else -1
+    return bound + direction if kind is int else math.nextafter(float(bound), direction * math.inf)
+
+
+def _past_declared_limits():
+    """(class, field, value) for each bound and choice list declared by a
+    field of a subcommand's config: a value just past the bound, or a name
+    that is none of the choices."""
+    classes = dict.fromkeys(cls for _, configs in cli._COMMANDS.values() for cls in configs)
+    for cls in classes:
+        for f in fields(cls):
+            name = f"{cls.__name__}.{f.name}"
+            if f.metadata["choices"]:
+                yield pytest.param(cls, f.name, "none-of-these", id=f"{name}-choices")
+            for key in ("gt", "ge", "lt", "le"):
+                if f.metadata[key] is not None:
+                    value = _past(f.metadata[key], key, type(f.default))
+                    yield pytest.param(cls, f.name, value, id=f"{name}-{key}")
+
+
+@pytest.mark.parametrize("cls, name, value", _past_declared_limits())
+def test_config_rejects_value_past_declared_limit(cls, name, value):
+    # Every config checks its declared fields when it is built (config.Settings):
+    # one value past a field's bound or outside its choices, the others at
+    # their defaults, raises ConfigError naming that field.
+    with pytest.raises(ConfigError) as exc:
+        cls(**{name: value})
+    assert exc.value.name == name
 
 
 def test_solve_zero_noise_and_svg(tmp_path):
@@ -464,18 +500,17 @@ def test_evaluate_job_failure_fails_its_seed_only(tmp_path, monkeypatch):
     assert len(expected) == len(rows) - 2
     assert (out / "results.csv").read_text().splitlines() == expected
 
-    # Every job's wall time is in the manifest, in seed then mode order.
-    timings = json.loads((out / "run_manifest.json").read_text())["timings_s"]
-    assert list(timings) == ["load_scipy", "evaluate"] + [
-        f"trial/{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES
-    ]
+    # One record per job, in seed then mode order: its wall time, its start
+    # offset from the batch start and the process that ran it. This serial
+    # batch ran every job here, one after another, the monocular ones first
+    # by descending detection count (seeds 6, 5 and 4 have 20, 15 and 13).
+    manifest = json.loads((out / "run_manifest.json").read_text())
+    timings, jobs = manifest["timings_s"], manifest["jobs"]
+    assert list(timings) == ["load_scipy", "evaluate"]
     assert all(t > 0 for t in timings.values())
-    # Each job's start offset from the batch start and the process that ran
-    # it: this serial batch ran every job here, one after another, the
-    # monocular ones first by descending detection count (seeds 6, 5 and 4
-    # have 20, 15 and 13).
-    jobs = json.loads((out / "run_manifest.json").read_text())["jobs"]
     assert list(jobs) == [f"{seed}/{mode}" for seed in (4, 5, 6) for mode in MODES]
+    assert all(list(job) == ["start_s", "seconds", "pid"] for job in jobs.values())
+    assert all(job["seconds"] > 0 for job in jobs.values())
     assert {job["pid"] for job in jobs.values()} == {os.getpid()}
     starts = [jobs[f"{seed}/{mode}"]["start_s"] for mode in MODES for seed in (6, 5, 4)]
     assert 0 <= starts[0] and starts == sorted(starts)
@@ -504,10 +539,9 @@ def test_evaluate_starts_longest_solves_first(tmp_path):
     assert _start_order(manifest) == [f"{seed}/{mode}" for mode in MODES for seed in (8, 9, 10, 7)]
     # A serial batch's ideal makespan is the sum of its job times, which
     # the batch's wall time includes.
-    timings = manifest["timings_s"]
     ideal = manifest["schedule"]["ideal_s"]
-    assert ideal == pytest.approx(sum(t for k, t in timings.items() if k.startswith("trial/")))
-    assert 0 < ideal <= timings["evaluate"]
+    assert ideal == pytest.approx(sum(job["seconds"] for job in manifest["jobs"].values()))
+    assert 0 < ideal <= manifest["timings_s"]["evaluate"]
 
 
 def test_evaluate_simulation_failure_fails_its_seed_only(tmp_path, monkeypatch):
@@ -556,8 +590,11 @@ def test_rerun_reproduces_outputs(tmp_path):
         {"schema": "dqslam.run-manifest", "version": 1,
          "argv": ["rerun", "{dir}/run_manifest.json"]},
         {"schema": "something-else", "version": 1, "argv": ["simulate", "--out", "{dir}/x.json"]},
+        # A later schema version is not replayed as if it were this one.
+        {"schema": "dqslam.run-manifest", "version": 2,
+         "argv": ["simulate", "--out", "{dir}/x.json"]},
     ],
-    ids=["missing-argv", "recursive-argv", "wrong-schema"],
+    ids=["missing-argv", "recursive-argv", "wrong-schema", "version-2"],
 )
 def test_rerun_rejects_malformed_manifest(manifest, tmp_path, capsys):
     path = tmp_path / "run_manifest.json"

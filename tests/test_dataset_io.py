@@ -143,6 +143,9 @@ CORRUPTIONS = {
                               "ground_truth.landmarks.id"),
     "unordered-landmark-ids": (_swap_landmark_ids, "ground_truth.landmarks.id"),
     "non-integer-seed": (_set(["seed"], 3.0), "seed"),
+    # Equal to 1 in Python, but no integer: a version is one, as a seed is.
+    "version-true": (_set(["version"], True), "unsupported schema version True"),
+    "version-float": (_set(["version"], 1.0), "unsupported schema version 1.0"),
     "seed-mismatch": (_set(["seed"], 5), "seed"),
     "zero-box-line": (_set(["detections", 0, "lines", 2], [0.0, 0.0, 0.0]),
                       "detections.lines"),
